@@ -7,6 +7,7 @@ to keep the bulk numpy paths in other modules safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +49,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
+def prime_modulus(q: int) -> int:
+    """q itself if it is an odd prime with 3 <= q < 2**63; raises otherwise.
+
+    The one modulus check of the package: every entry point that needs a
+    prime modulus (the windows functions, PrimeModulus, the CLI) calls it.
+    Cached, so a modulus seen before costs a dictionary lookup.
+    """
+    if not isinstance(q, int):
+        raise TypeError(f"modulus must be int, got {type(q).__name__}")
+    if not 3 <= q < MAX_MODULUS:
+        raise ValueError(f"modulus must satisfy 3 <= q < 2**63, got {q}")
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"modulus must be an odd prime, got {q}")
+    return q
+
+
 @dataclass(frozen=True)
 class PrimeModulus:
     """A validated odd prime modulus for quadratic-character work."""
@@ -55,20 +73,10 @@ class PrimeModulus:
     q: int
 
     def __post_init__(self) -> None:
-        q = self.q
-        if not isinstance(q, int):
-            raise TypeError(f"modulus must be int, got {type(q).__name__}")
-        if not 3 <= q < MAX_MODULUS:
-            raise ValueError(f"modulus must satisfy 3 <= q < 2**63, got {q}")
-        if q % 2 == 0 or not is_prime(q):
-            raise ValueError(f"modulus must be an odd prime, got {q}")
+        prime_modulus(self.q)
 
 
-def _as_modulus(q) -> int:
-    return q.q if isinstance(q, PrimeModulus) else q
-
-
-def jacobi(n: int, q: int | PrimeModulus) -> int:
+def jacobi(n: int, q: int) -> int:
     """Jacobi symbol (n|q) for odd q > 0, by the binary algorithm.
 
     Strips factors of two (second supplement: flip when q = 3,5 mod 8),
@@ -76,10 +84,9 @@ def jacobi(n: int, q: int | PrimeModulus) -> int:
     reduces.  For prime q this is the Legendre symbol; euler_criterion
     is the slow independent oracle used in tests.
     """
-    b = _as_modulus(q)
-    if b <= 0 or b % 2 == 0:
-        raise ValueError(f"jacobi denominator must be positive odd, got {b}")
-    a = n % b
+    if q <= 0 or q % 2 == 0:
+        raise ValueError(f"jacobi denominator must be positive odd, got {q}")
+    a, b = n % q, q
     result = 1
     while a:
         tz = (a & -a).bit_length() - 1
@@ -92,10 +99,9 @@ def jacobi(n: int, q: int | PrimeModulus) -> int:
     return result if b == 1 else 0
 
 
-def euler_criterion(n: int, q: int | PrimeModulus) -> int:
+def euler_criterion(n: int, q: int) -> int:
     """Legendre symbol via n**((q-1)/2) mod q.  Slow; test oracle only."""
-    p = _as_modulus(q)
-    r = pow(n % p, (p - 1) // 2, p)
+    r = pow(n % q, (q - 1) // 2, q)
     if r == 0:
         return 0
     return 1 if r == 1 else -1
@@ -202,15 +208,21 @@ def _factorization(n: int, table: FactorTable | None) -> list[tuple[int, int]]:
     return out
 
 
+def odd_exponent_primes(n: int, table: FactorTable | None = None) -> tuple[int, ...]:
+    """Primes dividing n >= 1 to an odd power, ascending.
+
+    Their product is the squarefree part of n, f(n) for a completely
+    multiplicative +-1 function is the product of their signs, and a product
+    of integers is a square iff these sets cancel in pairs.
+    """
+    return tuple(p for p, e in _factorization(n, table) if e % 2)
+
+
 def squarefree_part(n: int, table: FactorTable | None = None) -> int:
     """Largest squarefree s with n = s * (perfect square)."""
     if n < 1:
         raise ValueError(f"squarefree part needs n >= 1, got {n}")
-    s = 1
-    for p, e in _factorization(n, table):
-        if e % 2:
-            s *= p
-    return s
+    return math.prod(odd_exponent_primes(n, table))
 
 
 def omega(n: int, table: FactorTable | None = None) -> int:

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .arith import ExperimentWarning, PrimeModulus, prime_density_check
+from .arith import ExperimentWarning, prime_density_check, prime_modulus
 from .prime_avg import (
     IntervalSpec,
     derivative_check,
@@ -311,14 +311,22 @@ def _resolve(command: str, args: argparse.Namespace):
 
 
 # ---------------------------------------------------------------------------
-# runners: cfg -> (results payload, all-guarantees-hold flag)
+# runners: cfg -> (results payload, all-guarantees-hold flag, CSV table)
+# where the CSV table is the (header, rows) pair --format csv prints
+
+Table = tuple[list[str], list[list]]
+
 
 def _frac(value: Fraction) -> dict:
     return {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
 
 
-def _run_clt_single(cfg, exec_cfg) -> tuple[dict, bool]:
-    q = PrimeModulus(cfg["q"]).q
+def _columns(records: list[dict], header: list[str]) -> Table:
+    return header, [[rec[key] for key in header] for rec in records]
+
+
+def _run_clt_single(cfg, exec_cfg) -> tuple[dict, bool, Table]:
+    q = prime_modulus(cfg["q"])
     h = int(math.floor(cfg["h"](q)))
     g = q - h if cfg["g"] == "full" else int(math.floor(cfg["g"](q)))
     if h < 1 or g < 1:
@@ -352,10 +360,16 @@ def _run_clt_single(cfg, exec_cfg) -> tuple[dict, bool]:
         "cdf_corrected": corrected,
         "value_counts": list(summary.value_counts),
     }
-    return results, True
+    header = ["lam", "empirical", "gaussian", "abs_diff",
+              "gaussian_corrected", "abs_diff_corrected"]
+    rows = [
+        [p["lam"], p["empirical"], p["gaussian"], p["abs_diff"], c["gaussian"], c["abs_diff"]]
+        for p, c in zip(plain["rows"], corrected["rows"])
+    ]
+    return results, True, (header, rows)
 
 
-def _run_clt_interval(cfg, exec_cfg) -> tuple[dict, bool]:
+def _run_clt_interval(cfg, exec_cfg) -> tuple[dict, bool, Table]:
     spec = cfg["interval"]
     if cfg["mode"] == "strict":
         slope = derivative_check(cfg["g"], spec.q_start, spec.delta)
@@ -398,26 +412,28 @@ def _run_clt_interval(cfg, exec_cfg) -> tuple[dict, bool]:
             for rec in report.records
         ],
     }
-    return results, True
+    header = ["q", "r", "parity", "deviation", "threshold", "exceptional"]
+    return results, True, _columns(results["records"], header)
 
 
-def _run_rmf_compare(cfg, exec_cfg) -> tuple[dict, bool]:
+def _run_rmf_compare(cfg, exec_cfg) -> tuple[dict, bool, Table]:
     spec = cfg["interval"]
     count, length, support = cfg["battery"]
     battery = random_sparse_vectors(count, length, seed=cfg["seed"], support=support)
+    primes = interval_primes(spec)
     rows = [
         {"index": i, "lhs": rec["lhs"], "rhs": rec["rhs"], "ratio": rec["ratio"]}
-        for i, rec in enumerate(variance_ratio_battery(spec, battery))
+        for i, rec in enumerate(variance_ratio_battery(spec, battery, primes))
     ]
     results = {
-        "prime_count": len(interval_primes(spec)),
+        "prime_count": len(primes),
         "rows": rows,
         "max_ratio": max(r["ratio"] for r in rows),
     }
-    return results, True
+    return results, True, _columns(rows, ["index", "lhs", "rhs", "ratio"])
 
 
-def _run_sieve_verify(cfg, exec_cfg) -> tuple[dict, bool]:
+def _run_sieve_verify(cfg, exec_cfg) -> tuple[dict, bool, Table]:
     z = cfg["z"]
     level = cfg["level"] if cfg["level"] is not None else z
     system = build_selberg(z, level)
@@ -447,10 +463,11 @@ def _run_sieve_verify(cfg, exec_cfg) -> tuple[dict, bool]:
             "ratio": sums["ratio"],
             "odd_only": sums["odd_only"],
         }
-    return results, True
+    rows = [[r["e"], r["exact"], r["float"]] for r in results["rho"]]
+    return results, True, (["e", "rho", "rho_float"], rows)
 
 
-def _run_weil_check(cfg, exec_cfg) -> tuple[dict, bool]:
+def _run_weil_check(cfg, exec_cfg) -> tuple[dict, bool, Table]:
     spec = cfg["interval"]
     instances = random_weil_instances(
         cfg["trials"], spec.q_start, spec.q_start + spec.delta, cfg["kmax"], seed=cfg["seed"]
@@ -468,10 +485,11 @@ def _run_weil_check(cfg, exec_cfg) -> tuple[dict, bool]:
         "checks": checks,
         "failures": failures,
     }
-    return results, not failures
+    header = ["q", "k", "x", "y", "gamma", "value", "bound", "ratio", "holds"]
+    return results, not failures, _columns(checks, header)
 
 
-def _run_ktheta(cfg, exec_cfg) -> tuple[dict, bool]:
+def _run_ktheta(cfg, exec_cfg) -> tuple[dict, bool, Table]:
     if cfg["rmax"] < 1 or cfg["hmax"] < 1:
         raise ValueError("need rmax >= 1 and hmax >= 1")
     rows = []
@@ -487,12 +505,13 @@ def _run_ktheta(cfg, exec_cfg) -> tuple[dict, bool]:
         "theta_min": min(row["theta"] for row in rows),
         "theta_max": max(row["theta"] for row in rows),
     }
-    return results, ok
+    return results, ok, _columns(rows, ["r", "h", "K", "theta"])
 
 
-def _run_prime_density(cfg, exec_cfg) -> tuple[dict, bool]:
+def _run_prime_density(cfg, exec_cfg) -> tuple[dict, bool, Table]:
     record = prime_density_check(cfg["x"], cfg["eta"])
-    return record, record["count"] > 0
+    header = ["x", "eta", "length", "count", "comparator", "ratio"]
+    return record, record["count"] > 0, _columns([record], header)
 
 
 _RUNNERS = {
@@ -519,42 +538,10 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_rows(command: str, results: dict) -> tuple[list[str], list[list]]:
-    if command == "clt-single":
-        header = ["lam", "empirical", "gaussian", "abs_diff",
-                  "gaussian_corrected", "abs_diff_corrected"]
-        rows = [
-            [p["lam"], p["empirical"], p["gaussian"], p["abs_diff"],
-             c["gaussian"], c["abs_diff"]]
-            for p, c in zip(results["cdf_plain"]["rows"], results["cdf_corrected"]["rows"])
-        ]
-    elif command == "clt-interval":
-        header = ["q", "r", "parity", "deviation", "threshold", "exceptional"]
-        rows = [[r["q"], r["r"], r["parity"], r["deviation"], r["threshold"], r["exceptional"]]
-                for r in results["records"]]
-    elif command == "rmf-compare":
-        header = ["index", "lhs", "rhs", "ratio"]
-        rows = [[r["index"], r["lhs"], r["rhs"], r["ratio"]] for r in results["rows"]]
-    elif command == "sieve-verify":
-        header = ["e", "rho", "rho_float"]
-        rows = [[r["e"], r["exact"], r["float"]] for r in results["rho"]]
-    elif command == "weil-check":
-        header = ["q", "k", "x", "y", "gamma", "value", "bound", "ratio", "holds"]
-        rows = [[r["q"], r["k"], r["x"], r["y"], r["gamma"], r["value"],
-                 r["bound"], r["ratio"], r["holds"]] for r in results["checks"]]
-    elif command == "ktheta":
-        header = ["r", "h", "K", "theta"]
-        rows = [[r["r"], r["h"], r["K"], r["theta"]] for r in results["rows"]]
-    else:  # prime-density
-        header = ["x", "eta", "length", "count", "comparator", "ratio"]
-        rows = [[results[k] for k in header]]
-    return header, rows
-
-
-def _render(command: str, envelope: dict, fmt: str) -> str:
-    if fmt == "json" or "error" in envelope["results"]:
+def _render(envelope: dict, table: Table | None, fmt: str) -> str:
+    if fmt == "json" or table is None:
         return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-    header, rows = _csv_rows(command, envelope["results"])
+    header, rows = table
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -575,10 +562,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results, ok = _RUNNERS[args.command](cfg, exec_cfg)
+            results, ok, table = _RUNNERS[args.command](cfg, exec_cfg)
         captured = [str(w.message) for w in caught]
     except AssertionError as exc:  # guaranteed inequality failed: exit 1
-        results, ok = {"ok": False, "error": str(exc)}, False
+        results, ok, table = {"ok": False, "error": str(exc)}, False, None
     except ValueError as exc:
         print(f"charwin: {exc}", file=sys.stderr)
         return 2
@@ -600,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
             "threads": exec_cfg["threads"],
         },
     }
-    text = _render(args.command, envelope, exec_cfg["format"])
+    text = _render(envelope, table, exec_cfg["format"])
     if exec_cfg["out"] is not None:
         with open(exec_cfg["out"], "w") as fh:
             fh.write(text)

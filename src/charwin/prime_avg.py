@@ -17,8 +17,9 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .arith import ExperimentWarning, PrimeModulus, _as_modulus, jacobi, primes_in_interval
+from .arith import ExperimentWarning, jacobi, primes_in_interval
 from .rmf import _coeffs, rmf_variance_rhs
 from .squares import paired_count_exact
 from .windows import WindowConfig, power_sum, value_histogram, window_series
@@ -164,7 +165,7 @@ def _records_for_series(series, r_max: int, threshold_g: float, threshold_scale:
 
 
 def moment_deviation(
-    q: int | PrimeModulus,
+    q: int,
     g: int,
     h: int,
     r: int,
@@ -181,7 +182,6 @@ def moment_deviation(
     Odd mode: (1/g) * sum_m S(m)^(2r-1), whose target is zero.  The record
     is exceptional when |deviation| >= threshold_scale * g^(-1/8).
     """
-    q = _as_modulus(q)
     if not 1 <= r <= h:
         raise ValueError(f"need 1 <= r <= h, got r={r}, h={h}")
     series = window_series(q, WindowConfig(h=h, g=g, m_start=m_start))
@@ -211,17 +211,10 @@ class ExceptionalReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _series_args(q: int, g_inner: int, h_q: int, g_thresh: float, r_max: int, scale: float, m_start: int):
-    return (q, g_inner, h_q, g_thresh, r_max, scale, m_start)
-
-
-def _worker_records(args) -> list[tuple]:
-    q, g_inner, h_q, g_thresh, r_max, scale, m_start = args
+def _prime_records(item, r_max: int, scale: float, m_start: int) -> list[DeviationRecord]:
+    q, g_inner, h_q, g_q = item
     series = window_series(q, WindowConfig(h=h_q, g=g_inner, m_start=m_start))
-    return [
-        (rec.q, rec.r, rec.parity, rec.deviation, rec.threshold, rec.exceptional, h_q)
-        for rec in _records_for_series(series, r_max, g_thresh, scale)
-    ]
+    return _records_for_series(series, r_max, g_q, scale)
 
 
 def exceptional_sets(
@@ -277,27 +270,29 @@ def exceptional_sets(
         if r_max > h_q:
             notes.append(f"orders r > h={h_q} skipped at q={q}")
         g_inner = int(math.floor(g_q if per_prime_inner else g_at_start))
-        work.append(_series_args(q, max(g_inner, 1), h_q, g_q, r_max, threshold_scale, m_start))
+        work.append((q, max(g_inner, 1), h_q, g_q))
 
+    per_prime = partial(_prime_records, r_max=r_max, scale=threshold_scale, m_start=m_start)
     if workers > 1:
         chunk = max(1, len(work) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = [rec for batch in pool.map(_worker_records, work, chunksize=chunk) for rec in batch]
+            batches = list(pool.map(per_prime, work, chunksize=chunk))
     else:
-        raw = [rec for args in work for rec in _worker_records(args)]
-    records = [DeviationRecord(*rec[:6]) for rec in raw]
+        batches = [per_prime(item) for item in work]
 
+    records: list[DeviationRecord] = []
     exceptional_primes = {"even": set(), "odd": set()}
     sq_sums: dict[str, list[float]] = {}
     sq_sums_norm: dict[str, list[float]] = {}
-    for rec, raw_rec in zip(records, raw):
-        if rec.exceptional:
-            exceptional_primes[rec.parity].add(rec.q)
-        key = f"r{rec.r}_{rec.parity}"
-        h_q = raw_rec[6]
-        order = 2 * rec.r if rec.parity == "even" else 2 * rec.r - 1
-        sq_sums.setdefault(key, []).append(rec.deviation**2)
-        sq_sums_norm.setdefault(key, []).append((rec.deviation / h_q ** (order / 2)) ** 2)
+    for (_, _, h_q, _), batch in zip(work, batches):
+        records.extend(batch)
+        for rec in batch:
+            if rec.exceptional:
+                exceptional_primes[rec.parity].add(rec.q)
+            key = f"r{rec.r}_{rec.parity}"
+            order = 2 * rec.r if rec.parity == "even" else 2 * rec.r - 1
+            sq_sums.setdefault(key, []).append(rec.deviation**2)
+            sq_sums_norm.setdefault(key, []).append((rec.deviation / h_q ** (order / 2)) ** 2)
     n = len(primes)
     union = exceptional_primes["even"] | exceptional_primes["odd"]
     return ExceptionalReport(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import FactorTable, _factorization, squarefree_part
+from .arith import FactorTable, odd_exponent_primes, squarefree_part
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -84,11 +84,7 @@ class RmfEnsemble:
         """f(n) = product of f(p) over primes with odd exponent in n."""
         if not 1 <= n <= self.limit:
             raise ValueError(f"n={n} outside ensemble range [1, {self.limit}]")
-        v = 1
-        for p, e in _factorization(n, self._table):
-            if e % 2:
-                v *= self.sign(p)
-        return v
+        return math.prod(self.sign(p) for p in odd_exponent_primes(n, self._table))
 
 
 def rmf_sample(seed: int, limit: int, table: FactorTable | None = None) -> RmfEnsemble:
@@ -110,13 +106,6 @@ def exact_second_moment(a, table: FactorTable | None = None) -> float:
     return float(sum(abs(v) ** 2 for v in groups.values()))
 
 
-def _parity_profiles(n_max: int, table: FactorTable | None) -> list[tuple[int, ...]]:
-    """For each n <= n_max, the primes of odd exponent (f(n) = prod of their signs)."""
-    return [
-        tuple(p for p, e in _factorization(n, table) if e % 2) for n in range(1, n_max + 1)
-    ]
-
-
 def enumerate_second_moment(a, table: FactorTable | None = None) -> float:
     """E |sum a_n f(n)|^2 by exhausting all sign patterns.  Test oracle.
 
@@ -124,7 +113,7 @@ def enumerate_second_moment(a, table: FactorTable | None = None) -> float:
     guarded to k <= 20.
     """
     vals = _coeffs(a)
-    profiles = _parity_profiles(len(vals), table)
+    profiles = [odd_exponent_primes(n, table) for n in range(1, len(vals) + 1)]
     primes = sorted({p for prof in profiles for p in prof})
     if len(primes) > 20:
         raise ValueError(f"enumeration over {len(primes)} primes is out of budget")
@@ -149,7 +138,7 @@ def mc_second_moment(a, trials: int, seed: int, table: FactorTable | None = None
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     vals = _coeffs(a)
-    profiles = _parity_profiles(len(vals), table)
+    profiles = [odd_exponent_primes(n, table) for n in range(1, len(vals) + 1)]
     primes = sorted({p for prof in profiles for p in prof})
     acc = 0.0
     acc_sq = 0.0

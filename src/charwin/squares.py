@@ -11,13 +11,14 @@ x^(2r) in cosh(x)^h times (2r)!).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactorTable, _factorization, is_perfect_square
+from .arith import FactorTable, _factorization, is_perfect_square, odd_exponent_primes
 
 BRUTE_FORCE_BUDGET = 10**8
 
@@ -56,16 +57,6 @@ def reduce_tuple(entries) -> TupleReduction:
     return TupleReduction(survivors=tuple(v for v, a in zip(values, alive) if a))
 
 
-def _odd_prime_profile(m: int, offsets, table: FactorTable | None) -> frozenset[int]:
-    """Primes of odd exponent in prod (m + off); empty iff the product is a square."""
-    parity: set[int] = set()
-    for off in offsets:
-        for p, e in _factorization(m + off, table):
-            if e % 2:
-                parity ^= {p}
-    return frozenset(parity)
-
-
 def product_is_square(m: int, offsets, table: FactorTable | None = None) -> bool:
     """Whether prod_i (m + offsets_i) is a perfect square.
 
@@ -75,7 +66,10 @@ def product_is_square(m: int, offsets, table: FactorTable | None = None) -> bool
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    return not _odd_prime_profile(m, offsets, table)
+    parity: set[int] = set()
+    for off in offsets:
+        parity.symmetric_difference_update(odd_exponent_primes(m + off, table))
+    return not parity
 
 
 def square_iff_reduced(m: int, alpha, table: FactorTable | None = None) -> tuple[bool, bool]:
@@ -108,12 +102,14 @@ def _series_mul(a: list[Fraction], b: list[Fraction], deg: int) -> list[Fraction
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def paired_count_exact(r: int, h: int) -> int:
     """K(r, h) = (2r)! * [x^(2r)] cosh(x)^h, via exact rational power series.
 
     Each of the h factors contributes an even number of slots; cosh is the
     exponential generating function of "even multiplicity", so the truncated
-    h-th power collects exactly the fully-paired tuples.
+    h-th power collects exactly the fully-paired tuples.  Cached: an
+    interval run asks for the same few (r, h) at every prime.
     """
     if r < 1 or h < 1:
         raise ValueError(f"need r >= 1 and h >= 1, got r={r}, h={h}")

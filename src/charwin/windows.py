@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ExperimentWarning, PrimeModulus, _as_modulus, jacobi
+from .arith import ExperimentWarning, jacobi, prime_modulus
 
 # Full-period character tables are dense int8 arrays of length q; cap their
 # size so bulk paths never allocate more than ~128 MB.
@@ -31,7 +31,7 @@ def chi_table(q: int) -> np.ndarray:
     Built by marking the (q-1)/2 nonzero squares mod q, an independent
     route from the binary-reciprocity jacobi(); tests pin the two together.
     """
-    q = _as_modulus(q)
+    q = prime_modulus(q)
     if q > CHI_TABLE_MAX:
         raise ValueError(f"character table for q={q} exceeds memory budget")
     t = np.full(q, -1, dtype=np.int8)
@@ -44,11 +44,14 @@ def chi_table(q: int) -> np.ndarray:
     return t
 
 
-def _chi_range(q: int, n_lo: int, n_hi: int, method: str = "auto") -> np.ndarray:
-    """Symbols (n|q) for n = n_lo..n_hi inclusive, as an int8/int64 array."""
+def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
+    """Symbols (n|q) for n = n_lo..n_hi inclusive, as an int8/int64 array.
+
+    The one place that picks a route: the full-period table while q fits
+    CHI_TABLE_MAX, scalar jacobi() above it.
+    """
     count = n_hi - n_lo + 1
-    use_table = method == "table" or (method == "auto" and q <= CHI_TABLE_MAX)
-    if not use_table:
+    if q > CHI_TABLE_MAX:
         return np.fromiter((jacobi(n, q) for n in range(n_lo, n_hi + 1)), np.int64, count)
     t = chi_table(q)
     lo, hi = n_lo % q, n_lo % q + count - 1
@@ -58,13 +61,13 @@ def _chi_range(q: int, n_lo: int, n_hi: int, method: str = "auto") -> np.ndarray
     return t[idx]
 
 
-def window_sum(q: int | PrimeModulus, x: int, h: int) -> int:
+def window_sum(q: int, x: int, h: int) -> int:
     """S = sum of (n|q) over the window x < n <= x+h.  Reference evaluator.
 
     h = q (one complete period, which sums to zero) is allowed as a sanity
     case; anything longer is rejected.
     """
-    q = _as_modulus(q)
+    q = prime_modulus(q)
     if x < 0:
         raise ValueError(f"window start must be >= 0, got {x}")
     if not 1 <= h <= q:
@@ -106,15 +109,14 @@ class WindowSeries:
         return self.config.g
 
 
-def window_series(q: int | PrimeModulus, config: WindowConfig, method: str = "auto") -> WindowSeries:
+def window_series(q: int, config: WindowConfig) -> WindowSeries:
     """Window sums S(m) for m = m_start .. m_start+g-1.
 
     Evaluates each symbol once over the span (g + h + O(1) evaluations) and
     slides via prefix sums, which telescopes to the incremental update
-    S(m+1) = S(m) - chi(m+1) + chi(m+1+h).  method="direct" forces per-n
-    jacobi evaluation; "table" forces the full-period table.
+    S(m+1) = S(m) - chi(m+1) + chi(m+1+h).
     """
-    q = _as_modulus(q)
+    q = prime_modulus(q)
     h, g, m0 = config.h, config.g, config.m_start
     if h >= q:
         raise ValueError(f"window length h={h} must be < q={q}")
@@ -125,7 +127,7 @@ def window_series(q: int | PrimeModulus, config: WindowConfig, method: str = "au
             ExperimentWarning,
             stacklevel=2,
         )
-    chi = _chi_range(q, m0 + 1, m0 + g + h - 1, method=method)
+    chi = _chi_range(q, m0 + 1, m0 + g + h - 1)
     prefix = np.concatenate([np.zeros(1, np.int64), np.cumsum(chi, dtype=np.int64)])
     sums = prefix[h : h + g] - prefix[0:g]
     return WindowSeries(q=q, config=config, sums=sums)
@@ -229,9 +231,9 @@ def cdf_vs_gaussian(summary: EmpiricalSummary, lambdas, corrected: bool = False)
     }
 
 
-def polya_vinogradov_check(q: int | PrimeModulus) -> dict:
+def polya_vinogradov_check(q: int) -> dict:
     """Max |partial sum of the character| over the period vs sqrt(q) log q."""
-    q = _as_modulus(q)
+    q = prime_modulus(q)
     chi = _chi_range(q, 1, q)
     partial = np.cumsum(chi, dtype=np.int64)
     peak = int(np.max(np.abs(partial)))
@@ -239,13 +241,13 @@ def polya_vinogradov_check(q: int | PrimeModulus) -> dict:
     return {"q": q, "max_partial_sum": peak, "bound": bound, "ratio": peak / bound}
 
 
-def incomplete_poly_sum(q: int | PrimeModulus, gamma, x: int, y: int) -> int:
+def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
     """Sum over x < n <= x+y of prod_i (n + gamma_i | q).
 
     Symbols are multiplied term-wise; the polynomial product of the shifted
     arguments is never formed.  Offsets must be distinct mod q.
     """
-    q = _as_modulus(q)
+    q = prime_modulus(q)
     gamma = tuple(int(c) for c in gamma)
     if not gamma:
         raise ValueError("need at least one offset")
@@ -253,24 +255,18 @@ def incomplete_poly_sum(q: int | PrimeModulus, gamma, x: int, y: int) -> int:
         raise ValueError(f"offsets must be distinct mod q={q}: {gamma}")
     if not 0 < y <= q:
         raise ValueError(f"need 0 < y <= q, got y={y}")
-    if q <= CHI_TABLE_MAX:
-        t = chi_table(q)
-        total = 0
-        for lo in range(x + 1, x + y + 1, _CHUNK):
-            n = np.arange(lo, min(lo + _CHUNK, x + y + 1), dtype=np.int64)
-            acc = t[(n + gamma[0]) % q]
-            for c in gamma[1:]:
-                acc = acc * t[(n + c) % q]
-            total += int(acc.sum(dtype=np.int64))
-        return total
-    return sum(
-        math.prod(jacobi(n + c, q) for c in gamma) for n in range(x + 1, x + y + 1)
-    )
+    total = 0
+    for lo in range(x + 1, x + y + 1, _CHUNK):
+        hi = min(lo + _CHUNK, x + y + 1) - 1
+        acc = _chi_range(q, lo + gamma[0], hi + gamma[0])
+        for c in gamma[1:]:
+            acc = acc * _chi_range(q, lo + c, hi + c)
+        total += int(acc.sum(dtype=np.int64))
+    return total
 
 
-def weil_bound_check(q: int | PrimeModulus, gamma, x: int, y: int) -> dict:
+def weil_bound_check(q: int, gamma, x: int, y: int) -> dict:
     """Incomplete sum against the 9 * k * sqrt(q) * log(q) bound."""
-    q = _as_modulus(q)
     value = incomplete_poly_sum(q, gamma, x, y)
     k = len(tuple(gamma))
     bound = 9.0 * k * math.sqrt(q) * math.log(q)

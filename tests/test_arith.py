@@ -19,6 +19,7 @@ from charwin import (
     squarefree_part,
     tau,
 )
+from charwin.arith import odd_exponent_primes, prime_modulus
 
 PRIMES_TO_300 = primes_in_interval(3, 300)
 
@@ -38,12 +39,37 @@ def test_is_prime_large_spot_values():
 
 def test_prime_modulus_validation():
     assert PrimeModulus(7).q == 7
-    with pytest.raises(ValueError):
-        PrimeModulus(2)
-    with pytest.raises(ValueError):
-        PrimeModulus(9)
-    with pytest.raises(ValueError):
-        PrimeModulus(1)
+    assert prime_modulus(1000000007) == 1000000007
+    for bad in (1, 2, 9, 15, 2**63 + 29, -7):
+        with pytest.raises(ValueError):
+            PrimeModulus(bad)
+        with pytest.raises(ValueError):
+            prime_modulus(bad)
+    with pytest.raises(TypeError):
+        prime_modulus(7.0)
+    hits = prime_modulus.cache_info().hits
+    prime_modulus(1000000007)
+    assert prime_modulus.cache_info().hits == hits + 1
+
+
+def test_jacobi_keeps_composite_denominators():
+    # (n|15) = (n|3)(n|5): 2 is a nonresidue mod 3 and mod 5, so (2|15) = 1
+    # although 2 is no square mod 15; the prime check must not reach jacobi
+    assert jacobi(2, 15) == 1
+    for n in range(-15, 45):
+        assert jacobi(n, 15) == jacobi(n, 3) * jacobi(n, 5)
+    assert jacobi(7, 1) == 1
+
+
+def test_odd_exponent_primes(factor_table):
+    assert odd_exponent_primes(1) == ()
+    assert odd_exponent_primes(360) == (2, 5)  # 2^3 * 3^2 * 5
+    assert odd_exponent_primes(360, factor_table) == (2, 5)
+    assert odd_exponent_primes(49) == ()
+    for n in range(1, 500):
+        primes = odd_exponent_primes(n, factor_table)
+        assert primes == odd_exponent_primes(n)
+        assert math.prod(primes) == squarefree_part(n)
 
 
 def test_jacobi_spot_values():

@@ -90,6 +90,15 @@ def test_same_seed_same_battery(capsys):
     assert first["results"]["max_ratio"] > 0
 
 
+def test_sparse_interval_warning_appears_once(capsys):
+    rc, env = _envelope(["rmf-compare", "--interval", "1000:100", "--battery", "2:20:3"], capsys)
+    assert rc == 0
+    assert env["results"]["prime_count"] == 16
+    assert [w for w in env["warnings"] if "statistically weak" in w] == [
+        "only 16 primes in [1000, 1100]; averages will be statistically weak"
+    ]
+
+
 def test_config_file_fills_required_and_flags_win(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[ktheta]\nrmax = 2\nhmax = 4\n")

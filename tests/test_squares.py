@@ -74,6 +74,15 @@ def test_paired_count_exact_matches_bruteforce():
             assert paired_count_exact(r, h) == paired_count_bruteforce(r, h)
 
 
+def test_paired_count_exact_is_cached():
+    first = paired_count_exact(3, 17)
+    hits = paired_count_exact.cache_info().hits
+    assert paired_count_exact(3, 17) == first == paired_count_exact.__wrapped__(3, 17)
+    assert paired_count_exact.cache_info().hits == hits + 1
+    with pytest.raises(ValueError):
+        paired_count_exact(0, 5)
+
+
 def test_paired_count_bruteforce_budget():
     with pytest.raises(ValueError):
         paired_count_bruteforce(10, 10)

@@ -27,6 +27,7 @@ from charwin import (
     weil_bound_check,
     window_series,
     window_sum,
+    windows,
 )
 
 PRIMES_TO_300 = primes_in_interval(3, 300)
@@ -94,11 +95,64 @@ def test_window_series_matches_direct_sums(q, h, g, m_start):
     assert series.sums.tolist() == direct
 
 
-def test_window_series_methods_agree():
-    config = WindowConfig(h=5, g=40, m_start=1)
-    a = window_series(101, config, method="table")
-    b = window_series(101, config, method="direct")
-    assert a.sums.tolist() == b.sums.tolist()
+def test_reciprocity_route_matches_table_route(monkeypatch):
+    # Moduli above CHI_TABLE_MAX read their symbols from scalar jacobi()
+    # instead of the full-period table.  Lowering the cap sends small moduli
+    # down that route; both routes must agree with each other and with
+    # Euler's criterion, including windows that wrap past q.
+    series_cases = [
+        (101, WindowConfig(h=5, g=40, m_start=1)),
+        (103, WindowConfig(h=7, g=200, m_start=0)),
+    ]
+    poly_cases = [(11, (0, 2), 3, 7), (101, (0, 1, 5), 10, 60), (103, (-3, 4), 50, 103)]
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExperimentWarning)
+            series = [window_series(q, config).sums.tolist() for q, config in series_cases]
+        return series, [incomplete_poly_sum(*case) for case in poly_cases]
+
+    table_route = run()
+    calls = []
+
+    def counting_jacobi(n, q):
+        calls.append(q)
+        return jacobi(n, q)
+
+    monkeypatch.setattr(windows, "CHI_TABLE_MAX", 7)
+    monkeypatch.setattr(windows, "jacobi", counting_jacobi)
+    reciprocity_route = run()
+    assert set(calls) == {11, 101, 103}
+    assert reciprocity_route == table_route
+
+    euler_series = [
+        [
+            sum(euler_criterion(n, q) for n in range(m + 1, m + c.h + 1))
+            for m in range(c.m_start, c.m_start + c.g)
+        ]
+        for q, c in series_cases
+    ]
+    euler_polys = [
+        sum(math.prod(euler_criterion(n + c, q) for c in gamma) for n in range(x + 1, x + y + 1))
+        for q, gamma, x, y in poly_cases
+    ]
+    assert table_route == (euler_series, euler_polys)
+
+
+def test_composite_moduli_rejected():
+    # each of these once returned numbers computed from a non-character
+    with pytest.raises(ValueError):
+        chi_table(15)
+    with pytest.raises(ValueError):
+        window_series(16, WindowConfig(h=2, g=3))
+    with pytest.raises(ValueError):
+        polya_vinogradov_check(21)
+    with pytest.raises(ValueError):
+        window_sum(9, 0, 2)
+    with pytest.raises(ValueError):
+        incomplete_poly_sum(15, (1,), 0, 3)
+    with pytest.raises(ValueError):
+        weil_bound_check(25, (0, 1), 0, 5)
 
 
 def test_window_series_warns_on_wraparound():
