@@ -99,6 +99,40 @@ def jacobi(n: int, q: int) -> int:
     return result if b == 1 else 0
 
 
+def jacobi_array(a, b) -> np.ndarray:
+    """Jacobi symbols (a|b) elementwise over broadcast int64 arrays, as int8.
+
+    The binary algorithm of jacobi() run on whole arrays: each pass strips
+    the twos of every live numerator, applies the same two sign rules and
+    swaps by reciprocity; an entry leaves the pass once its numerator is 0.
+    Only shifts, masks and % touch the operands, so every denominator
+    below 2**63 is safe in int64.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    if b.size and (b.min() <= 0 or not (b & 1).all()):
+        raise ValueError("jacobi denominators must be positive odd")
+    shape = a.shape
+    x = np.mod(a, b).ravel()
+    y = b.ravel()
+    sign = np.ones(x.size, dtype=np.int8)
+    idx = np.arange(x.size)
+    out = np.zeros(x.size, dtype=np.int8)
+    while True:
+        done = x == 0
+        out[idx[done]] = np.where(y[done] == 1, sign[done], 0)
+        live = ~done
+        idx, x, y, sign = idx[live], x[live], y[live], sign[live]
+        if not idx.size:
+            return out.reshape(shape)
+        tz = np.frexp((x & -x).astype(np.float64))[1] - 1
+        y8 = y & 7
+        flip = (tz & 1).astype(bool) & ((y8 == 3) | (y8 == 5))
+        x = x >> tz
+        flip ^= (x & 2).astype(bool) & (y & 2).astype(bool)
+        sign = np.where(flip, -sign, sign)
+        x, y = y % x, x
+
+
 def euler_criterion(n: int, q: int) -> int:
     """Legendre symbol via n**((q-1)/2) mod q.  Slow; test oracle only."""
     r = pow(n % q, (q - 1) // 2, q)

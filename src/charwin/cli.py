@@ -4,8 +4,9 @@ Every subcommand emits a result envelope: JSON with the resolved experiment
 config, the results payload, library versions, and any warnings raised
 during the run.  Identical config and seed produce byte-identical envelopes
 up to the ``meta`` block (timestamp, runtime, execution knobs such as
-thread count) regardless of parallelism.  ``--format csv`` projects the
-main table of each command instead; floats keep 12 significant digits.
+thread count).  Runs are single-process; ``--threads`` is accepted and
+recorded in ``meta`` only.  ``--format csv`` projects the main table of
+each command instead; floats keep 12 significant digits.
 
 Exit codes: 0 success; 1 a guaranteed inequality failed (these signal
 implementation bugs, never findings); 2 invalid configuration or input.
@@ -176,7 +177,8 @@ class _Opt:
 _EXEC_OPTS = (
     _Opt("--format", _conv_format, "json", "output format: json envelope or csv table"),
     _Opt("--out", _conv_path, None, "write output to this path instead of stdout"),
-    _Opt("--threads", _conv_int, "1", "worker processes for per-prime parallel work"),
+    _Opt("--threads", _conv_int, "1",
+         "accepted and recorded in meta; every run is single-process"),
 )
 
 _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
@@ -389,7 +391,6 @@ def _run_clt_interval(cfg, exec_cfg) -> tuple[dict, bool, Table]:
         per_prime_inner=cfg["per_prime_inner"],
         threshold_scale=cfg["threshold_scale"],
         m_start=cfg["m_start"],
-        workers=exec_cfg["threads"],
     )
     for note in report.warnings:
         warnings.warn(note, ExperimentWarning, stacklevel=2)

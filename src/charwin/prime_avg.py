@@ -14,15 +14,23 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
-from .arith import ExperimentWarning, jacobi, primes_in_interval
+import numpy as np
+
+from .arith import ExperimentWarning, primes_in_interval
 from .rmf import _coeffs, rmf_variance_rhs
 from .squares import paired_count_exact
-from .windows import WindowConfig, power_sum, value_histogram, window_series
+from .windows import (
+    BLOCK_BYTES,
+    WindowConfig,
+    chi_block,
+    power_sum,
+    value_histogram,
+    window_histograms,
+    window_series,
+)
 
 
 @dataclass(frozen=True)
@@ -77,13 +85,17 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int] | N
                 ExperimentWarning,
                 stacklevel=3,
             )
-    union = sorted({n for sup in supports for n, _ in sup})
+    n_max = max((len(vec) for vec in vectors), default=0)
+    rows = max(1, BLOCK_BYTES // (n_max + 1))
     per_vector = [[] for _ in vectors]
-    for q in primes:
-        chi = {n: jacobi(n, q) for n in union}
+    for lo in range(0, len(primes), rows):
+        block = chi_block(primes[lo : lo + rows], n_max)
         for i, sup in enumerate(supports):
-            inner = sum(c * chi[n] for n, c in sup)
-            per_vector[i].append(abs(inner) ** 2)
+            # term by term, left to right, as sum() over the support would
+            inner = np.zeros(block.shape[0])
+            for n, c in sup:
+                inner = inner + c * block[:, n]
+            per_vector[i].extend(abs(x) ** 2 for x in inner.tolist())
     scale = math.log(spec.q_start) / spec.delta
     return [scale * math.fsum(terms) for terms in per_vector]
 
@@ -141,9 +153,10 @@ class DeviationRecord:
     exceptional: bool
 
 
-def _records_for_series(series, r_max: int, threshold_g: float, threshold_scale: float) -> list[DeviationRecord]:
-    h, g, q = series.h, int(series.sums.size), series.q
-    counts = value_histogram(series)
+def _records(
+    q: int, counts: list[int], h: int, g: int, r_max: int, threshold_g: float, threshold_scale: float
+) -> list[DeviationRecord]:
+    """Even and odd deviation records r = 1..min(r_max, h) from one value histogram."""
     threshold = threshold_scale * threshold_g ** (-1.0 / 8.0)
     records = []
     for r in range(1, min(r_max, h) + 1):
@@ -185,7 +198,10 @@ def moment_deviation(
     if not 1 <= r <= h:
         raise ValueError(f"need 1 <= r <= h, got r={r}, h={h}")
     series = window_series(q, WindowConfig(h=h, g=g, m_start=m_start))
-    recs = _records_for_series(series, r, float(g) if threshold_g is None else threshold_g, threshold_scale)
+    recs = _records(
+        series.q, value_histogram(series), h, g, r,
+        float(g) if threshold_g is None else threshold_g, threshold_scale,
+    )
     parity = "even" if even else "odd"
     return next(rec for rec in recs if rec.r == r and rec.parity == parity)
 
@@ -211,12 +227,6 @@ class ExceptionalReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _prime_records(item, r_max: int, scale: float, m_start: int) -> list[DeviationRecord]:
-    q, g_inner, h_q, g_q = item
-    series = window_series(q, WindowConfig(h=h_q, g=g_inner, m_start=m_start))
-    return _records_for_series(series, r_max, g_q, scale)
-
-
 def exceptional_sets(
     spec: IntervalSpec,
     g_schedule,
@@ -226,7 +236,6 @@ def exceptional_sets(
     per_prime_inner: bool = False,
     threshold_scale: float = 1.0,
     m_start: int = 1,
-    workers: int = 1,
     primes: list[int] | None = None,
 ) -> ExceptionalReport:
     """Deviation records for every prime in the interval, r = 1..r_max.
@@ -247,7 +256,8 @@ def exceptional_sets(
         raise ValueError(f"no odd primes in [{spec.q_start}, {spec.q_start + spec.delta}]")
     notes: list[str] = []
     g_at_start = float(g_schedule(spec.q_start))
-    work = []
+    configs: list[WindowConfig] = []
+    thresholds_g: list[float] = []
     warned_wide = False
     for q in primes:
         g_q = float(g_schedule(q))
@@ -270,21 +280,17 @@ def exceptional_sets(
         if r_max > h_q:
             notes.append(f"orders r > h={h_q} skipped at q={q}")
         g_inner = int(math.floor(g_q if per_prime_inner else g_at_start))
-        work.append((q, max(g_inner, 1), h_q, g_q))
+        configs.append(WindowConfig(h=h_q, g=max(g_inner, 1), m_start=m_start))
+        thresholds_g.append(g_q)
 
-    per_prime = partial(_prime_records, r_max=r_max, scale=threshold_scale, m_start=m_start)
-    if workers > 1:
-        chunk = max(1, len(work) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(per_prime, work, chunksize=chunk))
-    else:
-        batches = [per_prime(item) for item in work]
-
+    histograms = window_histograms(primes, configs)
     records: list[DeviationRecord] = []
     exceptional_primes = {"even": set(), "odd": set()}
     sq_sums: dict[str, list[float]] = {}
     sq_sums_norm: dict[str, list[float]] = {}
-    for (_, _, h_q, _), batch in zip(work, batches):
+    for q, config, g_q, counts in zip(primes, configs, thresholds_g, histograms):
+        h_q = config.h
+        batch = _records(q, counts, h_q, config.g, r_max, g_q, threshold_scale)
         records.extend(batch)
         for rec in batch:
             if rec.exceptional:

@@ -11,17 +11,22 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ExperimentWarning, jacobi, prime_modulus
+from .arith import ExperimentWarning, _spf_sieve, jacobi, jacobi_array, prime_modulus
 
 # Full-period character tables are dense int8 arrays of length q; cap their
 # size so bulk paths never allocate more than ~128 MB.
 CHI_TABLE_MAX = 1 << 27
 _CHUNK = 1 << 22
+# Callers of chi_block chunk its rows so that the int8 block, plus the int64
+# prefix sums window_histograms takes of it (9 bytes per symbol), stay
+# within this budget.
+BLOCK_BYTES = 1 << 24
 
 
 @functools.lru_cache(maxsize=4)
@@ -59,6 +64,47 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
         return t[lo : hi + 1]
     idx = np.arange(lo, hi + 1, dtype=np.int64) % q
     return t[idx]
+
+
+@functools.lru_cache(maxsize=8)
+def _block_plan(n_max: int) -> tuple[np.ndarray, tuple]:
+    """Primes p <= n_max, and the composites n <= n_max in layers by their
+    number of prime factors, each with its spf[n] and n // spf[n]."""
+    spf = _spf_sieve(max(n_max, 2))[: n_max + 1].astype(np.int64)
+    n = np.arange(n_max + 1, dtype=np.int64)
+    is_prime = (spf == n) & (n >= 2)
+    done = (n < 2) | is_prime
+    pending = np.flatnonzero(~done)
+    layers = []
+    while pending.size:
+        ready = done[pending // spf[pending]]
+        layer = pending[ready]
+        layers.append((layer, spf[layer], layer // spf[layer]))
+        done[layer] = True
+        pending = pending[~ready]
+    return np.flatnonzero(is_prime), tuple(layers)
+
+
+def chi_block(qs, n_max: int) -> np.ndarray:
+    """Symbols (n|q) for n = 0..n_max (columns) and every q in qs (rows), int8.
+
+    Prime columns come from one jacobi_array call; each composite column is
+    the product of the columns for spf[n] and n // spf[n], filled in order
+    of the number of prime factors.  (n|q) is completely multiplicative in
+    n, so the block is exact for n_max >= q as well.
+    """
+    qs = np.array([prime_modulus(operator.index(q)) for q in qs], dtype=np.int64)
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+    primes, layers = _block_plan(n_max)
+    block = np.empty((qs.size, n_max + 1), dtype=np.int8)
+    block[:, 0] = 0
+    if n_max >= 1:
+        block[:, 1] = 1
+    block[:, primes] = jacobi_array(primes[None, :], qs[:, None])
+    for layer, p, cofactor in layers:
+        block[:, layer] = block[:, p] * block[:, cofactor]
+    return block
 
 
 def window_sum(q: int, x: int, h: int) -> int:
@@ -109,6 +155,18 @@ class WindowSeries:
         return self.config.g
 
 
+def _warn_if_wraps(q: int, config: WindowConfig, stacklevel: int) -> None:
+    """The full-period warning of window_series and window_histograms."""
+    span = config.g + config.h
+    if span >= q:
+        warnings.warn(
+            f"window span g+h = {span} reaches a full period of q = {q}; "
+            "starting points wrap around",
+            ExperimentWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 def window_series(q: int, config: WindowConfig) -> WindowSeries:
     """Window sums S(m) for m = m_start .. m_start+g-1.
 
@@ -120,13 +178,7 @@ def window_series(q: int, config: WindowConfig) -> WindowSeries:
     h, g, m0 = config.h, config.g, config.m_start
     if h >= q:
         raise ValueError(f"window length h={h} must be < q={q}")
-    if g + h >= q:
-        warnings.warn(
-            f"window span g+h = {g + h} reaches a full period of q = {q}; "
-            "starting points wrap around",
-            ExperimentWarning,
-            stacklevel=2,
-        )
+    _warn_if_wraps(q, config, stacklevel=2)
     chi = _chi_range(q, m0 + 1, m0 + g + h - 1)
     prefix = np.concatenate([np.zeros(1, np.int64), np.cumsum(chi, dtype=np.int64)])
     sums = prefix[h : h + g] - prefix[0:g]
@@ -180,6 +232,48 @@ def value_histogram(series: WindowSeries) -> list[int]:
         raise ValueError("empty window series")
     h = series.h
     return np.bincount((series.sums + h).astype(np.int64), minlength=2 * h + 1).tolist()
+
+
+def window_histograms(qs, configs) -> list[list[int]]:
+    """value_histogram(window_series(q, config)) for each pair, batched.
+
+    Rows of primes share one chi_block, chunked so that the block and its
+    int64 prefix sums stay within BLOCK_BYTES.  Window sums are differences
+    of a row-wise cumsum, and each group of rows with one config is
+    histogrammed by a single offset bincount.  Warns in the order of qs,
+    exactly as window_series would.
+    """
+    qs, configs = list(qs), list(configs)
+    if len(qs) != len(configs):
+        raise ValueError(f"{len(qs)} moduli but {len(configs)} window configs")
+    spans = []
+    for q, config in zip(qs, configs):
+        q = prime_modulus(operator.index(q))
+        if config.h >= q:
+            raise ValueError(f"window length h={config.h} must be < q={q}")
+        _warn_if_wraps(q, config, stacklevel=2)
+        spans.append(config.m_start + config.g + config.h - 1)
+    rows = max(1, BLOCK_BYTES // (9 * (max(spans, default=0) + 1)))
+    out: list[list[int]] = []
+    for lo in range(0, len(qs), rows):
+        chunk = configs[lo : lo + rows]
+        block = chi_block(qs[lo : lo + rows], max(spans[lo : lo + rows]))
+        prefix = np.cumsum(block, axis=1, dtype=np.int64)
+        del block
+        groups: dict[WindowConfig, list[int]] = {}
+        for i, config in enumerate(chunk):
+            groups.setdefault(config, []).append(i)
+        counts: list = [None] * len(chunk)
+        for config, members in groups.items():
+            h, g, m0 = config.h, config.g, config.m_start
+            sums = prefix[members, m0 + h : m0 + h + g] - prefix[members, m0 : m0 + g]
+            width = 2 * h + 1
+            sums += h + width * np.arange(len(members), dtype=np.int64)[:, None]
+            hist = np.bincount(sums.ravel(), minlength=width * len(members))
+            for i, row in zip(members, hist.reshape(len(members), width).tolist()):
+                counts[i] = row
+        out.extend(counts)
+    return out
 
 
 def power_sum(counts: list[int], h: int, j: int) -> int:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from charwin import (
     is_perfect_square,
     is_prime,
     jacobi,
+    jacobi_array,
     omega,
     prime_density_check,
     primes_in_interval,
@@ -98,6 +100,47 @@ def test_jacobi_multiplicative(q, a, b):
 @given(st.sampled_from(PRIMES_TO_300), st.integers(min_value=0, max_value=10**4))
 def test_jacobi_periodic(q, n):
     assert jacobi(n, q) == jacobi(n + q, q)
+
+
+# the largest prime below 2**63, and composite odd denominators near it
+NEAR_2_63 = 9223372036854775783
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            st.integers(min_value=0, max_value=2**62 - 1).map(lambda k: 2 * k + 1),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_jacobi_array_matches_jacobi(pairs):
+    a, b = zip(*pairs)
+    assert jacobi_array(list(a), list(b)).tolist() == [jacobi(x, y) for x, y in pairs]
+
+
+@given(st.sampled_from(PRIMES_TO_300), st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
+def test_jacobi_array_matches_euler_criterion(q, ns):
+    assert jacobi_array(ns, q).tolist() == [euler_criterion(n, q) for n in ns]
+
+
+def test_jacobi_array_near_2_63_and_composite_denominators():
+    assert is_prime(NEAR_2_63) and not is_prime(NEAR_2_63 - 2)
+    dens = [NEAR_2_63, NEAR_2_63 - 2, 2**63 - 1, 15, 9, 1, 3 * 5 * 7 * 11 * 13]
+    nums = [-(2**63), -1, 0, 1, 2, 3, 2**62, 2**63 - 1, NEAR_2_63 - 1, 123456789012345678]
+    got = jacobi_array(np.array(nums)[:, None], np.array(dens)[None, :])
+    assert got.dtype == np.int8 and got.shape == (len(nums), len(dens))
+    assert got.tolist() == [[jacobi(n, d) for d in dens] for n in nums]
+    for n in nums[4:]:
+        assert jacobi_array(n, NEAR_2_63) == euler_criterion(n, NEAR_2_63)
+
+
+def test_jacobi_array_rejects_bad_denominators():
+    for bad in ([3, 4], [0], [-7]):
+        with pytest.raises(ValueError):
+            jacobi_array([1] * len(bad), bad)
 
 
 def test_jacobi_sign_of_minus_one():

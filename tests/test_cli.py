@@ -81,6 +81,27 @@ def test_thread_count_does_not_change_payload(tmp_path, capsys):
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
+def test_wrap_warnings_survive_any_thread_count(tmp_path, capsys):
+    # every prime q <= 67 of the interval has g + h = 67 >= q; each warns
+    # once, in prime order, ahead of the relaxed-mode note
+    base = ["clt-interval", "--interval", "11:200", "--g", "const:64",
+            "--h", "const:3", "--rmax", "2"]
+    envs = []
+    for threads in ("1", "4"):
+        path = tmp_path / f"run{threads}.json"
+        assert cli.main(base + ["--threads", threads, "--out", str(path)]) == 0
+        envs.append(json.loads(path.read_text()))
+    capsys.readouterr()
+    assert [env.pop("meta")["threads"] for env in envs] == [1, 4]
+    assert json.dumps(envs[0], sort_keys=True) == json.dumps(envs[1], sort_keys=True)
+    wraps = [w for w in envs[0]["warnings"] if "wrap around" in w]
+    assert len(wraps) == 15
+    assert wraps[0].endswith("full period of q = 11; starting points wrap around")
+    assert wraps[-1].endswith("full period of q = 67; starting points wrap around")
+    relaxed = [i for i, w in enumerate(envs[0]["warnings"]) if w.startswith("relaxed mode")]
+    assert relaxed == [len(envs[0]["warnings"]) - 1]
+
+
 def test_same_seed_same_battery(capsys):
     argv = ["rmf-compare", "--interval", "1000:200", "--battery", "3:40:4",
             "--seed", "7"]

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charwin import (
+    DeviationRecord,
     ExperimentWarning,
     IntervalSpec,
     WindowConfig,
@@ -18,13 +20,17 @@ from charwin import (
     interval_primes,
     jacobi,
     moment_deviation,
+    paired_count_exact,
     primes_in_interval,
     random_sparse_vectors,
     rmf_variance_rhs,
     variance_ratio,
+    value_histogram,
     variance_ratio_battery,
     window_series,
 )
+from charwin.prime_avg import _battery_lhs
+from charwin.rmf import _coeffs
 
 
 def test_interval_spec_validation():
@@ -189,13 +195,137 @@ def test_exceptional_sets_threshold_monotone():
     assert scaled.fraction_union <= base.fraction_union
 
 
-def test_exceptional_sets_worker_determinism():
-    spec, g_sched, h_sched = _flagship_spec()
-    seq = exceptional_sets(spec, g_sched, h_sched, r_max=1, workers=1)
-    par = exceptional_sets(spec, g_sched, h_sched, r_max=1, workers=3)
-    assert seq.records == par.records
-    assert seq.mean_sq_deviation == par.mean_sq_deviation
-    assert seq.mean_sq_deviation_normalized == par.mean_sq_deviation_normalized
+def _slow_records(spec, g_sched, h_sched, r_max, per_prime_inner=False, threshold_scale=1.0, m_start=1):
+    """Per-prime window_series + value_histogram, with the deviations taken
+    straight from the definitions: the route exceptional_sets replaced."""
+    records = []
+    g_at_start = float(g_sched(spec.q_start))
+    for q in interval_primes(spec):
+        g_q = float(g_sched(q))
+        h = int(math.floor(h_sched(q)))
+        g = max(int(math.floor(g_q if per_prime_inner else g_at_start)), 1)
+        counts = value_histogram(window_series(q, WindowConfig(h=h, g=g, m_start=m_start)))
+        threshold = threshold_scale * g_q ** (-1.0 / 8.0)
+        for r in range(1, min(r_max, h) + 1):
+            even = sum(c * (v - h) ** (2 * r) for v, c in enumerate(counts))
+            odd = sum(c * (v - h) ** (2 * r - 1) for v, c in enumerate(counts))
+            devs = (float(Fraction(even, g) - paired_count_exact(r, h)), odd / g)
+            for parity, dev in zip(("even", "odd"), devs):
+                records.append(DeviationRecord(q, r, parity, dev, threshold, abs(dev) >= threshold))
+    return records
+
+
+@pytest.mark.parametrize(
+    "spec, g_sched, h_sched, kwargs",
+    [
+        # g + h = 67 reaches a full period, so windows wrap, for the primes 11..67
+        (IntervalSpec(11, 200), growth_schedule("const", 64.0), growth_schedule("const", 3.0), {}),
+        (
+            IntervalSpec(20000, 2000),
+            growth_schedule("log_power", 3.0),
+            growth_schedule("const", 4.0),
+            {"per_prime_inner": True},
+        ),
+        (
+            IntervalSpec(20000, 2000),
+            growth_schedule("log_power", 3.0),
+            # h_q = 3, 4 and 5 in one interval: one histogram group each
+            growth_schedule("table", (20000, 3.0), (20600, 4.0), (21300, 5.0)),
+            {"threshold_scale": 0.5},
+        ),
+        (
+            IntervalSpec(5000, 600),
+            growth_schedule("small_power", 0.5),
+            growth_schedule("const", 6.0),
+            {"m_start": 0},
+        ),
+    ],
+)
+def test_exceptional_sets_match_per_prime_oracle(spec, g_sched, h_sched, kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        report = exceptional_sets(spec, g_sched, h_sched, r_max=3, **kwargs)
+        assert report.records == _slow_records(spec, g_sched, h_sched, 3, **kwargs)
+    assert len({rec.q for rec in report.records}) == report.prime_count
+
+
+def test_exceptional_sets_warn_like_window_series():
+    spec = IntervalSpec(11, 200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exceptional_sets(spec, growth_schedule("const", 64.0), growth_schedule("const", 3.0), r_max=2)
+    wraps = [str(w.message) for w in caught if "wrap around" in str(w.message)]
+    assert wraps == [
+        f"window span g+h = 67 reaches a full period of q = {q}; starting points wrap around"
+        for q in interval_primes(spec)
+        if q <= 67
+    ]
+    assert len(wraps) == 15
+
+
+def _slow_battery_lhs(spec, vectors, primes):
+    """The per-(q, n) jacobi loop _battery_lhs replaced."""
+    supports = [[(n, c) for n, c in enumerate(vec, 1) if c != 0] for vec in vectors]
+    union = sorted({n for sup in supports for n, _ in sup})
+    per_vector = [[] for _ in vectors]
+    for q in primes:
+        chi = {n: jacobi(n, q) for n in union}
+        for i, sup in enumerate(supports):
+            inner = sum(c * chi[n] for n, c in sup)
+            per_vector[i].append(abs(inner) ** 2)
+    scale = math.log(spec.q_start) / spec.delta
+    return [scale * math.fsum(terms) for terms in per_vector]
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=60,
+        ).map(tuple),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_battery_lhs_bit_identical_to_jacobi_loop(vectors):
+    spec = IntervalSpec(q_start=3, delta=2000)
+    primes = [p for p in primes_in_interval(3, 2003) if p % 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        fast = _battery_lhs(spec, [_coeffs(v) for v in vectors], primes)
+    assert fast == _slow_battery_lhs(spec, [_coeffs(v) for v in vectors], primes)
+
+
+def test_battery_lhs_random_sparse_battery_bit_identical():
+    spec = IntervalSpec(q_start=100000, delta=5000)
+    primes = interval_primes(spec)
+    battery = [tuple(0.37 * c + 1.1 * (i % 3) * c for i, c in enumerate(vec))
+               for vec in random_sparse_vectors(12, 150, seed=5, support=30)]
+    assert _battery_lhs(spec, battery, primes) == _slow_battery_lhs(spec, battery, primes)
+
+
+def test_caller_supplied_moduli_are_checked():
+    spec = IntervalSpec(1000, 100)
+    with pytest.raises(ValueError):
+        avg_character_variance(spec, [1.0, 1.0, 1.0], primes=[15, 21])
+    with pytest.raises(ValueError):
+        avg_character_variance(spec, [1.0, 1.0], primes=[1009, 1024])
+    with pytest.raises(ValueError):
+        variance_ratio_battery(spec, [(1.0, 2.0)], primes=[1009, 1013, 1015])
+    with pytest.raises(ValueError):
+        exceptional_sets(
+            spec, growth_schedule("const", 5.0), growth_schedule("const", 2.0), r_max=1, primes=[15]
+        )
+    with pytest.raises(ValueError):
+        exceptional_sets(
+            spec, growth_schedule("const", 5.0), growth_schedule("const", 2.0), r_max=1, primes=[1024]
+        )
 
 
 def test_exceptional_sets_per_prime_inner():

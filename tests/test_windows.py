@@ -13,6 +13,7 @@ from charwin import (
     ExperimentWarning,
     WindowConfig,
     cdf_vs_gaussian,
+    chi_block,
     chi_table,
     empirical_summary,
     euler_criterion,
@@ -25,6 +26,7 @@ from charwin import (
     random_weil_instances,
     value_histogram,
     weil_bound_check,
+    window_histograms,
     window_series,
     window_sum,
     windows,
@@ -153,6 +155,85 @@ def test_composite_moduli_rejected():
         incomplete_poly_sum(15, (1,), 0, 3)
     with pytest.raises(ValueError):
         weil_bound_check(25, (0, 1), 0, 5)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 12, 60, 250])
+def test_chi_block_matches_jacobi(n_max):
+    # n_max = 60 and 250 pass several moduli: n = q, its multiples and
+    # wrapped residues all come from the multiplicative fill
+    qs = [3, 5, 7, 11, 13, 59, 61, 101, 1000003]
+    block = chi_block(qs, n_max)
+    assert block.dtype == np.int8 and block.shape == (len(qs), n_max + 1)
+    assert block.tolist() == [[jacobi(n, q) for n in range(n_max + 1)] for q in qs]
+
+
+def test_chi_block_near_2_63():
+    qs = [9223372036854775783, 9223372036854775643]
+    block = chi_block(qs, 300)
+    assert block.tolist() == [[jacobi(n, q) for n in range(301)] for q in qs]
+    assert [block[0, n] for n in (2, 3, 299)] == [euler_criterion(n, qs[0]) for n in (2, 3, 299)]
+
+
+def test_chi_block_rejects_non_prime_moduli():
+    for bad in ([7, 15], [16], [1], [2**63 + 29]):
+        with pytest.raises(ValueError):
+            chi_block(bad, 10)
+    assert chi_block([], 10).shape == (0, 11)
+
+
+def _slow_histograms(qs, configs):
+    return [value_histogram(window_series(q, c)) for q, c in zip(qs, configs)]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(PRIMES_TO_300),
+            st.integers(min_value=1, max_value=6),
+            st.integers(min_value=1, max_value=400),
+            st.sampled_from([0, 1]),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_window_histograms_match_window_series(items):
+    items = [(q, WindowConfig(h=h, g=g, m_start=m0)) for q, h, g, m0 in items if h < q]
+    if not items:
+        return
+    qs, configs = zip(*items)
+    with warnings.catch_warnings(record=True) as slow_caught:
+        warnings.simplefilter("always")
+        slow = _slow_histograms(qs, configs)
+    with warnings.catch_warnings(record=True) as fast_caught:
+        warnings.simplefilter("always")
+        fast = window_histograms(qs, configs)
+    assert fast == slow
+    assert [str(w.message) for w in fast_caught] == [str(w.message) for w in slow_caught]
+
+
+def test_window_histograms_chunk_rows(monkeypatch):
+    qs = primes_in_interval(1000, 1400)
+    configs = [WindowConfig(h=3 + q % 4, g=50 + q % 7, m_start=q % 2) for q in qs]
+    expected = _slow_histograms(qs, configs)
+    blocks = []
+    real_block = windows.chi_block
+    monkeypatch.setattr(windows, "chi_block", lambda q, n: blocks.append((len(q), n)) or real_block(q, n))
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 9 * 64 * 10)
+    assert window_histograms(qs, configs) == expected
+    # widest span: m_start + g + h - 1 = 1 + 56 + 6 - 1 = 62, so 10 rows of 63
+    assert len(qs) == 54 and [rows for rows, _ in blocks] == [10] * 5 + [4]
+    assert all(rows * 9 * (n + 1) <= 9 * 64 * 10 for rows, n in blocks)
+
+
+def test_window_histograms_validation():
+    with pytest.raises(ValueError):
+        window_histograms([15], [WindowConfig(h=2, g=3)])
+    with pytest.raises(ValueError):
+        window_histograms([7], [WindowConfig(h=7, g=3)])
+    with pytest.raises(ValueError):
+        window_histograms([7, 11], [WindowConfig(h=2, g=3)])
 
 
 def test_window_series_warns_on_wraparound():
