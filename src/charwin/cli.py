@@ -55,7 +55,7 @@ from .windows import (
     gaussian_moment,
     random_weil_instances,
     weil_bound_check,
-    window_series,
+    window_histograms,
 )
 
 SCHEMA_VERSION = "1"
@@ -340,8 +340,8 @@ def _run_clt_single(cfg, exec_cfg) -> tuple[dict, bool, Table]:
             ExperimentWarning,
             stacklevel=2,
         )
-    series = window_series(q, WindowConfig(h=h, g=g, m_start=cfg["m_start"]))
-    summary = empirical_summary(series, max_moment=cfg["moments"])
+    counts = window_histograms([q], [WindowConfig(h=h, g=g, m_start=cfg["m_start"])])[0]
+    summary = empirical_summary(counts, max_moment=cfg["moments"])
     plain = cdf_vs_gaussian(summary, cfg["lambdas"], corrected=False)
     corrected = cdf_vs_gaussian(summary, cfg["lambdas"], corrected=True)
     moments = [

@@ -27,9 +27,7 @@ from .windows import (
     WindowConfig,
     chi_block,
     power_sum,
-    value_histogram,
     window_histograms,
-    window_series,
 )
 
 
@@ -197,10 +195,9 @@ def moment_deviation(
     """
     if not 1 <= r <= h:
         raise ValueError(f"need 1 <= r <= h, got r={r}, h={h}")
-    series = window_series(q, WindowConfig(h=h, g=g, m_start=m_start))
+    counts = window_histograms([q], [WindowConfig(h=h, g=g, m_start=m_start)])[0]
     recs = _records(
-        series.q, value_histogram(series), h, g, r,
-        float(g) if threshold_g is None else threshold_g, threshold_scale,
+        q, counts, h, g, r, float(g) if threshold_g is None else threshold_g, threshold_scale
     )
     parity = "even" if even else "odd"
     return next(rec for rec in recs if rec.r == r and rec.parity == parity)

@@ -5,6 +5,7 @@ g consecutive starting points m.  Empirical moments of S/sqrt(h) and the
 empirical CDF are compared against the standard Gaussian.  Window values are
 integers in [-h, h], so all moment accumulation is exact integer arithmetic
 over a value histogram; floats only appear in the final division.
+window_histograms is the one route from symbols to value histograms.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .arith import ExperimentWarning, _spf_sieve, jacobi, jacobi_array, prime_mo
 # Full-period character tables are dense int8 arrays of length q; cap their
 # size so bulk paths never allocate more than ~128 MB.
 CHI_TABLE_MAX = 1 << 27
-_CHUNK = 1 << 22
-# Callers of chi_block chunk its rows so that the int8 block, plus the int64
-# prefix sums window_histograms takes of it (9 bytes per symbol), stay
-# within this budget.
+# Every bulk loop sizes its working set by this budget: symbol blocks and
+# tiles with their int64 prefix sums (9 bytes per symbol), and the chunks of
+# chi_table, _chi_range and incomplete_poly_sum.
 BLOCK_BYTES = 1 << 24
 
 
@@ -42,22 +42,29 @@ def chi_table(q: int) -> np.ndarray:
     t = np.full(q, -1, dtype=np.int8)
     t[0] = 0
     half = (q + 1) // 2
-    for lo in range(1, half, _CHUNK):
-        x = np.arange(lo, min(lo + _CHUNK, half), dtype=np.int64)
-        t[(x * x) % q] = 1
+    step = BLOCK_BYTES // 8
+    for lo in range(1, half, step):
+        x = np.arange(lo, min(lo + step, half), dtype=np.int64)
+        t[np.remainder(np.square(x, out=x), q, out=x)] = 1
     t.setflags(write=False)
     return t
 
 
 def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
-    """Symbols (n|q) for n = n_lo..n_hi inclusive, as an int8/int64 array.
+    """Symbols (n|q) for n = n_lo..n_hi inclusive, as an int8 array.
 
     The one place that picks a route: the full-period table while q fits
-    CHI_TABLE_MAX, scalar jacobi() above it.
+    CHI_TABLE_MAX, above it jacobi_array over tiles of numerators in [-q, q)
+    whose working set (83 bytes per symbol) fits BLOCK_BYTES.
     """
     count = n_hi - n_lo + 1
     if q > CHI_TABLE_MAX:
-        return np.fromiter((jacobi(n, q) for n in range(n_lo, n_hi + 1)), np.int64, count)
+        out = np.empty(count, dtype=np.int8)
+        step = max(1, BLOCK_BYTES // 83)
+        for lo in range(0, count, step):
+            n = np.arange(min(step, count - lo), dtype=np.int64) + ((n_lo + lo) % q - q)
+            out[lo : lo + n.size] = jacobi_array(n, q)
+        return out
     t = chi_table(q)
     lo, hi = n_lo % q, n_lo % q + count - 1
     if hi < q:
@@ -66,7 +73,7 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
     return t[idx]
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _block_plan(n_max: int) -> tuple[np.ndarray, tuple]:
     """Primes p <= n_max, and the composites n <= n_max in layers by their
     number of prime factors, each with its spf[n] and n // spf[n]."""
@@ -138,25 +145,8 @@ class WindowConfig:
             raise ValueError(f"starting-point convention must be 0 or 1, got {self.m_start}")
 
 
-@dataclass
-class WindowSeries:
-    """All g window sums for one modulus, as exact int64 values."""
-
-    q: int
-    config: WindowConfig
-    sums: np.ndarray = field(repr=False)
-
-    @property
-    def h(self) -> int:
-        return self.config.h
-
-    @property
-    def g(self) -> int:
-        return self.config.g
-
-
 def _warn_if_wraps(q: int, config: WindowConfig, stacklevel: int) -> None:
-    """The full-period warning of window_series and window_histograms."""
+    """Warn when the window span g + h reaches a full period of q."""
     span = config.g + config.h
     if span >= q:
         warnings.warn(
@@ -167,12 +157,12 @@ def _warn_if_wraps(q: int, config: WindowConfig, stacklevel: int) -> None:
         )
 
 
-def window_series(q: int, config: WindowConfig) -> WindowSeries:
-    """Window sums S(m) for m = m_start .. m_start+g-1.
+def window_series(q: int, config: WindowConfig) -> np.ndarray:
+    """Window sums S(m) for m = m_start .. m_start+g-1, as int64.
 
     Evaluates each symbol once over the span (g + h + O(1) evaluations) and
     slides via prefix sums, which telescopes to the incremental update
-    S(m+1) = S(m) - chi(m+1) + chi(m+1+h).
+    S(m+1) = S(m) - chi(m+1) + chi(m+1+h).  Small-case reference only.
     """
     q = prime_modulus(q)
     h, g, m0 = config.h, config.g, config.m_start
@@ -181,8 +171,7 @@ def window_series(q: int, config: WindowConfig) -> WindowSeries:
     _warn_if_wraps(q, config, stacklevel=2)
     chi = _chi_range(q, m0 + 1, m0 + g + h - 1)
     prefix = np.concatenate([np.zeros(1, np.int64), np.cumsum(chi, dtype=np.int64)])
-    sums = prefix[h : h + g] - prefix[0:g]
-    return WindowSeries(q=q, config=config, sums=sums)
+    return prefix[h : h + g] - prefix[0:g]
 
 
 @dataclass
@@ -226,53 +215,65 @@ class EmpiricalSummary:
         return self._cumulative[t + self.h] / self.sample_count
 
 
-def value_histogram(series: WindowSeries) -> list[int]:
-    """counts[v + h] = #{m : S(m) = v}; the exact basis for all moment work."""
-    if series.sums.size == 0:
+def value_histogram(sums: np.ndarray, h: int) -> list[int]:
+    """counts[v + h] = #{m : S(m) = v}: small-case reference of window_histograms."""
+    if sums.size == 0:
         raise ValueError("empty window series")
-    h = series.h
-    return np.bincount((series.sums + h).astype(np.int64), minlength=2 * h + 1).tolist()
+    return np.bincount((sums + h).astype(np.int64), minlength=2 * h + 1).tolist()
+
+
+def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
+    """Value histograms of a block's rows (column c is n = c), one config per row."""
+    prefix = np.cumsum(block, axis=1, dtype=np.int64)
+    groups: dict[WindowConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config, []).append(i)
+    counts: list = [None] * len(configs)
+    for config, members in groups.items():
+        h, g, m0 = config.h, config.g, config.m_start
+        sums = prefix[members, m0 + h : m0 + h + g] - prefix[members, m0 : m0 + g]
+        width = 2 * h + 1
+        sums += h + width * np.arange(len(members), dtype=np.int64)[:, None]
+        hist = np.bincount(sums.ravel(), minlength=width * len(members))
+        for i, row in zip(members, hist.reshape(len(members), width)):
+            counts[i] = row
+    return counts
 
 
 def window_histograms(qs, configs) -> list[list[int]]:
-    """value_histogram(window_series(q, config)) for each pair, batched.
+    """Value histogram of the window sums S(m), m = m_start..m_start+g-1, per pair.
 
     Rows of primes share one chi_block, chunked so that the block and its
-    int64 prefix sums stay within BLOCK_BYTES.  Window sums are differences
-    of a row-wise cumsum, and each group of rows with one config is
-    histogrammed by a single offset bincount.  Warns in the order of qs,
-    exactly as window_series would.
+    int64 prefix sums stay within BLOCK_BYTES.  A row too long for that is
+    read from _chi_range in tiles of at most BLOCK_BYTES // 9 symbols, each a
+    block whose column 0 is its first start m.  Warns in the order of qs.
     """
     qs, configs = list(qs), list(configs)
     if len(qs) != len(configs):
         raise ValueError(f"{len(qs)} moduli but {len(configs)} window configs")
-    spans = []
+    moduli, spans = [], []
     for q, config in zip(qs, configs):
         q = prime_modulus(operator.index(q))
         if config.h >= q:
             raise ValueError(f"window length h={config.h} must be < q={q}")
         _warn_if_wraps(q, config, stacklevel=2)
+        moduli.append(q)
         spans.append(config.m_start + config.g + config.h - 1)
     rows = max(1, BLOCK_BYTES // (9 * (max(spans, default=0) + 1)))
     out: list[list[int]] = []
     for lo in range(0, len(qs), rows):
-        chunk = configs[lo : lo + rows]
-        block = chi_block(qs[lo : lo + rows], max(spans[lo : lo + rows]))
-        prefix = np.cumsum(block, axis=1, dtype=np.int64)
-        del block
-        groups: dict[WindowConfig, list[int]] = {}
-        for i, config in enumerate(chunk):
-            groups.setdefault(config, []).append(i)
-        counts: list = [None] * len(chunk)
-        for config, members in groups.items():
-            h, g, m0 = config.h, config.g, config.m_start
-            sums = prefix[members, m0 + h : m0 + h + g] - prefix[members, m0 : m0 + g]
-            width = 2 * h + 1
-            sums += h + width * np.arange(len(members), dtype=np.int64)[:, None]
-            hist = np.bincount(sums.ravel(), minlength=width * len(members))
-            for i, row in zip(members, hist.reshape(len(members), width).tolist()):
-                counts[i] = row
-        out.extend(counts)
+        n_max = max(spans[lo : lo + rows])
+        if 9 * (n_max + 1) <= BLOCK_BYTES:
+            block = chi_block(moduli[lo : lo + rows], n_max)
+            out.extend(row.tolist() for row in _histograms(block, configs[lo : lo + rows]))
+            continue
+        h, m0, stop = configs[lo].h, configs[lo].m_start, configs[lo].m_start + configs[lo].g
+        step, hist = max(1, BLOCK_BYTES // 9 - h), 0
+        for m in range(m0, stop, step):
+            tile = WindowConfig(h=h, g=min(step, stop - m), m_start=0)
+            symbols = _chi_range(moduli[lo], m, m + tile.g + h - 1)
+            hist = hist + _histograms(symbols[None, :], [tile])[0]
+        out.append(hist.tolist())
     return out
 
 
@@ -281,13 +282,13 @@ def power_sum(counts: list[int], h: int, j: int) -> int:
     return sum(c * (v - h) ** j for v, c in enumerate(counts) if c)
 
 
-def empirical_summary(series: WindowSeries, max_moment: int = 4) -> EmpiricalSummary:
-    """Exact moments and value histogram of a window series."""
+def empirical_summary(counts: list[int], max_moment: int = 4) -> EmpiricalSummary:
+    """Exact moments of a value histogram counts[v + h] = #{m : S(m) = v}."""
     if not 0 <= max_moment <= 12:
         raise ValueError(f"moment order capped at 12, got {max_moment}")
-    h = series.h
-    g = int(series.sums.size)
-    counts = value_histogram(series)
+    h, g = len(counts) // 2, sum(counts)
+    if len(counts) != 2 * h + 1 or h < 1 or g < 1:
+        raise ValueError(f"need a nonempty histogram of odd length >= 3, got {len(counts)} bins")
     moments = {j: power_sum(counts, h, j) / (g * h ** (j / 2)) for j in range(max_moment + 1)}
     return EmpiricalSummary(h=h, sample_count=g, value_counts=tuple(counts), moments=moments)
 
@@ -350,8 +351,9 @@ def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
     if not 0 < y <= q:
         raise ValueError(f"need 0 < y <= q, got y={y}")
     total = 0
-    for lo in range(x + 1, x + y + 1, _CHUNK):
-        hi = min(lo + _CHUNK, x + y + 1) - 1
+    step = BLOCK_BYTES // 9
+    for lo in range(x + 1, x + y + 1, step):
+        hi = min(lo + step, x + y + 1) - 1
         acc = _chi_range(q, lo + gamma[0], hi + gamma[0])
         for c in gamma[1:]:
             acc = acc * _chi_range(q, lo + c, hi + c)

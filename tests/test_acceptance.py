@@ -42,6 +42,7 @@ from charwin import (
     random_weil_instances,
     square_iff_reduced,
     square_pair_solutions,
+    value_histogram,
     variance_ratio_battery,
     verify_indicator,
     weil_bound_check,
@@ -184,8 +185,8 @@ def test_criterion_08_single_prime_clt():
     while not is_prime(q):
         q += 1
     h = 100
-    series = window_series(q, WindowConfig(h=h, g=q - h))
-    summary = empirical_summary(series, max_moment=4)
+    sums = window_series(q, WindowConfig(h=h, g=q - h))
+    summary = empirical_summary(value_histogram(sums, h), max_moment=4)
     m = summary.moments
     moments_ok = (abs(m[2] - 1.0) <= 0.10 and abs(m[4] - 3.0) <= 0.30
                   and abs(m[1]) <= 0.05 and abs(m[3]) <= 0.05)

@@ -1,6 +1,8 @@
 """Golden envelopes: one small run of every subcommand, hashed.
 
-Each argv runs once with ``--format json`` and once with ``--format csv``.
+Each argv runs once with ``--format json`` and once with ``--format csv``,
+under the default ``BLOCK_BYTES`` and again under a 64-symbol budget that
+sends every longer window run through the column-tile route.
 The JSON envelope is hashed without ``meta`` (timestamp, runtime, threads)
 and ``versions`` (Python and numpy versions), re-serialised with sorted keys
 and two-space indent; the CSV text is hashed as printed.  Any change to a
@@ -23,7 +25,7 @@ import json
 
 import pytest
 
-from charwin import cli
+from charwin import cli, windows
 
 ARGVS = {
     "clt-single": ["clt-single", "--q", "1009", "--h", "const:10"],
@@ -77,9 +79,17 @@ def digest(name: str, fmt: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("name", sorted(ARGVS))
-def test_golden_envelope(name, fmt):
+CASES = [
+    pytest.param(name, fmt, block_bytes, id=f"{name}-{fmt}{suffix}")
+    for block_bytes, suffix in ((windows.BLOCK_BYTES, ""), (9 * 64, "-streamed"))
+    for name in sorted(ARGVS)
+    for fmt in ("json", "csv")
+]
+
+
+@pytest.mark.parametrize("name, fmt, block_bytes", CASES)
+def test_golden_envelope(name, fmt, block_bytes, monkeypatch):
+    monkeypatch.setattr(windows, "BLOCK_BYTES", block_bytes)
     assert digest(name, fmt) == GOLDEN[name, fmt]
 
 

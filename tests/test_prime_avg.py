@@ -132,7 +132,7 @@ def test_moment_deviation_r1_cross_module():
     for q in (101, 103, 997):
         g, h = 40, 4
         rec = moment_deviation(q, g=g, h=h, r=1, even=True)
-        sums = window_series(q, WindowConfig(h=h, g=g, m_start=1)).sums
+        sums = window_series(q, WindowConfig(h=h, g=g, m_start=1))
         assert rec.deviation == pytest.approx(
             sum(int(s) ** 2 for s in sums) / g - h, abs=1e-12
         )
@@ -204,7 +204,7 @@ def _slow_records(spec, g_sched, h_sched, r_max, per_prime_inner=False, threshol
         g_q = float(g_sched(q))
         h = int(math.floor(h_sched(q)))
         g = max(int(math.floor(g_q if per_prime_inner else g_at_start)), 1)
-        counts = value_histogram(window_series(q, WindowConfig(h=h, g=g, m_start=m_start)))
+        counts = value_histogram(window_series(q, WindowConfig(h=h, g=g, m_start=m_start)), h)
         threshold = threshold_scale * g_q ** (-1.0 / 8.0)
         for r in range(1, min(r_max, h) + 1):
             even = sum(c * (v - h) ** (2 * r) for v, c in enumerate(counts))

@@ -71,10 +71,10 @@ def test_window_sum_validation():
 
 
 def test_window_series_spot():
-    series = window_series(7, WindowConfig(h=2, g=3, m_start=1))
-    assert series.sums.tolist() == [0, 0, 0]
-    series = window_series(7, WindowConfig(h=2, g=3, m_start=0))
-    assert series.sums.tolist() == [2, 0, 0]
+    sums = window_series(7, WindowConfig(h=2, g=3, m_start=1))
+    assert sums.tolist() == [0, 0, 0]
+    sums = window_series(7, WindowConfig(h=2, g=3, m_start=0))
+    assert sums.tolist() == [2, 0, 0]
 
 
 @given(
@@ -89,16 +89,16 @@ def test_window_series_matches_direct_sums(q, h, g, m_start):
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExperimentWarning)
-        series = window_series(q, WindowConfig(h=h, g=g, m_start=m_start))
+        sums = window_series(q, WindowConfig(h=h, g=g, m_start=m_start))
     direct = [
         sum(jacobi(n % q, q) for n in range(m + 1, m + h + 1))
         for m in range(m_start, m_start + g)
     ]
-    assert series.sums.tolist() == direct
+    assert sums.tolist() == direct
 
 
 def test_reciprocity_route_matches_table_route(monkeypatch):
-    # Moduli above CHI_TABLE_MAX read their symbols from scalar jacobi()
+    # Moduli above CHI_TABLE_MAX read their symbols from jacobi_array()
     # instead of the full-period table.  Lowering the cap sends small moduli
     # down that route; both routes must agree with each other and with
     # Euler's criterion, including windows that wrap past q.
@@ -111,18 +111,20 @@ def test_reciprocity_route_matches_table_route(monkeypatch):
     def run():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExperimentWarning)
-            series = [window_series(q, config).sums.tolist() for q, config in series_cases]
+            series = [window_series(q, config).tolist() for q, config in series_cases]
         return series, [incomplete_poly_sum(*case) for case in poly_cases]
 
     table_route = run()
     calls = []
 
-    def counting_jacobi(n, q):
+    real_jacobi_array = windows.jacobi_array
+
+    def counting_jacobi_array(n, q):
         calls.append(q)
-        return jacobi(n, q)
+        return real_jacobi_array(n, q)
 
     monkeypatch.setattr(windows, "CHI_TABLE_MAX", 7)
-    monkeypatch.setattr(windows, "jacobi", counting_jacobi)
+    monkeypatch.setattr(windows, "jacobi_array", counting_jacobi_array)
     reciprocity_route = run()
     assert set(calls) == {11, 101, 103}
     assert reciprocity_route == table_route
@@ -182,7 +184,7 @@ def test_chi_block_rejects_non_prime_moduli():
 
 
 def _slow_histograms(qs, configs):
-    return [value_histogram(window_series(q, c)) for q, c in zip(qs, configs)]
+    return [value_histogram(window_series(q, c), c.h) for q, c in zip(qs, configs)]
 
 
 @given(
@@ -211,6 +213,40 @@ def test_window_histograms_match_window_series(items):
         fast = window_histograms(qs, configs)
     assert fast == slow
     assert [str(w.message) for w in fast_caught] == [str(w.message) for w in slow_caught]
+
+
+@pytest.mark.parametrize("route", ["table", "jacobi_array"])
+@given(
+    st.sampled_from(PRIMES_TO_300).flatmap(lambda q: st.tuples(st.just(q), st.integers(3, 3 * q))),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([0, 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_streamed_histogram_matches_window_series(route, q_and_g, h, m_start):
+    # A budget of g // 3 starts per tile forces the column-tile route and at
+    # least 3 tiles per row; g up to 3q makes the windows wrap.
+    q, g = q_and_g
+    if h >= q:
+        return
+    config = WindowConfig(h=h, g=g, m_start=m_start)
+    with warnings.catch_warnings(record=True) as slow_caught:
+        warnings.simplefilter("always")
+        slow = _slow_histograms([q], [config])
+    budget = 9 * (g // 3 + h)
+    tiles, array_calls = [], []
+    real_chi_range, real_jacobi_array = windows._chi_range, windows.jacobi_array
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as fast_caught:
+        warnings.simplefilter("always")
+        mp.setattr(windows, "BLOCK_BYTES", budget)
+        mp.setattr(windows, "_chi_range", lambda *a: tiles.append(a[2] - a[1] + 1) or real_chi_range(*a))
+        mp.setattr(windows, "jacobi_array", lambda *a: array_calls.append(a) or real_jacobi_array(*a))
+        if route == "jacobi_array":
+            mp.setattr(windows, "CHI_TABLE_MAX", q - 1)
+        fast = window_histograms([q], [config])
+    assert fast == slow
+    assert [str(w.message) for w in fast_caught] == [str(w.message) for w in slow_caught]
+    assert len(tiles) >= 3 and max(tiles) <= budget // 9
+    assert bool(array_calls) == (route == "jacobi_array")
 
 
 def test_window_histograms_chunk_rows(monkeypatch):
@@ -248,17 +284,17 @@ def test_full_period_reflection_invariance():
         assert q % 4 == 3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExperimentWarning)
-            series = window_series(q, WindowConfig(h=4, g=q, m_start=0))
-        counts = value_histogram(series)
+            sums = window_series(q, WindowConfig(h=4, g=q, m_start=0))
+        counts = value_histogram(sums, 4)
         assert counts == counts[::-1]
 
 
 def test_value_histogram_and_power_sum():
-    series = window_series(11, WindowConfig(h=3, g=5, m_start=1))
-    counts = value_histogram(series)
+    sums = window_series(11, WindowConfig(h=3, g=5, m_start=1))
+    counts = value_histogram(sums, 3)
     assert sum(counts) == 5
     assert len(counts) == 2 * 3 + 1
-    direct = series.sums.tolist()
+    direct = sums.tolist()
     for j in range(5):
         from charwin.windows import power_sum
 
@@ -266,9 +302,9 @@ def test_value_histogram_and_power_sum():
 
 
 def test_empirical_summary_moments_exact():
-    series = window_series(101, WindowConfig(h=4, g=60, m_start=1))
-    summary = empirical_summary(series, max_moment=6)
-    sums = series.sums.tolist()
+    sums = window_series(101, WindowConfig(h=4, g=60, m_start=1))
+    summary = empirical_summary(value_histogram(sums, 4), max_moment=6)
+    sums = sums.tolist()
     assert summary.moments[0] == 1.0
     for j in range(1, 7):
         expected = sum(s**j for s in sums) / (60 * 4 ** (j / 2))
@@ -276,14 +312,14 @@ def test_empirical_summary_moments_exact():
 
 
 def test_empirical_summary_moment_cap():
-    series = window_series(11, WindowConfig(h=2, g=3))
+    sums = window_series(11, WindowConfig(h=2, g=3))
     with pytest.raises(ValueError):
-        empirical_summary(series, max_moment=13)
+        empirical_summary(value_histogram(sums, 2), max_moment=13)
 
 
 def test_cdf_lattice_semantics():
     # all three window sums are 0 for q=7, h=2, m_start=1
-    summary = empirical_summary(window_series(7, WindowConfig(h=2, g=3, m_start=1)))
+    summary = empirical_summary(value_histogram(window_series(7, WindowConfig(h=2, g=3, m_start=1)), 2))
     assert summary.cdf(0.0) == 1.0  # P(S <= 0)
     assert summary.cdf(-0.1) == 0.0  # threshold floors to -1
     assert summary.cdf(5.0) == 1.0
@@ -291,7 +327,7 @@ def test_cdf_lattice_semantics():
 
 
 def test_cdf_monotone():
-    summary = empirical_summary(window_series(103, WindowConfig(h=5, g=90, m_start=1)))
+    summary = empirical_summary(value_histogram(window_series(103, WindowConfig(h=5, g=90, m_start=1)), 5))
     grid = [x / 4 for x in range(-12, 13)]
     values = [summary.cdf(x) for x in grid]
     assert all(a <= b for a, b in zip(values, values[1:]))
@@ -310,7 +346,7 @@ def test_normal_cdf_values():
 
 
 def test_cdf_vs_gaussian_structure():
-    summary = empirical_summary(window_series(103, WindowConfig(h=5, g=90)))
+    summary = empirical_summary(value_histogram(window_series(103, WindowConfig(h=5, g=90)), 5))
     plain = cdf_vs_gaussian(summary, (-1.0, 0.0, 1.0))
     corrected = cdf_vs_gaussian(summary, (-1.0, 0.0, 1.0), corrected=True)
     assert [r["lam"] for r in plain["rows"]] == [-1.0, 0.0, 1.0]
