@@ -15,9 +15,24 @@ import numpy as np
 
 MAX_MODULUS = 1 << 63
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3e24,
-# comfortably covering the full 64-bit range used here.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first twelve prime bases, each with psi_k: the smallest strong
+# pseudoprime to all of the first k bases (Jaeschke 1993; Jiang and Deng
+# 2014; OEIS A014233).  An n < psi_k that passes the first k witnesses is
+# prime, and psi_12 > 3.1e23 covers the whole 64-bit range.
+_MR_WITNESSES = (
+    (2, 2047),
+    (3, 1373653),
+    (5, 25326001),
+    (7, 3215031751),
+    (11, 2152302898747),
+    (13, 3474749660383),
+    (17, 341550071728321),
+    (19, 341550071728321),
+    (23, 3825123056546413051),
+    (29, 3825123056546413051),
+    (31, 3825123056546413051),
+    (37, 318665857834031151167461),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -27,7 +42,10 @@ class ExperimentWarning(UserWarning):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 2**64."""
+    """Deterministic Miller-Rabin primality test, exact for n < 2**64.
+
+    Stops after the first k witnesses once n < psi_k (see _MR_WITNESSES).
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -36,16 +54,17 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a, psi in _MR_WITNESSES:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 

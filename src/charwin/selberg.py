@@ -5,7 +5,10 @@ truncated at the level; lam_1 = 1 and |lam_d| <= 1.  Expanding the square
 (sum over d | n of lam_d)^2 gives weights rho_e on e = lcm(d1, d2), so that
 sum over e | n of rho_e is nonnegative for every n and exactly 1 when n has
 no odd prime factor below z.  All weights are Fractions; scans use the
-equivalent common-denominator integer form for speed.
+equivalent common-denominator integer form for speed.  verify_indicator
+accumulates that integer form over all n <= n_max in one numpy array: int64
+when the sum of |rho_e| (a bound on every partial sum) is below 2**63, so
+int64 is exact, and Python-int objects otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .arith import primes_in_interval
 
@@ -117,33 +122,36 @@ def verify_indicator(system: SieveSystem, n_max: int) -> dict:
 
     Rough means no odd prime factor below z (the sifted set); the value
     there must be exactly lambda_1^2 = 1.  Any violation raises - these are
-    construction guarantees, so a failure is a bug, not a finding.
+    construction guarantees, so a failure is a bug, not a finding.  The
+    smallest violating n is reported, as a negative sum if it is one.
+
+    One scan: acc[e::e] += rho_e over the support, a sifted mask from the
+    sifting primes, then one search for violations.  acc is int64 when the
+    sum of |rho_e|, which bounds every partial sum, is below 2**63, and an
+    array of Python ints otherwise; the same lines serve both.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     sq = system.scale**2
-    acc = [0] * (n_max + 1)
+    exact_int64 = sum(abs(v) for v in system.rho_scaled.values()) < 2**63
+    acc = np.zeros(n_max + 1, dtype=np.int64 if exact_int64 else object)
     for e, v in system.rho_scaled.items():
-        for m in range(e, n_max + 1, e):
-            acc[m] += v
-    sifted = bytearray(n_max + 1)
+        acc[e::e] += v
+    sifted = np.zeros(n_max + 1, dtype=bool)
     for p in system.sifting_primes:
-        sifted[p::p] = b"\x01" * len(sifted[p::p])
-    rough_count = 0
-    min_scaled = min(acc[1:]) if n_max >= 1 else 0
-    for n in range(1, n_max + 1):
-        if acc[n] < 0:
-            raise SieveVerificationError(f"negative weight sum {Fraction(acc[n], sq)} at n={n}")
-        if not sifted[n]:
-            rough_count += 1
-            if acc[n] != sq:
-                raise SieveVerificationError(
-                    f"rough n={n} has weight sum {Fraction(acc[n], sq)} != 1"
-                )
+        sifted[p::p] = True
+    body = acc[1:]
+    bad = np.flatnonzero((body < 0) | (~sifted[1:] & (body != sq)))
+    if bad.size:
+        n = int(bad[0]) + 1
+        value = Fraction(int(acc[n]), sq)
+        if value < 0:
+            raise SieveVerificationError(f"negative weight sum {value} at n={n}")
+        raise SieveVerificationError(f"rough n={n} has weight sum {value} != 1")
     return {
         "n_max": n_max,
-        "rough_count": rough_count,
-        "min_value": Fraction(min_scaled, sq),
+        "rough_count": n_max - int(np.count_nonzero(sifted[1:])),
+        "min_value": Fraction(int(body.min()), sq),
         "ok": True,
     }
 

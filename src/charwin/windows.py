@@ -55,7 +55,10 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
 
     The one place that picks a route: the full-period table while q fits
     CHI_TABLE_MAX, above it jacobi_array over tiles of numerators in [-q, q)
-    whose working set (83 bytes per symbol) fits BLOCK_BYTES.
+    whose working set (83 bytes per symbol) fits BLOCK_BYTES.  A range on the
+    table route is a view of the table when it stays inside one period; one
+    that wraps past q is a copy joined from slices: the tail of the table,
+    any whole periods, then its head.
     """
     count = n_hi - n_lo + 1
     if q > CHI_TABLE_MAX:
@@ -66,11 +69,11 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
             out[lo : lo + n.size] = jacobi_array(n, q)
         return out
     t = chi_table(q)
-    lo, hi = n_lo % q, n_lo % q + count - 1
-    if hi < q:
-        return t[lo : hi + 1]
-    idx = np.arange(lo, hi + 1, dtype=np.int64) % q
-    return t[idx]
+    lo = n_lo % q
+    if lo + count <= q:
+        return t[lo : lo + count]
+    full, rest = divmod(lo + count, q)
+    return np.concatenate((t[lo:], *[t] * (full - 1), t[:rest]))
 
 
 @functools.lru_cache(maxsize=1)

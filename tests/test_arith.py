@@ -39,6 +39,67 @@ def test_is_prime_large_spot_values():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+# psi_k: the smallest strong pseudoprime to each of the first k prime bases
+# (OEIS A014233), for the distinct values below 2**63
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051)
+
+
+def _is_prime_all_witnesses(n: int) -> bool:
+    """Miller-Rabin over all twelve bases, with no early stop: the oracle."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_rejects_every_psi_k():
+    for psi in PSI:
+        assert not is_prime(psi)
+        assert not _is_prime_all_witnesses(psi)
+
+
+def test_is_prime_matches_sieve():
+    sieved = np.zeros(2 * 10**6 + 1, dtype=bool)
+    sieved[primes_in_interval(2, 2 * 10**6)] = True
+    assert [is_prime(n) for n in range(2 * 10**6 + 1)] == sieved.tolist()
+    for psi in PSI:
+        lo, hi = max(2, psi - 10**4), psi + 10**4
+        got = [n for n in range(lo, hi + 1) if is_prime(n)]
+        if psi < 10**15:
+            assert got == primes_in_interval(lo, hi)
+        else:
+            # the segmented sieve near psi_9 would need a 2 GB base sieve
+            assert got == [n for n in range(lo, hi + 1) if _is_prime_all_witnesses(n)]
+
+
+@given(
+    st.one_of(
+        st.integers(0, 2**63 - 1),
+        st.sampled_from(PSI).flatmap(lambda psi: st.integers(psi - 10**6, psi + 10**6)),
+        st.integers(0, 2**31).map(lambda k: 2 * k + 1),
+    )
+)
+@settings(max_examples=500)
+def test_is_prime_matches_all_witnesses(n):
+    assert is_prime(n) == _is_prime_all_witnesses(n)
+
+
 def test_prime_modulus_validation():
     assert PrimeModulus(7).q == 7
     assert prime_modulus(1000000007) == 1000000007

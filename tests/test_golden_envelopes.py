@@ -37,7 +37,11 @@ ARGVS = {
                     "--seed", "7"],
     "sieve-verify": ["sieve-verify", "--z", "10", "--level", "9", "--nmax", "5000",
                      "--interval", "1000:500"],
+    # weight sums beyond int64: the object-dtype scan of verify_indicator
+    "sieve-verify-object": ["sieve-verify", "--z", "60", "--nmax", "20000"],
     "weil-check": ["weil-check", "--trials", "20", "--interval", "1000:9000", "--seed", "3"],
+    # short moduli: most symbol ranges wrap past q, some over several periods
+    "weil-check-wrap": ["weil-check", "--interval", "3:500", "--trials", "200"],
     "ktheta": ["ktheta", "--rmax", "2", "--hmax", "5"],
     "prime-density": ["prime-density", "--x", "1000003"],
 }
@@ -57,8 +61,12 @@ GOLDEN = {
     ('rmf-compare', 'csv'): '96a47355b8b13c90de9fa28c5b627c22f30f11dc37cd010960bc799035f83cbf',
     ('sieve-verify', 'json'): '3c2814b202bbd188742935808cad6e7eec2da5a41aa127218c7041100b5c070a',
     ('sieve-verify', 'csv'): '7cf124d425a697ad0fbd68d1804acf68872a08b885cc873ad9ff882b07945265',
+    ('sieve-verify-object', 'json'): '80187f18d9dd8893359e21d5cf1a8f8ab7e19c7a2249ba50a7eed35beb133e05',
+    ('sieve-verify-object', 'csv'): '98c0656d5f6a81cfaf415cb896f5b113ab60856238d955a70fc6f6ac9a778b1f',
     ('weil-check', 'json'): '2ac4c239414264ff5416faf8ed7d4ec843ceb78552c6498a051dc700992ad555',
     ('weil-check', 'csv'): '94f3d6cf56f29f7075a7eb3a63a85badd92dd712ef1b36a90c16eb3e3c136869',
+    ('weil-check-wrap', 'json'): 'f1ec1905bff153d56e54bfd26b754cfa884944b7f9b02895ced3f5c2be96e609',
+    ('weil-check-wrap', 'csv'): 'b24e8b5bbd298770c6d78499811c663f887b59eca8b869333d37901ef3672adf',
 }
 
 

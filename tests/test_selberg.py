@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charwin import (
     SieveVerificationError,
@@ -13,6 +15,34 @@ from charwin import (
     interval_weight_sum,
     verify_indicator,
 )
+
+
+def _indicator_oracle(system, n_max):
+    """(rough_count, min_value, None) n by n, or (None, None, message) at the first bad n."""
+    rough, values = 0, []
+    for n in range(1, n_max + 1):
+        value = indicator_value(system, n)
+        values.append(value)
+        if value < 0:
+            return None, None, f"negative weight sum {value} at n={n}"
+        if all(n % p for p in system.sifting_primes):
+            rough += 1
+            if value != 1:
+                return None, None, f"rough n={n} has weight sum {value} != 1"
+    return rough, min(values), None
+
+
+def _check_against_oracle(system, n_max):
+    rough, low, message = _indicator_oracle(system, n_max)
+    if message is not None:
+        with pytest.raises(SieveVerificationError) as info:
+            verify_indicator(system, n_max)
+        assert str(info.value) == message
+        return
+    report = verify_indicator(system, n_max)
+    assert report == {"n_max": n_max, "rough_count": rough, "min_value": low, "ok": True}
+    assert type(report["rough_count"]) is int
+    assert type(report["min_value"].numerator) is int
 
 
 def test_single_prime_system():
@@ -119,3 +149,52 @@ def test_build_validation():
         build_selberg(2, 10)
     with pytest.raises(ValueError):
         build_selberg(10, 2)
+
+
+@given(
+    st.integers(3, 30),
+    st.integers(3, 40),
+    st.integers(1, 3000),
+    st.none() | st.tuples(st.integers(0, 10**3), st.sampled_from((-2, -1, 1, 2)),
+                          st.booleans()),
+)
+@settings(max_examples=40, deadline=None)
+def test_verify_indicator_matches_per_n_oracle(z, level, n_max, tamper):
+    system = build_selberg(z, level)
+    if tamper is not None:
+        # shift one weight by a unit or by a whole 1 (scale**2): the first
+        # breaks exactness on rough n, the second can also make sums negative
+        index, step, whole = tamper
+        e = sorted(system.rho_scaled)[index % len(system.rho_scaled)]
+        system.rho_scaled[e] += step * (system.scale**2 if whole else 1)
+    _check_against_oracle(system, n_max)
+
+
+@pytest.mark.parametrize("z, fits_int64", [(40, True), (60, False)])
+def test_verify_indicator_both_dtypes(z, fits_int64):
+    # the sum of |rho_e| bounds every partial sum: int64 below 2**63, objects above
+    system = build_selberg(z, z)
+    assert (sum(abs(v) for v in system.rho_scaled.values()) < 2**63) == fits_int64
+    _check_against_oracle(system, 3000)
+
+
+@pytest.mark.parametrize("z, rough_prime", [(10, 11), (60, 61)])
+def test_verify_indicator_reports_the_smallest_bad_n(z, rough_prime):
+    sq = build_selberg(z, z).scale ** 2
+    cases = [
+        # negative at the sifted n = 5 before the rough miss at rough_prime
+        ({5: -5 * sq, rough_prime: 1}, "negative weight sum {} at n=5", 5),
+        # rough miss at rough_prime before the negative sum at 3 * rough_prime
+        ({rough_prime: 1, 3 * rough_prime: -5 * sq},
+         f"rough n={rough_prime} has weight sum {{}} != 1", rough_prime),
+        # both at rough_prime: the negative-sum message wins
+        ({rough_prime: -2 * sq}, f"negative weight sum {{}} at n={rough_prime}", rough_prime),
+    ]
+    for tamper, message, n in cases:
+        system = build_selberg(z, z)
+        for e, delta in tamper.items():
+            system.rho_scaled[e] = system.rho_scaled.get(e, 0) + delta
+        with pytest.raises(SieveVerificationError) as info:
+            verify_indicator(system, 5 * rough_prime)
+        assert str(info.value) == message.format(indicator_value(system, n))
+        _check_against_oracle(system, 5 * rough_prime)

@@ -1,6 +1,7 @@
 """Window sums, their moments, and character-sum bounds."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -387,6 +388,73 @@ def test_incomplete_poly_sum_matches_bruteforce():
             math.prod(jacobi((n + c) % q, q) for c in gamma) for n in range(x + 1, x + y + 1)
         )
         assert incomplete_poly_sum(q, gamma, x, y) == direct
+
+
+@given(
+    st.sampled_from(PRIMES_TO_300).flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            st.integers(-3 * q, 3 * q),
+            st.one_of(
+                st.integers(q - 1, q + 1),  # ends at the period's end, or just past it
+                st.integers(q + 2, 2 * q),  # wraps once
+                st.integers(2 * q, 5 * q),  # spans two periods or more
+            ),
+        )
+    )
+)
+@settings(max_examples=200)
+def test_chi_range_wrapped_table_route_matches_euler(args):
+    q, n_lo, end = args
+    count = end - n_lo % q
+    if count < 1:
+        return
+    got = windows._chi_range(q, n_lo, n_lo + count - 1)
+    assert got.dtype == np.int8
+    assert got.tolist() == [euler_criterion(n, q) for n in range(n_lo, n_lo + count)]
+
+
+def test_chi_range_ends_at_q():
+    # polya_vinogradov_check reads n = 1..q, one symbol past the table's end
+    for q in (3, 7, 101):
+        got = windows._chi_range(q, 1, q)
+        assert got.dtype == np.int8
+        assert got.tolist() == [euler_criterion(n, q) for n in range(1, q + 1)]
+
+
+def test_chi_range_wrap_allocates_only_its_symbols():
+    # a range across q costs about its own int8 bytes: no int64 index per
+    # symbol, and no pass over the whole table
+    q = 1000003
+    chi_table(q)
+    tracemalloc.start()
+    try:
+        got = windows._chi_range(q, q - 10**4, q + 10**4 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [euler_criterion(n, q) for n in range(q - 10**4, q + 10**4)]
+    assert peak < 3 * 10**4
+
+
+@given(
+    st.sampled_from(PRIMES_TO_300).flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            st.lists(st.integers(-q, 3 * q), min_size=1, max_size=4,
+                     unique_by=lambda c: c % q),
+            st.one_of(st.integers(max(0, q - 3), q + 3), st.integers(0, 3 * q)),
+            st.integers(1, q),
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_incomplete_poly_sum_matches_jacobi_products(args):
+    q, gamma, x, y = args
+    direct = sum(
+        math.prod(jacobi(n + c, q) for c in gamma) for n in range(x + 1, x + y + 1)
+    )
+    assert incomplete_poly_sum(q, gamma, x, y) == direct
 
 
 def test_incomplete_poly_sum_validation():
