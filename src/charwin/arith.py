@@ -8,8 +8,8 @@ to keep the bulk numpy paths in other modules safe.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def prime_modulus(q: int) -> int:
     """q itself if it is an odd prime with 3 <= q < 2**63; raises otherwise.
 
     The one modulus check of the package: every entry point that needs a
-    prime modulus (the windows functions, PrimeModulus, the CLI) calls it.
+    prime modulus (the windows functions and the CLI) calls it.
     Cached, so a modulus seen before costs a dictionary lookup.
     """
     if not isinstance(q, int):
@@ -83,16 +83,6 @@ def prime_modulus(q: int) -> int:
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"modulus must be an odd prime, got {q}")
     return q
-
-
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A validated odd prime modulus for quadratic-character work."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        prime_modulus(self.q)
 
 
 def jacobi(n: int, q: int) -> int:
@@ -167,67 +157,6 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass
-class FactorTable:
-    """Smallest-prime-factor sieve up to ``limit``.
-
-    smallest_prime_factor[n] is the least prime dividing n (n itself for
-    primes); entries 0 and 1 are sentinels.  Factorization requests above
-    the limit fall back to trial division by sieved primes.
-    """
-
-    limit: int
-    smallest_prime_factor: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.limit < 2:
-            raise ValueError(f"factor table limit must be >= 2, got {self.limit}")
-        if self.smallest_prime_factor is None:
-            self.smallest_prime_factor = _spf_sieve(self.limit)
-
-    def spf(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range [2, {self.limit}]")
-        return int(self.smallest_prime_factor[n])
-
-    def factorization(self, n: int) -> list[tuple[int, int]]:
-        """Sorted list of (prime, exponent) pairs for n >= 1."""
-        if n < 1:
-            raise ValueError(f"cannot factor n={n}")
-        out: list[tuple[int, int]] = []
-        if n <= self.limit:
-            spf = self.smallest_prime_factor
-            while n > 1:
-                p = int(spf[n])
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-            return out
-        # Fall back: peel sieved primes, then whatever survives.
-        for p in self.primes():
-            if p * p > n:
-                break
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        if n > 1:
-            if n <= self.limit * self.limit or is_prime(n):
-                out.append((n, 1))
-            else:
-                raise ValueError("n too large for this table (cofactor not proven prime)")
-        return sorted(out)
-
-    def primes(self) -> list[int]:
-        spf = self.smallest_prime_factor
-        idx = np.arange(2, self.limit + 1)
-        return idx[spf[2:] == idx].tolist()
-
-
 def _spf_sieve(limit: int) -> np.ndarray:
     dtype = np.int32 if limit < 2**31 else np.int64
     spf = np.zeros(limit + 1, dtype=dtype)
@@ -241,56 +170,89 @@ def _spf_sieve(limit: int) -> np.ndarray:
     return spf
 
 
-def _factorization(n: int, table: FactorTable | None) -> list[tuple[int, int]]:
-    if table is not None:
-        return table.factorization(n)
+# The one smallest-prime-factor lookup behind every factorization, with its
+# primes: grown to the next power of two above the largest n factored so
+# far, never beyond 2**_SPF_MAX_BITS entries (int32, 4 MB).
+_SPF_MAX_BITS = 20
+_spf_cache: tuple[memoryview, list[int]] = (memoryview(np.arange(2, dtype=np.int32)), [])
+
+
+def _grow_spf_cache(n: int) -> tuple[memoryview, list[int]]:
+    """The spf lookup, first rebuilt to cover n if the cap allows."""
+    global _spf_cache
+    size = 1 << min(n.bit_length(), _SPF_MAX_BITS)
+    if size > len(_spf_cache[0]):
+        spf = _spf_sieve(size - 1)
+        _spf_cache = (memoryview(spf), np.flatnonzero(spf == np.arange(size))[2:].tolist())
+    return _spf_cache
+
+
+def _factorization(n: int) -> list[tuple[int, int]]:
+    """Ascending (prime, exponent) pairs of n >= 1, exact for every n.
+
+    An n inside the cached spf lookup is a walk through it.  A larger n is
+    trial-divided by the lookup's primes, then by odd d, until the cofactor
+    fits in the lookup or is proven prime by d * d > cofactor.
+    """
     if n < 1:
         raise ValueError(f"cannot factor n={n}")
+    spf, primes = _spf_cache
+    if n >= len(spf):
+        spf, primes = _grow_spf_cache(n)
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    if n >= len(spf):
+        for d in itertools.chain(primes, itertools.count(len(spf) + 1, 2)):
+            if n < len(spf):
+                break
+            if d * d > n:
+                out.append((n, 1))
+                return out
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n //= d
+                    e += 1
+                out.append((d, e))
+    while n > 1:
+        p = spf[n]
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
     return out
 
 
-def odd_exponent_primes(n: int, table: FactorTable | None = None) -> tuple[int, ...]:
+def odd_exponent_primes(n: int) -> tuple[int, ...]:
     """Primes dividing n >= 1 to an odd power, ascending.
 
     Their product is the squarefree part of n, f(n) for a completely
     multiplicative +-1 function is the product of their signs, and a product
     of integers is a square iff these sets cancel in pairs.
     """
-    return tuple(p for p, e in _factorization(n, table) if e % 2)
+    return tuple(p for p, e in _factorization(n) if e % 2)
 
 
-def squarefree_part(n: int, table: FactorTable | None = None) -> int:
+def squarefree_part(n: int) -> int:
     """Largest squarefree s with n = s * (perfect square)."""
     if n < 1:
         raise ValueError(f"squarefree part needs n >= 1, got {n}")
-    return math.prod(odd_exponent_primes(n, table))
+    return math.prod(odd_exponent_primes(n))
 
 
-def omega(n: int, table: FactorTable | None = None) -> int:
+def omega(n: int) -> int:
     """Number of distinct prime factors."""
     if n < 1:
         raise ValueError(f"omega needs n >= 1, got {n}")
-    return len(_factorization(n, table))
+    return len(_factorization(n))
 
 
-def tau(n: int, table: FactorTable | None = None) -> int:
+def tau(n: int) -> int:
     """Number of divisors."""
     if n < 1:
         raise ValueError(f"tau needs n >= 1, got {n}")
     t = 1
-    for _, e in _factorization(n, table):
+    for _, e in _factorization(n):
         t *= e + 1
     return t
 

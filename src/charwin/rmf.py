@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import FactorTable, odd_exponent_primes, squarefree_part
+from .arith import odd_exponent_primes, squarefree_part
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -67,7 +67,6 @@ class RmfEnsemble:
 
     seed: int
     limit: int
-    _table: FactorTable | None = field(default=None, repr=False, compare=False)
     _signs: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,15 +83,15 @@ class RmfEnsemble:
         """f(n) = product of f(p) over primes with odd exponent in n."""
         if not 1 <= n <= self.limit:
             raise ValueError(f"n={n} outside ensemble range [1, {self.limit}]")
-        return math.prod(self.sign(p) for p in odd_exponent_primes(n, self._table))
+        return math.prod(self.sign(p) for p in odd_exponent_primes(n))
 
 
-def rmf_sample(seed: int, limit: int, table: FactorTable | None = None) -> RmfEnsemble:
+def rmf_sample(seed: int, limit: int) -> RmfEnsemble:
     """Ensemble whose prime signs are a pure function of (seed, p)."""
-    return RmfEnsemble(seed=seed, limit=limit, _table=table)
+    return RmfEnsemble(seed=seed, limit=limit)
 
 
-def exact_second_moment(a, table: FactorTable | None = None) -> float:
+def exact_second_moment(a) -> float:
     """E |sum_n a_n f(n)|^2 = sum over squarefree s of |sum_{s(n)=s} a_n|^2.
 
     Terms with the same squarefree part are perfectly correlated (f agrees
@@ -101,19 +100,19 @@ def exact_second_moment(a, table: FactorTable | None = None) -> float:
     vals = _coeffs(a)
     groups: dict[int, complex] = {}
     for n, coeff in enumerate(vals, start=1):
-        s = squarefree_part(n, table)
+        s = squarefree_part(n)
         groups[s] = groups.get(s, 0) + coeff
     return float(sum(abs(v) ** 2 for v in groups.values()))
 
 
-def enumerate_second_moment(a, table: FactorTable | None = None) -> float:
+def enumerate_second_moment(a) -> float:
     """E |sum a_n f(n)|^2 by exhausting all sign patterns.  Test oracle.
 
     Enumerates all 2^k assignments of the k primes <= n; exponential, so
     guarded to k <= 20.
     """
     vals = _coeffs(a)
-    profiles = [odd_exponent_primes(n, table) for n in range(1, len(vals) + 1)]
+    profiles = [odd_exponent_primes(n) for n in range(1, len(vals) + 1)]
     primes = sorted({p for prof in profiles for p in prof})
     if len(primes) > 20:
         raise ValueError(f"enumeration over {len(primes)} primes is out of budget")
@@ -129,7 +128,7 @@ def enumerate_second_moment(a, table: FactorTable | None = None) -> float:
     return total / (1 << len(primes))
 
 
-def mc_second_moment(a, trials: int, seed: int, table: FactorTable | None = None) -> dict:
+def mc_second_moment(a, trials: int, seed: int) -> dict:
     """Monte Carlo estimate of E |sum a_n f(n)|^2 with its standard error.
 
     Trial t draws signs from the keyed hash at sub-seed mix(seed, t), so the
@@ -138,7 +137,7 @@ def mc_second_moment(a, trials: int, seed: int, table: FactorTable | None = None
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     vals = _coeffs(a)
-    profiles = [odd_exponent_primes(n, table) for n in range(1, len(vals) + 1)]
+    profiles = [odd_exponent_primes(n) for n in range(1, len(vals) + 1)]
     primes = sorted({p for prof in profiles for p in prof})
     acc = 0.0
     acc_sq = 0.0
@@ -164,7 +163,7 @@ def mc_second_moment(a, trials: int, seed: int, table: FactorTable | None = None
     }
 
 
-def rmf_variance_rhs(a, interval_len: int, table: FactorTable | None = None) -> float:
+def rmf_variance_rhs(a, interval_len: int) -> float:
     """E |sum a_n f(n)|^2 + (1/sqrt(interval_len)) * (sum |a_n| sqrt(s(n)))^2.
 
     The right-hand side of the prime-average comparison: the model second
@@ -173,5 +172,5 @@ def rmf_variance_rhs(a, interval_len: int, table: FactorTable | None = None) -> 
     if interval_len < 1:
         raise ValueError(f"need interval_len >= 1, got {interval_len}")
     vals = _coeffs(a)
-    weighted = sum(abs(c) * math.sqrt(squarefree_part(n, table)) for n, c in enumerate(vals, 1))
-    return exact_second_moment(vals, table) + weighted**2 / math.sqrt(interval_len)
+    weighted = sum(abs(c) * math.sqrt(squarefree_part(n)) for n, c in enumerate(vals, 1))
+    return exact_second_moment(vals) + weighted**2 / math.sqrt(interval_len)

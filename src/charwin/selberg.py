@@ -40,14 +40,6 @@ class SieveVerificationError(AssertionError):
     """The expanded weights failed a property they are constructed to have."""
 
 
-def _euler_phi_squarefree(d: int, primes: tuple[int, ...]) -> int:
-    phi = 1
-    for p in primes:
-        if d % p == 0:
-            phi *= p - 1
-    return phi
-
-
 def build_selberg(z: int, level: int) -> SieveSystem:
     """Optimized Selberg weights: lam_d = mu(d) (d/phi(d)) G_d(level/d) / G(level).
 

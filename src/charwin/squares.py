@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactorTable, _factorization, is_perfect_square, odd_exponent_primes
+from .arith import _factorization, odd_exponent_primes
 
 BRUTE_FORCE_BUDGET = 10**8
 
@@ -57,7 +57,7 @@ def reduce_tuple(entries) -> TupleReduction:
     return TupleReduction(survivors=tuple(v for v, a in zip(values, alive) if a))
 
 
-def product_is_square(m: int, offsets, table: FactorTable | None = None) -> bool:
+def product_is_square(m: int, offsets) -> bool:
     """Whether prod_i (m + offsets_i) is a perfect square.
 
     Tested via exponent-parity vectors of the factors; the (possibly huge)
@@ -68,14 +68,14 @@ def product_is_square(m: int, offsets, table: FactorTable | None = None) -> bool
         raise ValueError(f"need m >= 1, got {m}")
     parity: set[int] = set()
     for off in offsets:
-        parity.symmetric_difference_update(odd_exponent_primes(m + off, table))
+        parity.symmetric_difference_update(odd_exponent_primes(m + off))
     return not parity
 
 
-def square_iff_reduced(m: int, alpha, table: FactorTable | None = None) -> tuple[bool, bool]:
+def square_iff_reduced(m: int, alpha) -> tuple[bool, bool]:
     """(full product square?, reduced product square?) - always equal."""
-    full = product_is_square(m, alpha, table)
-    reduced = product_is_square(m, reduce_tuple(alpha).survivors, table)
+    full = product_is_square(m, alpha)
+    reduced = product_is_square(m, reduce_tuple(alpha).survivors)
     return full, reduced
 
 
@@ -167,7 +167,7 @@ def paired_count_theta(r: int, h: int) -> PairedCount:
     return PairedCount(r=r, h=h, count=k, theta=min(max(theta, 0.0), 1.0))
 
 
-def count_square_values(gamma, m_max: int, table: FactorTable | None = None) -> tuple[int, list[int]]:
+def count_square_values(gamma, m_max: int) -> tuple[int, list[int]]:
     """#(and list of) m in [1, m_max] with prod (m + gamma_i) a perfect square."""
     gamma = tuple(int(c) for c in gamma)
     if len(set(gamma)) != len(gamma):
@@ -178,20 +178,19 @@ def count_square_values(gamma, m_max: int, table: FactorTable | None = None) -> 
         return m_max, list(range(1, m_max + 1))
     if any(c < 0 for c in gamma):
         raise ValueError(f"offsets must be nonnegative: {gamma}")
-    if table is None:
-        table = FactorTable(m_max + max(gamma))
-    witnesses = [m for m in range(1, m_max + 1) if product_is_square(m, gamma, table)]
+    witnesses = [m for m in range(1, m_max + 1) if product_is_square(m, gamma)]
     return len(witnesses), witnesses
 
 
-def _divisors(n: int, table: FactorTable | None) -> list[int]:
+def _square_divisors(n: int) -> list[int]:
+    """Divisors of n**2, ascending, from the factorization of n."""
     divs = [1]
-    for p, e in _factorization(n, table):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
+    for p, e in _factorization(n):
+        divs = [d * p**i for d in divs for i in range(2 * e + 1)]
     return sorted(divs)
 
 
-def square_pair_solutions(gap: int, limit: int, table: FactorTable | None = None) -> list[int]:
+def square_pair_solutions(gap: int, limit: int) -> list[int]:
     """All d in [1, limit] with d * (d + gap) a perfect square, via divisors.
 
     d*(d+gap) = y^2 rewrites as gap^2 = (2d + gap - 2y)(2d + gap + 2y); each
@@ -205,7 +204,7 @@ def square_pair_solutions(gap: int, limit: int, table: FactorTable | None = None
         raise ValueError(f"need limit >= 1, got {limit}")
     gap_sq = gap * gap
     out = []
-    for u in _divisors(gap_sq, table):
+    for u in _square_divisors(gap):
         if u > gap:
             break
         v = gap_sq // u
@@ -249,7 +248,7 @@ def evertse_bound(gamma) -> SquareCountBound:
     for a, b in itertools.combinations(gamma, 2):
         diff = abs(a - b)
         disc *= diff * diff
-        prime_set.update(p for p, _ in _factorization(diff, None))
+        prime_set.update(p for p, _ in _factorization(diff))
     om = len(prime_set)
     exponent = 13 + 9 * om
     return SquareCountBound(discriminant=disc, omega=om, log7_exponent=exponent, bound=7**exponent)

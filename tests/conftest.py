@@ -1,20 +1,11 @@
-"""Shared fixtures plus the acceptance-criteria reporter.
+"""The acceptance-criteria reporter.
 
 Acceptance tests append one line per criterion to ACCEPTANCE_LINES; the
 terminal-summary hook prints them after the run so every pass/fail verdict
 is visible even when pytest captures stdout.
 """
 
-import pytest
-
-from charwin import FactorTable
-
 ACCEPTANCE_LINES: list[str] = []
-
-
-@pytest.fixture(scope="session")
-def factor_table() -> FactorTable:
-    return FactorTable(20000)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

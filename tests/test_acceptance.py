@@ -111,12 +111,12 @@ def test_criterion_03_paired_counts_and_theta():
     assert ok, line
 
 
-def test_criterion_04_divisor_method_matches_bruteforce(factor_table):
+def test_criterion_04_divisor_method_matches_bruteforce():
     t0 = time.perf_counter()
     limit = 10**4
     failures = 0
     for gap in range(1, 51):
-        fast = square_pair_solutions(gap, limit, factor_table)
+        fast = square_pair_solutions(gap, limit)
         brute = [d for d in range(1, limit + 1) if is_perfect_square(d * (d + gap))]
         if fast != brute:
             failures += 1

@@ -1,15 +1,13 @@
-"""Symbol arithmetic, factor tables, and prime counting."""
+"""Symbol arithmetic, factorization, and prime counting."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charwin import (
-    FactorTable,
-    PrimeModulus,
     euler_criterion,
     is_perfect_square,
     is_prime,
@@ -21,7 +19,15 @@ from charwin import (
     squarefree_part,
     tau,
 )
-from charwin.arith import odd_exponent_primes, prime_modulus
+from charwin import arith
+from charwin.arith import (
+    _SPF_MAX_BITS,
+    _factorization,
+    _grow_spf_cache,
+    _spf_sieve,
+    odd_exponent_primes,
+    prime_modulus,
+)
 
 PRIMES_TO_300 = primes_in_interval(3, 300)
 
@@ -101,11 +107,9 @@ def test_is_prime_matches_all_witnesses(n):
 
 
 def test_prime_modulus_validation():
-    assert PrimeModulus(7).q == 7
+    assert prime_modulus(7) == 7
     assert prime_modulus(1000000007) == 1000000007
     for bad in (1, 2, 9, 15, 2**63 + 29, -7):
-        with pytest.raises(ValueError):
-            PrimeModulus(bad)
         with pytest.raises(ValueError):
             prime_modulus(bad)
     with pytest.raises(TypeError):
@@ -124,14 +128,25 @@ def test_jacobi_keeps_composite_denominators():
     assert jacobi(7, 1) == 1
 
 
-def test_odd_exponent_primes(factor_table):
+def _odd_exponent_primes_oracle(n: int) -> tuple[int, ...]:
+    """Primes p <= n whose exponent in n is odd, each found by division."""
+    odd = []
+    for p in range(2, n + 1):
+        e = 0
+        while n % p ** (e + 1) == 0:
+            e += 1
+        if e % 2 and is_prime(p):
+            odd.append(p)
+    return tuple(odd)
+
+
+def test_odd_exponent_primes():
     assert odd_exponent_primes(1) == ()
     assert odd_exponent_primes(360) == (2, 5)  # 2^3 * 3^2 * 5
-    assert odd_exponent_primes(360, factor_table) == (2, 5)
     assert odd_exponent_primes(49) == ()
     for n in range(1, 500):
-        primes = odd_exponent_primes(n, factor_table)
-        assert primes == odd_exponent_primes(n)
+        primes = odd_exponent_primes(n)
+        assert primes == _odd_exponent_primes_oracle(n)
         assert math.prod(primes) == squarefree_part(n)
 
 
@@ -221,35 +236,80 @@ def test_is_perfect_square_matches_isqrt(n):
     assert is_perfect_square(n) == (math.isqrt(n) ** 2 == n)
 
 
-def test_factor_table_spot(factor_table):
-    assert factor_table.spf(2) == 2
-    assert factor_table.spf(9) == 3
-    assert factor_table.spf(97) == 97
-    assert factor_table.factorization(1) == []
-    assert factor_table.factorization(360) == [(2, 3), (3, 2), (5, 1)]
-    with pytest.raises(ValueError):
-        factor_table.spf(1)
+def test_factor_table_spot():
+    assert _factorization(2) == [(2, 1)]
+    assert _factorization(9) == [(3, 2)]
+    assert _factorization(97) == [(97, 1)]
+    assert _factorization(1) == []
+    assert _factorization(360) == [(2, 3), (3, 2), (5, 1)]
+    for bad in (0, -12):
+        with pytest.raises(ValueError):
+            _factorization(bad)
 
 
-_TABLE = FactorTable(20000)
+CACHE = 1 << _SPF_MAX_BITS
+# the two smallest primes above the largest spf lookup
+P_ABOVE, Q_ABOVE = [n for n in range(CACHE, CACHE + 100) if is_prime(n)][:2]
 
 
-@given(st.integers(min_value=1, max_value=20000))
-@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.integers(1, 4 * CACHE),
+        st.integers(CACHE - 2000, CACHE + 2000),
+        # both primes above the cache: trial division past the table's primes
+        st.sampled_from((P_ABOVE * Q_ABOVE, P_ABOVE**2, 2 * P_ABOVE * Q_ABOVE)),
+        # a cofactor below the cache times the largest power of p that
+        # keeps n below 2**62
+        st.builds(
+            lambda k, p: k * p ** int((62 - k.bit_length()) / math.log2(p)),
+            st.integers(1, CACHE - 1),
+            st.sampled_from((2, 3, 5, 7)),
+        ),
+    )
+)
+@example(CACHE - 1)
+@example(CACHE)
+@example(CACHE + 1)
+@example(P_ABOVE * Q_ABOVE)
+@example(2**62)
+@example(3**39)
+@settings(max_examples=300)
 def test_factorization_reconstructs(n):
-    assert math.prod(p**e for p, e in _TABLE.factorization(n)) == n
-    assert all(is_prime(p) for p, _ in _TABLE.factorization(n))
+    pairs = _factorization(n)
+    assert math.prod(p**e for p, e in pairs) == n
+    assert all(is_prime(p) and e >= 1 for p, e in pairs)
+    assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
 
 
-def test_factorization_beyond_limit_falls_back(factor_table):
-    # 20011 is prime and above the table limit
-    assert factor_table.factorization(20011) == [(20011, 1)]
-    assert factor_table.factorization(2 * 20011) == [(2, 1), (20011, 1)]
+def test_spf_cache_grows_by_bit_length_to_the_cap(monkeypatch):
+    monkeypatch.setattr(arith, "_spf_cache", (memoryview(np.arange(2, dtype=np.int32)), []))
+    assert _factorization(100) == [(2, 2), (5, 2)]
+    assert len(arith._spf_cache[0]) == 128
+    _factorization(20)
+    assert len(arith._spf_cache[0]) == 128
+    _factorization(200)
+    assert len(arith._spf_cache[0]) == 256
+    assert _factorization(2**80) == [(2, 80)]
+    assert len(arith._spf_cache[0]) == CACHE
 
 
-def test_table_primes_match_sieve(factor_table):
-    assert factor_table.primes()[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert factor_table.primes() == primes_in_interval(2, 20000)
+def test_factorization_beyond_limit_falls_back():
+    # 20011 is prime; P_ABOVE is a prime above the largest spf lookup
+    assert _factorization(20011) == [(20011, 1)]
+    assert _factorization(2 * 20011) == [(2, 1), (20011, 1)]
+    assert _factorization(P_ABOVE) == [(P_ABOVE, 1)]
+    assert _factorization(2 * P_ABOVE) == [(2, 1), (P_ABOVE, 1)]
+    assert _factorization(P_ABOVE * Q_ABOVE) == [(P_ABOVE, 1), (Q_ABOVE, 1)]
+    assert _factorization(P_ABOVE**2 * 6) == [(2, 1), (3, 1), (P_ABOVE, 2)]
+
+
+def test_table_primes_match_sieve():
+    # windows._block_plan reads its prime columns off the same sieve
+    spf = _spf_sieve(20000)
+    primes = np.flatnonzero(spf == np.arange(spf.size))[2:].tolist()
+    assert primes[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes == primes_in_interval(2, 20000)
+    assert _grow_spf_cache(CACHE)[1] == primes_in_interval(2, CACHE - 1)
 
 
 @given(st.integers(min_value=1, max_value=10**5))
@@ -258,17 +318,17 @@ def test_squarefree_part_property(n):
     s = squarefree_part(n)
     assert n % s == 0
     assert is_perfect_square(n // s)
-    assert all(e == 1 for _, e in FactorTable(max(2, s)).factorization(s)) if s > 1 else True
+    assert all(e == 1 for _, e in _factorization(s))
 
 
-def test_multiplicative_functions_spot(factor_table):
+def test_multiplicative_functions_spot():
     assert squarefree_part(1) == 1
-    assert squarefree_part(12, factor_table) == 3
-    assert squarefree_part(360, factor_table) == 10
+    assert squarefree_part(12) == 3
+    assert squarefree_part(360) == 10
     assert omega(1) == 0
-    assert omega(12, factor_table) == 2
-    assert tau(12, factor_table) == 6
-    assert tau(97, factor_table) == 2
+    assert omega(12) == 2
+    assert tau(12) == 6
+    assert tau(97) == 2
 
 
 def test_primes_in_interval_matches_trial_division():

@@ -1,0 +1,44 @@
+"""Every top-level name in the package is used somewhere besides its definition.
+
+Lists each non-dunder top-level ``def``, ``class`` and assignment target in
+``src/charwin/*.py`` and counts its whole-word occurrences across ``src/``,
+``tests/`` and ``perfbench/``.  A name that occurs only where it is defined
+is dead code: nothing calls, exports, tests or documents it.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "charwin"
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _top_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.extend(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_top_level_name_is_used():
+    definitions = Counter(
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _top_level_names(ast.parse(path.read_text(), str(path)))
+    )
+    text = "\n".join(
+        path.read_text() for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))
+    )
+    words = Counter(re.findall(r"\w+", text))
+    dead = sorted(name for name, count in definitions.items() if words[name] <= count)
+    assert not dead, f"defined but never used: {dead}"
