@@ -34,8 +34,6 @@ _MR_WITNESSES = (
     (37, 318665857834031151167461),
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 class ExperimentWarning(UserWarning):
     """Non-fatal contract warnings (degenerate ranges, relaxed-mode use)."""
@@ -48,7 +46,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p, _ in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -80,7 +78,7 @@ def prime_modulus(q: int) -> int:
         raise TypeError(f"modulus must be int, got {type(q).__name__}")
     if not 3 <= q < MAX_MODULUS:
         raise ValueError(f"modulus must satisfy 3 <= q < 2**63, got {q}")
-    if q % 2 == 0 or not is_prime(q):
+    if not is_prime(q):
         raise ValueError(f"modulus must be an odd prime, got {q}")
     return q
 
@@ -261,26 +259,26 @@ MAX_SEGMENT = 1 << 28
 
 
 def primes_in_interval(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], by a segmented sieve of Eratosthenes."""
-    if not 2 <= lo <= hi:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+    """All primes in [lo, hi], by a segmented sieve of Eratosthenes.
+
+    Its sieving primes up to sqrt(hi) come from this same function
+    (Crandall and Pomerance, Prime Numbers, 3.2).  Before any allocation it
+    checks hi < 2**63 and that the segment and the base [2, sqrt(hi)] each
+    fit MAX_SEGMENT entries.
+    """
+    if not 2 <= lo <= hi < MAX_MODULUS:
+        raise ValueError(f"need 2 <= lo <= hi < 2**63, got [{lo}, {hi}]")
     if hi - lo + 1 > MAX_SEGMENT:
         raise ValueError(f"segment length {hi - lo + 1} exceeds budget {MAX_SEGMENT}")
     root = math.isqrt(hi)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p :: p] = False
+    if root - 1 > MAX_SEGMENT:
+        raise ValueError(f"base sieve to sqrt(hi) = {root} exceeds budget {MAX_SEGMENT}")
     seg = np.ones(hi - lo + 1, dtype=bool)
-    for p in np.nonzero(base)[0]:
-        p = int(p)
+    for p in primes_in_interval(2, root) if root >= 2 else ():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start <= hi:
             seg[start - lo :: p] = False
-    if lo <= 1:
-        seg[: 2 - lo] = False
-    return (np.nonzero(seg)[0] + lo).tolist()
+    return (np.flatnonzero(seg) + lo).tolist()
 
 
 def prime_density_check(x: int, eta: float) -> dict:

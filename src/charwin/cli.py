@@ -395,8 +395,6 @@ def _run_clt_interval(cfg) -> tuple[dict, bool, Table]:
     # the report's fields, as dataclasses.asdict gives them but without its
     # deep copy of every leaf: 5.7 ms of a ~42 ms call at 608 records
     results = vars(report) | {"records": [dict(vars(rec)) for rec in report.records]}
-    for note in results.pop("warnings"):
-        warnings.warn(note, ExperimentWarning, stacklevel=2)
     header = ["q", "r", "parity", "deviation", "threshold", "exceptional"]
     return results, True, _columns(results["records"], header)
 

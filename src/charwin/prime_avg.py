@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,30 +33,20 @@ from .windows import (
 
 @dataclass(frozen=True)
 class IntervalSpec:
-    """Prime interval [q_start, q_start + delta]; eta_nominal is the exponent
-    the length is standing in for (delta ~ q_start**eta)."""
+    """Prime interval [q_start, q_start + delta], with q_start >= 3."""
 
     q_start: int
     delta: int
-    eta_nominal: float | None = None
 
     def __post_init__(self) -> None:
         if self.q_start < 3:
             raise ValueError(f"interval must start at >= 3, got {self.q_start}")
         if self.delta < 1:
             raise ValueError(f"need delta >= 1, got {self.delta}")
-        if self.eta_nominal is not None and not 0.0 < self.eta_nominal <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta_nominal}")
-
-    @property
-    def eta(self) -> float:
-        if self.eta_nominal is not None:
-            return self.eta_nominal
-        return math.log(self.delta) / math.log(self.q_start)
 
 
 def interval_primes(spec: IntervalSpec) -> list[int]:
-    primes = [p for p in primes_in_interval(spec.q_start, spec.q_start + spec.delta) if p % 2]
+    primes = primes_in_interval(spec.q_start, spec.q_start + spec.delta)
     if len(primes) < 50:
         warnings.warn(
             f"only {len(primes)} primes in [{spec.q_start}, {spec.q_start + spec.delta}]; "
@@ -182,7 +172,6 @@ def moment_deviation(
     r: int,
     even: bool = True,
     m_start: int = 1,
-    threshold_g: float | None = None,
     threshold_scale: float = 1.0,
 ) -> DeviationRecord:
     """Empirical moment sum minus its exact pairing-count target.
@@ -196,9 +185,7 @@ def moment_deviation(
     if not 1 <= r <= h:
         raise ValueError(f"need 1 <= r <= h, got r={r}, h={h}")
     counts = window_histograms([q], [WindowConfig(h=h, g=g, m_start=m_start)])[0]
-    recs = _records(
-        q, counts, h, g, r, float(g) if threshold_g is None else threshold_g, threshold_scale
-    )
+    recs = _records(q, counts, h, g, r, float(g), threshold_scale)
     parity = "even" if even else "odd"
     return next(rec for rec in recs if rec.r == r and rec.parity == parity)
 
@@ -221,7 +208,6 @@ class ExceptionalReport:
     fraction_union: float
     mean_sq_deviation: dict[str, float]
     mean_sq_deviation_normalized: dict[str, float]
-    warnings: list[str] = field(default_factory=list)
 
 
 def exceptional_sets(
@@ -281,6 +267,8 @@ def exceptional_sets(
         thresholds_g.append(g_q)
 
     histograms = window_histograms(primes, configs)
+    for note in notes:
+        warnings.warn(note, ExperimentWarning, stacklevel=2)
     records: list[DeviationRecord] = []
     exceptional_primes = {"even": set(), "odd": set()}
     sq_sums: dict[str, list[float]] = {}
@@ -306,7 +294,6 @@ def exceptional_sets(
         fraction_union=len(union) / n,
         mean_sq_deviation={k: math.fsum(v) / len(v) for k, v in sorted(sq_sums.items())},
         mean_sq_deviation_normalized={k: math.fsum(v) / len(v) for k, v in sorted(sq_sums_norm.items())},
-        warnings=notes,
     )
 
 
@@ -369,16 +356,16 @@ def growth_schedule(kind: str, *params) -> GrowthSchedule:
     return GrowthSchedule(kind=kind, params=tuple(params))
 
 
-def derivative_check(schedule, q_start: int, delta: int, c: float = 1.0, samples: int = 64) -> dict:
-    """Discrete slope check: |g(q2) - g(q1)| <= c * g(Q)^0.99 * Q^-0.01 * (q2 - q1).
+def derivative_check(schedule, q_start: int, delta: int) -> dict:
+    """Discrete slope check: |g(q2) - g(q1)| <= g(Q)^0.99 * Q^-0.01 * (q2 - q1).
 
-    Sampled on an even grid across the interval; max_ratio > 1 means the
-    schedule grows too fast for the slowly-varying hypothesis.
+    Sampled on an even 64-step grid across the interval; max_ratio > 1
+    means the schedule grows too fast for the slowly-varying hypothesis.
     """
-    if delta < 1 or samples < 1:
-        raise ValueError("need delta >= 1 and samples >= 1")
-    allowed_slope = c * float(schedule(q_start)) ** 0.99 * q_start ** (-0.01)
-    grid = sorted({q_start + round(i * delta / samples) for i in range(samples + 1)})
+    if delta < 1:
+        raise ValueError(f"need delta >= 1, got {delta}")
+    allowed_slope = float(schedule(q_start)) ** 0.99 * q_start ** (-0.01)
+    grid = sorted({q_start + round(i * delta / 64) for i in range(65)})
     max_ratio = 0.0
     for q1, q2 in zip(grid, grid[1:]):
         slope = abs(float(schedule(q2)) - float(schedule(q1))) / (q2 - q1)

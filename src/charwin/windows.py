@@ -13,12 +13,20 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ExperimentWarning, _spf_sieve, jacobi, jacobi_array, prime_modulus
+from .arith import (
+    ExperimentWarning,
+    _spf_sieve,
+    jacobi,
+    jacobi_array,
+    prime_modulus,
+    primes_in_interval,
+)
 
 # Full-period character tables are dense int8 arrays of length q; cap their
 # size so bulk paths never allocate more than ~128 MB.
@@ -383,13 +391,9 @@ def weil_bound_check(q: int, gamma, x: int, y: int) -> dict:
 
 def random_weil_instances(trials: int, q_lo: int, q_hi: int, k_max: int, seed: int) -> list[dict]:
     """Seeded random (q, gamma, x, y) instances for the incomplete-sum bound."""
-    import random
-
-    from .arith import primes_in_interval
-
     if trials < 1 or k_max < 1:
         raise ValueError("need trials >= 1 and k_max >= 1")
-    pool = [p for p in primes_in_interval(max(3, q_lo), q_hi) if p >= 3]
+    pool = primes_in_interval(max(3, q_lo), q_hi)
     if not pool:
         raise ValueError(f"no odd primes in [{q_lo}, {q_hi}]")
     rng = random.Random(seed)

@@ -1,6 +1,8 @@
 """Symbol arithmetic, factorization, and prime counting."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,7 +92,10 @@ def test_is_prime_matches_sieve():
         if psi < 10**15:
             assert got == primes_in_interval(lo, hi)
         else:
-            # the segmented sieve near psi_9 would need a 2 GB base sieve
+            # near psi_9, sqrt(hi) ~ 2e9 exceeds MAX_SEGMENT, so the sieve
+            # refuses the window and the all-witness loop is the oracle
+            with pytest.raises(ValueError):
+                primes_in_interval(lo, hi)
             assert got == [n for n in range(lo, hi + 1) if _is_prime_all_witnesses(n)]
 
 
@@ -109,7 +114,7 @@ def test_is_prime_matches_all_witnesses(n):
 def test_prime_modulus_validation():
     assert prime_modulus(7) == 7
     assert prime_modulus(1000000007) == 1000000007
-    for bad in (1, 2, 9, 15, 2**63 + 29, -7):
+    for bad in (1, 2, 4, 9, 15, 10**6, 2**62, 2**63 + 29, -7):
         with pytest.raises(ValueError):
             prime_modulus(bad)
     with pytest.raises(TypeError):
@@ -338,6 +343,85 @@ def test_primes_in_interval_matches_trial_division():
     assert primes_in_interval(89, 97) == [89, 97]
     with pytest.raises(ValueError):
         primes_in_interval(1, 10)
+
+
+def _two_loop_sieve(lo: int, hi: int) -> list[int]:
+    """Segmented sieve with its own bool base sieve of isqrt(hi) + 1 entries
+    and a second marking loop over it: the independent reference."""
+    root = math.isqrt(hi)
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p :: p] = False
+    seg = np.ones(hi - lo + 1, dtype=bool)
+    for p in np.nonzero(base)[0]:
+        p = int(p)
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        if start <= hi:
+            seg[start - lo :: p] = False
+    return (np.nonzero(seg)[0] + lo).tolist()
+
+
+PRIMES_TO_10_6 = _two_loop_sieve(2, 10**6)
+
+
+@given(
+    st.one_of(
+        # windows below 10^12 of length 1..10^4
+        st.tuples(st.integers(2, 10**12 - 10**4), st.integers(1, 10**4)).map(
+            lambda t: (t[0], t[0] + t[1] - 1)
+        ),
+        # prefixes from lo = 2
+        st.integers(2, 10**5).map(lambda hi: (2, hi)),
+        # windows ending at p^2 or p^2 - 1, where p first becomes a base prime
+        st.tuples(st.sampled_from(PRIMES_TO_10_6), st.integers(0, 1), st.integers(1, 10**4)).map(
+            lambda t: (max(2, t[0] ** 2 - t[1] - t[2] + 1), t[0] ** 2 - t[1])
+        ),
+    )
+)
+@example((2, 2))
+@example((2, 3))
+@example((2, 4))
+@example((4, 4))
+@example((2, 48))
+@example((2, 49))
+@example((10**12 - 1, 10**12))
+@settings(max_examples=100, deadline=None)
+def test_primes_in_interval_matches_two_loop_sieve(window):
+    lo, hi = window
+    assert primes_in_interval(lo, hi) == _two_loop_sieve(lo, hi)
+
+
+def test_primes_in_interval_refuses_windows_past_2_63():
+    # int64 offsets past 2**63 would wrap to negative "primes"
+    for lo, hi in ((2**63 - 100, 2**63 + 100), (9223372036854775800, 9223372036854775900),
+                   (2**63 - 1, 2**63), (2**63, 2**63), (2**64, 2**64 + 10)):
+        with pytest.raises(ValueError, match=r"hi < 2\*\*63"):
+            primes_in_interval(lo, hi)
+
+
+def test_primes_in_interval_checks_its_base_before_allocating():
+    hi = 2**62 + 10**4
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ValueError) as info:
+            primes_in_interval(2**62, hi)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
+    assert str(math.isqrt(hi)) in str(info.value)
+    assert str(arith.MAX_SEGMENT) in str(info.value)
+    # the smallest hi whose base [2, sqrt(hi)] is one entry over the budget
+    hi = (arith.MAX_SEGMENT + 2) ** 2
+    with pytest.raises(ValueError, match="sqrt"):
+        primes_in_interval(hi, hi)
+    with pytest.raises(ValueError, match="segment length"):
+        primes_in_interval(2, arith.MAX_SEGMENT + 2)
 
 
 def test_primes_in_interval_large_offset():

@@ -7,6 +7,7 @@ capsys; one test exercises the installed console script for real.
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -200,6 +201,22 @@ def test_exit_two_on_empty_interval(capsys):
     )
     assert rc == 2
     assert "no odd primes" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prime-density", "--x", "9223372036854775808", "--eta", "0.1"],
+        ["clt-interval", "--interval", "9223372036854775800:100"],
+    ],
+)
+def test_exit_two_on_interval_past_2_63(argv, capsys):
+    started = time.perf_counter()
+    rc, out, err = _run(argv, capsys)
+    assert time.perf_counter() - started < 1.0
+    assert rc == 2
+    assert out == ""
+    assert "2**63" in err
 
 
 def test_exit_two_on_missing_config_file(tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""Every top-level name in the package is used somewhere besides its definition.
+"""Every top-level name in the package is used somewhere besides its
+definition, and every function parameter is read.
 
 Lists each non-dunder top-level ``def``, ``class`` and assignment target in
 ``src/charwin/*.py`` and counts its whole-word occurrences across ``src/``,
 ``tests/`` and ``perfbench/``.  A name that occurs only where it is defined
-is dead code: nothing calls, exports, tests or documents it.
+is dead code: nothing calls, exports, tests or documents it.  Likewise a
+parameter that its function's body never loads is a setting nothing obeys.
 """
 
 from __future__ import annotations
@@ -42,3 +44,27 @@ def test_every_top_level_name_is_used():
     words = Counter(re.findall(r"\w+", text))
     dead = sorted(name for name, count in definitions.items() if words[name] <= count)
     assert not dead, f"defined but never used: {dead}"
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread.extend(
+                f"{path.name}:{node.lineno} {name}({a.arg})"
+                for a in params
+                if a is not None and a.arg not in loaded
+            )
+    assert not unread, f"parameters never read: {unread}"

@@ -34,15 +34,10 @@ from charwin.rmf import _coeffs
 
 
 def test_interval_spec_validation():
-    spec = IntervalSpec(q_start=1000, delta=100)
-    assert spec.eta == pytest.approx(math.log(100) / math.log(1000))
-    assert IntervalSpec(q_start=1000, delta=100, eta_nominal=0.5).eta == 0.5
     with pytest.raises(ValueError):
         IntervalSpec(q_start=2, delta=10)
     with pytest.raises(ValueError):
         IntervalSpec(q_start=100, delta=0)
-    with pytest.raises(ValueError):
-        IntervalSpec(q_start=100, delta=10, eta_nominal=1.5)
 
 
 def test_interval_primes_matches_sieve():
@@ -348,8 +343,8 @@ def test_exceptional_sets_relaxed_warns_beyond_quarter_power():
     spec = IntervalSpec(q_start=20000, delta=2000)
     g_sched = growth_schedule("const", 16.0)
     h_sched = growth_schedule("const", 3.0)  # 3 > 16^(1/4) = 2
-    report = exceptional_sets(spec, g_sched, h_sched, r_max=1)
-    assert any("g^(1/4)" in note for note in report.warnings)
+    with pytest.warns(ExperimentWarning, match=r"exceeds g\^\(1/4\)"):
+        exceptional_sets(spec, g_sched, h_sched, r_max=1)
 
 
 def test_exceptional_sets_empty_interval():
