@@ -11,6 +11,7 @@ window_histograms is the one route from symbols to value histograms.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -32,8 +33,9 @@ from .arith import (
 # size so bulk paths never allocate more than ~128 MB.
 CHI_TABLE_MAX = 1 << 27
 # Every bulk loop sizes its working set by this budget: symbol blocks and
-# tiles with their int64 prefix sums (9 bytes per symbol), and the chunks of
-# chi_table, _chi_range and incomplete_poly_sum.
+# tiles with their prefix and window sums (13 bytes per symbol while every
+# h < 2**15, 25 above; see _histograms), and the chunks of chi_table,
+# _chi_range and incomplete_poly_sum.
 BLOCK_BYTES = 1 << 24
 
 
@@ -233,21 +235,39 @@ def value_histogram(sums: np.ndarray, h: int) -> list[int]:
     return np.bincount((sums + h).astype(np.int64), minlength=2 * h + 1).tolist()
 
 
+def _prefix_dtype(h: int) -> np.dtype:
+    """Dtype of the prefix sums P of windows no longer than h.
+
+    S(m) = P(m+h) - P(m) and |S(m)| <= h, so while h < 2**15 the difference
+    of int16 prefix sums taken mod 2**16 is S(m) itself: P may wrap, and
+    numpy integer arrays wrap silently.  Longer windows keep int64.
+    """
+    return np.dtype(np.int16 if h < 2**15 else np.int64)
+
+
 def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
-    """Value histograms of a block's rows (column c is n = c), one config per row."""
-    prefix = np.cumsum(block, axis=1, dtype=np.int64)
-    groups: dict[WindowConfig, list[int]] = {}
-    for i, config in enumerate(configs):
-        groups.setdefault(config, []).append(i)
-    counts: list = [None] * len(configs)
-    for config, members in groups.items():
+    """Value histograms of a block's rows (column c is n = c), one config per row.
+
+    Consecutive rows with one config share one bincount.  Per symbol it holds
+    9 + 2 * itemsize bytes: the int8 symbol, its prefix sum, its window sum in
+    the prefix dtype (cast in numpy's buffer, at most 2 bytes per start while
+    the prefix is int16) and the intp window sum bincount reads.  That is 13
+    bytes while every h < 2**15, where int16 prefix sums wrap mod 2**16, and
+    25 with int64 prefix sums above.  The 2h+1 counts per row come on top.
+    """
+    prefix = np.cumsum(block, axis=1, dtype=_prefix_dtype(max(c.h for c in configs)))
+    counts: list = []
+    lo = 0
+    for config, run in itertools.groupby(configs):
+        k = sum(1 for _ in run)
         h, g, m0 = config.h, config.g, config.m_start
-        sums = prefix[members, m0 + h : m0 + h + g] - prefix[members, m0 : m0 + g]
+        rows = prefix[lo : lo + k]
+        sums = np.empty((k, g), dtype=np.intp)
+        np.subtract(rows[:, m0 + h : m0 + h + g], rows[:, m0 : m0 + g], out=sums, dtype=prefix.dtype)
         width = 2 * h + 1
-        sums += h + width * np.arange(len(members), dtype=np.int64)[:, None]
-        hist = np.bincount(sums.ravel(), minlength=width * len(members))
-        for i, row in zip(members, hist.reshape(len(members), width)):
-            counts[i] = row
+        sums += h + width * np.arange(k, dtype=np.intp)[:, None]
+        counts.extend(np.bincount(sums.ravel(), minlength=width * k).reshape(k, width))
+        lo += k
     return counts
 
 
@@ -255,9 +275,12 @@ def window_histograms(qs, configs) -> list[list[int]]:
     """Value histogram of the window sums S(m), m = m_start..m_start+g-1, per pair.
 
     Rows of primes share one chi_block, chunked so that the block and its
-    int64 prefix sums stay within BLOCK_BYTES.  A row too long for that is
-    read from _chi_range in tiles of at most BLOCK_BYTES // 9 symbols, each a
-    block whose column 0 is its first start m.  Warns in the order of qs.
+    prefix and window sums stay within BLOCK_BYTES: 13 bytes per symbol while
+    every h < 2**15, as the prefix sums are int16 and wrap mod 2**16 (exact,
+    since |S(m)| <= h < 2**15), and 25 above (see _histograms).  A row too
+    long for that is read from _chi_range in tiles of at most
+    BLOCK_BYTES // 13 (or // 25) symbols, each a block whose column 0 is its
+    first start m.  Warns in the order of qs.
     """
     qs, configs = list(qs), list(configs)
     if len(qs) != len(configs):
@@ -270,16 +293,17 @@ def window_histograms(qs, configs) -> list[list[int]]:
         _warn_if_wraps(q, config, stacklevel=2)
         moduli.append(q)
         spans.append(config.m_start + config.g + config.h - 1)
-    rows = max(1, BLOCK_BYTES // (9 * (max(spans, default=0) + 1)))
+    per_symbol = 9 + 2 * _prefix_dtype(max((c.h for c in configs), default=1)).itemsize
+    rows = max(1, BLOCK_BYTES // (per_symbol * (max(spans, default=0) + 1)))
     out: list[list[int]] = []
     for lo in range(0, len(qs), rows):
         n_max = max(spans[lo : lo + rows])
-        if 9 * (n_max + 1) <= BLOCK_BYTES:
+        if per_symbol * (n_max + 1) <= BLOCK_BYTES:
             block = chi_block(moduli[lo : lo + rows], n_max)
             out.extend(row.tolist() for row in _histograms(block, configs[lo : lo + rows]))
             continue
         h, m0, stop = configs[lo].h, configs[lo].m_start, configs[lo].m_start + configs[lo].g
-        step, hist = max(1, BLOCK_BYTES // 9 - h), 0
+        step, hist = max(1, BLOCK_BYTES // per_symbol - h), 0
         for m in range(m0, stop, step):
             tile = WindowConfig(h=h, g=min(step, stop - m), m_start=0)
             symbols = _chi_range(moduli[lo], m, m + tile.g + h - 1)
@@ -341,6 +365,7 @@ def polya_vinogradov_check(q: int) -> dict:
     """Max |partial sum of the character| over the period vs sqrt(q) log q."""
     q = prime_modulus(q)
     chi = _chi_range(q, 1, q)
+    # int64, not a wrapping int16 as in _histograms: the max needs true sums, up to q
     partial = np.cumsum(chi, dtype=np.int64)
     peak = int(np.max(np.abs(partial)))
     bound = math.sqrt(q) * math.log(q)
@@ -368,6 +393,7 @@ def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
         acc = _chi_range(q, lo + gamma[0], hi + gamma[0])
         for c in gamma[1:]:
             acc = acc * _chi_range(q, lo + c, hi + c)
+        # int64: a chunk's sum reaches its length, far past a wrapping int16
         total += int(acc.sum(dtype=np.int64))
     return total
 

@@ -89,7 +89,7 @@ def digest(name: str, fmt: str) -> str:
 
 CASES = [
     pytest.param(name, fmt, block_bytes, id=f"{name}-{fmt}{suffix}")
-    for block_bytes, suffix in ((windows.BLOCK_BYTES, ""), (9 * 64, "-streamed"))
+    for block_bytes, suffix in ((windows.BLOCK_BYTES, ""), (13 * 64, "-streamed"))
     for name in sorted(ARGVS)
     for fmt in ("json", "csv")
 ]

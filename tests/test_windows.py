@@ -233,7 +233,7 @@ def test_streamed_histogram_matches_window_series(route, q_and_g, h, m_start):
     with warnings.catch_warnings(record=True) as slow_caught:
         warnings.simplefilter("always")
         slow = _slow_histograms([q], [config])
-    budget = 9 * (g // 3 + h)
+    budget = 13 * (g // 3 + h)
     tiles, array_calls = [], []
     real_chi_range, real_jacobi_array = windows._chi_range, windows.jacobi_array
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as fast_caught:
@@ -246,7 +246,7 @@ def test_streamed_histogram_matches_window_series(route, q_and_g, h, m_start):
         fast = window_histograms([q], [config])
     assert fast == slow
     assert [str(w.message) for w in fast_caught] == [str(w.message) for w in slow_caught]
-    assert len(tiles) >= 3 and max(tiles) <= budget // 9
+    assert len(tiles) >= 3 and max(tiles) <= budget // 13
     assert bool(array_calls) == (route == "jacobi_array")
 
 
@@ -257,11 +257,73 @@ def test_window_histograms_chunk_rows(monkeypatch):
     blocks = []
     real_block = windows.chi_block
     monkeypatch.setattr(windows, "chi_block", lambda q, n: blocks.append((len(q), n)) or real_block(q, n))
-    monkeypatch.setattr(windows, "BLOCK_BYTES", 9 * 64 * 10)
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 13 * 64 * 10)
     assert window_histograms(qs, configs) == expected
     # widest span: m_start + g + h - 1 = 1 + 56 + 6 - 1 = 62, so 10 rows of 63
     assert len(qs) == 54 and [rows for rows, _ in blocks] == [10] * 5 + [4]
-    assert all(rows * 9 * (n + 1) <= 9 * 64 * 10 for rows, n in blocks)
+    assert all(rows * 13 * (n + 1) <= 13 * 64 * 10 for rows, n in blocks)
+
+
+def _int64_histogram(row, config):
+    h, g, m0 = config.h, config.g, config.m_start
+    prefix = np.cumsum(row, dtype=np.int64)
+    return np.bincount(prefix[m0 + h : m0 + h + g] - prefix[m0 : m0 + g] + h, minlength=2 * h + 1)
+
+
+@pytest.mark.parametrize("h", [200, 2**15 - 1, 2**15])
+def test_histograms_exact_where_prefix_sums_wrap(h):
+    # Prefix sums of these rows pass 2**16, so any narrow prefix sum must
+    # wrap; h = 2**15 - 1 and h = 2**15 sit on either side of the int16
+    # rule, and a row with small h shares a block with one at the largest h.
+    n = 2**17 + 2**15 + 2
+    ones = np.ones(n, dtype=np.int8)
+    drift = np.random.default_rng(8).choice(np.array([1, 0, -1], dtype=np.int8), n, p=[0.85, 0.05, 0.1])
+    assert np.cumsum(drift, dtype=np.int64).max() > 2**16
+    for m0 in (0, 1):
+        config = WindowConfig(h=h, g=n - h - m0, m_start=m0)
+        (got,) = windows._histograms(ones[None, :], [config])
+        assert got[2 * h] == config.g and got.sum() == config.g
+        (got,) = windows._histograms(drift[None, :], [config])
+        assert got.tolist() == _int64_histogram(drift, config).tolist()
+        short = WindowConfig(h=5, g=n - 5 - m0, m_start=m0)
+        got = windows._histograms(np.stack([drift, ones]), [short, config])
+        assert [c.tolist() for c in got] == [_int64_histogram(drift, short).tolist(),
+                                             _int64_histogram(ones, config).tolist()]
+    # a real prime, on the block route and the column-tile route
+    q = 1000003
+    config = WindowConfig(h=h, g=3 * 10**5, m_start=1)
+    expected = value_histogram(window_series(q, config), h)
+    (got,) = windows._histograms(chi_block([q], config.g + h), [config])
+    assert got.tolist() == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(windows, "BLOCK_BYTES", 25 * (h + 10**5))
+        assert window_histograms([q], [config]) == [expected]
+
+
+@pytest.mark.parametrize("g_periods", [1, 2])
+def test_streamed_histogram_stays_within_block_bytes(monkeypatch, g_periods):
+    # The column-tile route over a full period of q ~ 10^6 holds at most
+    # BLOCK_BYTES beyond the cached table.  Two periods put a full-size tile
+    # across q, where _chi_range returns a copy instead of a view.
+    q, h, budget = 1000003, 100, 1 << 20
+    config = WindowConfig(h=h, g=g_periods * q, m_start=1)
+    chi_table(q)
+    tiles = []
+    real_chi_range = windows._chi_range
+    monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(windows, "_chi_range", lambda *a: tiles.append(a[2] - a[1] + 1) or real_chi_range(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        tracemalloc.start()
+        try:
+            (got,) = window_histograms([q], [config])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(windows, "_chi_range", real_chi_range)
+        assert got == value_histogram(window_series(q, config), h)
+    assert len(tiles) >= 12 * g_periods and max(tiles) == budget // 13
+    assert peak <= budget
 
 
 def test_window_histograms_validation():
