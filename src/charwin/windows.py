@@ -33,8 +33,9 @@ from .arith import (
 # size so bulk paths never allocate more than ~128 MB.
 CHI_TABLE_MAX = 1 << 27
 # Every bulk loop sizes its working set by this budget: symbol blocks and
-# tiles with their prefix and window sums (13 bytes per symbol while every
-# h < 2**15, 25 above; see _histograms), and the chunks of chi_table,
+# tiles with their window sums (12 bytes per symbol while every h < 2**7,
+# 13 while h < 2**15, 25 above; see _histograms) and 8 * (2h+1) bytes of
+# counts per row, the chunks of squares in chi_table, and the chunks of
 # _chi_range and incomplete_poly_sum.
 BLOCK_BYTES = 1 << 24
 
@@ -45,17 +46,34 @@ def chi_table(q: int) -> np.ndarray:
 
     Built by marking the (q-1)/2 nonzero squares mod q, an independent
     route from the binary-reciprocity jacobi(); tests pin the two together.
+    Only r < (q+1)/2 is marked: x**2 mod q is x**2 - (x**2 // q) * q, and
+    every square at or above half is clipped onto the one slot half, which
+    the mirror (q-r|q) = (-1|q) (r|q) then overwrites along with the rest of
+    the upper half.  A chunk of squares and their quotients, 16 bytes each,
+    stays within BLOCK_BYTES.
     """
     q = prime_modulus(q)
     if q > CHI_TABLE_MAX:
         raise ValueError(f"character table for q={q} exceeds memory budget")
-    t = np.full(q, -1, dtype=np.int8)
-    t[0] = 0
     half = (q + 1) // 2
-    step = BLOCK_BYTES // 8
+    t = np.empty(q, dtype=np.int8)
+    t[: half + 1] = -1
+    t[0] = 0
+    step = BLOCK_BYTES // 16
+    # one quotient buffer serves every chunk; a fresh one each time costs
+    # about as much in page faults as the division itself
+    quotients = np.empty(min(step, half - 1), dtype=np.int64)
     for lo in range(1, half, step):
         x = np.arange(lo, min(lo + step, half), dtype=np.int64)
-        t[np.remainder(np.square(x, out=x), q, out=x)] = 1
+        quotient = quotients[: x.size]
+        np.floor_divide(np.square(x, out=x), q, out=quotient)
+        quotient *= q
+        x -= quotient
+        t[np.minimum(x, half, out=x)] = 1
+        del x  # freed before the next chunk is allocated
+    t[half:] = t[half - 1 : 0 : -1]
+    if q % 4 == 3:
+        np.negative(t[half:], out=t[half:])
     t.setflags(write=False)
     return t
 
@@ -235,37 +253,67 @@ def value_histogram(sums: np.ndarray, h: int) -> list[int]:
     return np.bincount((sums + h).astype(np.int64), minlength=2 * h + 1).tolist()
 
 
-def _prefix_dtype(h: int) -> np.dtype:
-    """Dtype of the prefix sums P of windows no longer than h.
+def _sum_dtype(h: int) -> np.dtype:
+    """Dtype in which _histograms forms the window sums of length h.
 
-    S(m) = P(m+h) - P(m) and |S(m)| <= h, so while h < 2**15 the difference
-    of int16 prefix sums taken mod 2**16 is S(m) itself: P may wrap, and
-    numpy integer arrays wrap silently.  Longer windows keep int64.
+    int8 while h < 2**7: sums by doubling are window sums of at most h
+    symbols.  int16 while h < 2**15: S(m) = P(m+h) - P(m) and |S(m)| <= h,
+    so the difference of int16 prefix sums P taken mod 2**16 is S(m) itself;
+    P may wrap, and numpy integer arrays wrap silently.  Longer windows keep
+    int64 prefix sums.
     """
-    return np.dtype(np.int16 if h < 2**15 else np.int64)
+    return np.dtype(np.int8 if h < 2**7 else np.int16 if h < 2**15 else np.int64)
+
+
+def _doubling_sums(symbols: np.ndarray, h: int, g: int) -> np.ndarray:
+    """int8 sums of h < 2**7 consecutive columns: out[:, i] = sum of symbols[:, i : i+h].
+
+    w_1 is the symbols and w_2k[i] = w_k[i] + w_k[i + k]; the sum is the w_k
+    of the set bits k of h, each taken at the offset of the lower bits.  Every
+    partial sum is a window sum of at most h <= 127 symbols, so int8 is exact.
+    """
+    w, k, offset, acc = symbols, 1, 0, None
+    while True:
+        if h & k:
+            piece = w[:, offset : offset + g]
+            acc = piece if acc is None else acc + piece
+            offset += k
+        if 2 * k > h:
+            return acc
+        w = w[:, :-k] + w[:, k:]
+        k *= 2
 
 
 def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
     """Value histograms of a block's rows (column c is n = c), one config per row.
 
-    Consecutive rows with one config share one bincount.  Per symbol it holds
-    9 + 2 * itemsize bytes: the int8 symbol, its prefix sum, its window sum in
-    the prefix dtype (cast in numpy's buffer, at most 2 bytes per start while
-    the prefix is int16) and the intp window sum bincount reads.  That is 13
-    bytes while every h < 2**15, where int16 prefix sums wrap mod 2**16, and
-    25 with int64 prefix sums above.  The 2h+1 counts per row come on top.
+    Consecutive rows with one config share one bincount, and _sum_dtype(h)
+    picks their route.  While h < 2**7 the window sums come from
+    _doubling_sums in int8: per symbol that is the int8 symbol, the two
+    doubling levels alive, the running int8 sum and the intp window sum
+    bincount reads, 12 bytes.  Above, they are differences of prefix sums,
+    which hold 9 + 2 * itemsize bytes per symbol: the symbol, its prefix sum,
+    its window sum in the prefix dtype (cast in numpy's buffer, at most 2
+    bytes per start while the prefix is int16) and the intp window sum.  That
+    is 13 bytes while h < 2**15, where int16 prefix sums wrap mod 2**16, and
+    25 with int64 prefix sums.  The 2h+1 int64 counts of each row come on top
+    (see window_histograms).
     """
-    prefix = np.cumsum(block, axis=1, dtype=_prefix_dtype(max(c.h for c in configs)))
     counts: list = []
     lo = 0
     for config, run in itertools.groupby(configs):
         k = sum(1 for _ in run)
         h, g, m0 = config.h, config.g, config.m_start
-        rows = prefix[lo : lo + k]
-        sums = np.empty((k, g), dtype=np.intp)
-        np.subtract(rows[:, m0 + h : m0 + h + g], rows[:, m0 : m0 + g], out=sums, dtype=prefix.dtype)
         width = 2 * h + 1
-        sums += h + width * np.arange(k, dtype=np.intp)[:, None]
+        offsets = h + width * np.arange(k, dtype=np.intp)[:, None]
+        dtype = _sum_dtype(h)
+        if dtype == np.int8:
+            sums = _doubling_sums(block[lo : lo + k, m0 + 1 :], h, g) + offsets
+        else:
+            prefix = np.cumsum(block[lo : lo + k], axis=1, dtype=dtype)
+            sums = np.empty((k, g), dtype=np.intp)
+            np.subtract(prefix[:, m0 + h : m0 + h + g], prefix[:, m0 : m0 + g], out=sums, dtype=prefix.dtype)
+            sums += offsets
         counts.extend(np.bincount(sums.ravel(), minlength=width * k).reshape(k, width))
         lo += k
     return counts
@@ -274,13 +322,16 @@ def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
 def window_histograms(qs, configs) -> list[list[int]]:
     """Value histogram of the window sums S(m), m = m_start..m_start+g-1, per pair.
 
-    Rows of primes share one chi_block, chunked so that the block and its
-    prefix and window sums stay within BLOCK_BYTES: 13 bytes per symbol while
-    every h < 2**15, as the prefix sums are int16 and wrap mod 2**16 (exact,
-    since |S(m)| <= h < 2**15), and 25 above (see _histograms).  A row too
-    long for that is read from _chi_range in tiles of at most
-    BLOCK_BYTES // 13 (or // 25) symbols, each a block whose column 0 is its
-    first start m.  Warns in the order of qs.
+    Rows of primes share one chi_block, chunked so that the block, its window
+    sums and each row's 2h+1 int64 counts stay within BLOCK_BYTES: 12 bytes
+    per symbol while every h < 2**7, where the window sums are int8 sums by
+    doubling, 13 while every h < 2**15, where they are differences of int16
+    prefix sums that wrap mod 2**16 (exact, since |S(m)| <= h < 2**15), and
+    25 above (see _histograms).  A row that does not fit in one tile is read
+    from _chi_range in tiles of at most (BLOCK_BYTES - 16 * (2h+1)) // 12
+    (or // 13, // 25) symbols, each a block whose column 0 is its first
+    start m; the running counts and the tile's own are the 16 * (2h+1).
+    Warns in the order of qs.
     """
     qs, configs = list(qs), list(configs)
     if len(qs) != len(configs):
@@ -293,21 +344,27 @@ def window_histograms(qs, configs) -> list[list[int]]:
         _warn_if_wraps(q, config, stacklevel=2)
         moduli.append(q)
         spans.append(config.m_start + config.g + config.h - 1)
-    per_symbol = 9 + 2 * _prefix_dtype(max((c.h for c in configs), default=1)).itemsize
-    rows = max(1, BLOCK_BYTES // (per_symbol * (max(spans, default=0) + 1)))
+    h_max = max((c.h for c in configs), default=1)
+    dtype = _sum_dtype(h_max)
+    per_symbol = 12 if dtype == np.int8 else 9 + 2 * dtype.itemsize
+    per_count_row = 8 * (2 * h_max + 1)
+    rows = max(1, BLOCK_BYTES // (per_symbol * (max(spans, default=0) + 1) + per_count_row))
     out: list[list[int]] = []
     for lo in range(0, len(qs), rows):
         n_max = max(spans[lo : lo + rows])
-        if per_symbol * (n_max + 1) <= BLOCK_BYTES:
+        # a row goes to tiles when it does not fit in one: a tile holds its
+        # symbols beside the running counts and its own
+        if per_symbol * (n_max + 1) + 2 * per_count_row <= BLOCK_BYTES:
             block = chi_block(moduli[lo : lo + rows], n_max)
             out.extend(row.tolist() for row in _histograms(block, configs[lo : lo + rows]))
             continue
         h, m0, stop = configs[lo].h, configs[lo].m_start, configs[lo].m_start + configs[lo].g
-        step, hist = max(1, BLOCK_BYTES // per_symbol - h), 0
+        step = max(1, (BLOCK_BYTES - 2 * per_count_row) // per_symbol - h)
+        hist = np.zeros(2 * h + 1, dtype=np.int64)
         for m in range(m0, stop, step):
             tile = WindowConfig(h=h, g=min(step, stop - m), m_start=0)
             symbols = _chi_range(moduli[lo], m, m + tile.g + h - 1)
-            hist = hist + _histograms(symbols[None, :], [tile])[0]
+            hist += _histograms(symbols[None, :], [tile])[0]
         out.append(hist.tolist())
     return out
 

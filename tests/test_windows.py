@@ -21,6 +21,7 @@ from charwin import (
     gaussian_moment,
     incomplete_poly_sum,
     jacobi,
+    jacobi_array,
     normal_cdf,
     polya_vinogradov_check,
     primes_in_interval,
@@ -37,12 +38,39 @@ PRIMES_TO_300 = primes_in_interval(3, 300)
 
 
 def test_chi_table_three_routes_agree():
-    # square-marking table vs binary reciprocity vs Euler's criterion
-    for q in (3, 7, 11, 101, 997):
+    # square-marking table vs binary reciprocity vs Euler's criterion, for
+    # q = 1 and q = 3 mod 4, whose upper halves mirror with opposite signs
+    for q in (3, 5, 7, 11, 13, 17, 101, 997):
         t = chi_table(q)
         assert t[0] == 0
         for n in range(q):
             assert t[n] == jacobi(n, q) == euler_criterion(n, q)
+    for q in (1048583, 1048589):  # 3 and 1 mod 4, above 2**20
+        t = chi_table(q)
+        for lo in range(0, q, 2**17):
+            n = np.arange(lo, min(lo + 2**17, q), dtype=np.int64)
+            assert t[n].tolist() == jacobi_array(n, q).tolist()
+        for n in ((q - 1) // 2, (q + 1) // 2, q - 1):
+            assert t[n] == euler_criterion(n, q)
+
+
+def test_chi_table_build_stays_within_block_bytes(monkeypatch):
+    # beyond its q-byte table the build holds one chunk of squares and their
+    # quotients; q > 2 * BLOCK_BYTES, so a copied or negated upper half would
+    # exceed the budget as well.  A few hundred bytes of array headers and the
+    # cache entry come on top.
+    budget = 1 << 18
+    monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+    for q in (1000003, 1000033):
+        chi_table.cache_clear()
+        tracemalloc.start()
+        try:
+            t = chi_table(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= q + budget + 2048
+        assert t[q - 1] == euler_criterion(q - 1, q)
 
 
 def test_chi_table_is_read_only():
@@ -233,7 +261,8 @@ def test_streamed_histogram_matches_window_series(route, q_and_g, h, m_start):
     with warnings.catch_warnings(record=True) as slow_caught:
         warnings.simplefilter("always")
         slow = _slow_histograms([q], [config])
-    budget = 13 * (g // 3 + h)
+    counts = 16 * (2 * h + 1)  # the running counts and one tile's
+    budget = 12 * (g // 3 + h) + counts
     tiles, array_calls = [], []
     real_chi_range, real_jacobi_array = windows._chi_range, windows.jacobi_array
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as fast_caught:
@@ -246,7 +275,7 @@ def test_streamed_histogram_matches_window_series(route, q_and_g, h, m_start):
         fast = window_histograms([q], [config])
     assert fast == slow
     assert [str(w.message) for w in fast_caught] == [str(w.message) for w in slow_caught]
-    assert len(tiles) >= 3 and max(tiles) <= budget // 13
+    assert len(tiles) >= 3 and max(tiles) <= (budget - counts) // 12
     assert bool(array_calls) == (route == "jacobi_array")
 
 
@@ -257,11 +286,12 @@ def test_window_histograms_chunk_rows(monkeypatch):
     blocks = []
     real_block = windows.chi_block
     monkeypatch.setattr(windows, "chi_block", lambda q, n: blocks.append((len(q), n)) or real_block(q, n))
-    monkeypatch.setattr(windows, "BLOCK_BYTES", 13 * 64 * 10)
+    monkeypatch.setattr(windows, "BLOCK_BYTES", (12 * 64 + 8 * 13) * 10)
     assert window_histograms(qs, configs) == expected
     # widest span: m_start + g + h - 1 = 1 + 56 + 6 - 1 = 62, so 10 rows of 63
+    # symbols and 2 * 6 + 1 counts
     assert len(qs) == 54 and [rows for rows, _ in blocks] == [10] * 5 + [4]
-    assert all(rows * 13 * (n + 1) <= 13 * 64 * 10 for rows, n in blocks)
+    assert all(rows * (12 * (n + 1) + 8 * 13) <= (12 * 64 + 8 * 13) * 10 for rows, n in blocks)
 
 
 def _int64_histogram(row, config):
@@ -270,11 +300,13 @@ def _int64_histogram(row, config):
     return np.bincount(prefix[m0 + h : m0 + h + g] - prefix[m0 : m0 + g] + h, minlength=2 * h + 1)
 
 
-@pytest.mark.parametrize("h", [200, 2**15 - 1, 2**15])
+@pytest.mark.parametrize("h", [1, 2, 3, 64, 127, 128, 200, 2**15 - 1, 2**15])
 def test_histograms_exact_where_prefix_sums_wrap(h):
     # Prefix sums of these rows pass 2**16, so any narrow prefix sum must
     # wrap; h = 2**15 - 1 and h = 2**15 sit on either side of the int16
     # rule, and a row with small h shares a block with one at the largest h.
+    # Below 2**7 the int8 doubling sums run instead: h = 127 takes every
+    # doubling level and every piece, and h = 128 is the first prefix route.
     n = 2**17 + 2**15 + 2
     ones = np.ones(n, dtype=np.int8)
     drift = np.random.default_rng(8).choice(np.array([1, 0, -1], dtype=np.int8), n, p=[0.85, 0.05, 0.1])
@@ -322,7 +354,26 @@ def test_streamed_histogram_stays_within_block_bytes(monkeypatch, g_periods):
             tracemalloc.stop()
         monkeypatch.setattr(windows, "_chi_range", real_chi_range)
         assert got == value_histogram(window_series(q, config), h)
-    assert len(tiles) >= 12 * g_periods and max(tiles) == budget // 13
+    assert len(tiles) >= 11 * g_periods and max(tiles) == (budget - 16 * (2 * h + 1)) // 12
+    assert peak <= budget
+
+
+def test_streamed_histogram_counts_stay_within_block_bytes(monkeypatch):
+    # With h = 5000 the running counts and one tile's counts, 2h+1 int64
+    # each, take 0.6 of a 256 KB budget; the tiles shrink to make room.
+    q, h, budget = 1000003, 5000, 1 << 18
+    config = WindowConfig(h=h, g=q, m_start=1)
+    chi_table(q)
+    monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        tracemalloc.start()
+        try:
+            (got,) = window_histograms([q], [config])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == value_histogram(window_series(q, config), h)
     assert peak <= budget
 
 
