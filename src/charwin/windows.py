@@ -29,8 +29,8 @@ from .arith import (
     primes_in_interval,
 )
 
-# Full-period character tables are dense int8 arrays of length q; cap their
-# size so bulk paths never allocate more than ~128 MB.
+# Character tables are dense int8 arrays of the (q+1)/2 symbols of a half
+# period; cap q so bulk paths never allocate a table of more than ~64 MB.
 CHI_TABLE_MAX = 1 << 27
 # Every bulk loop sizes its working set by this budget: symbol blocks and
 # tiles with their window sums (12 bytes per symbol while every h < 2**7,
@@ -42,22 +42,21 @@ BLOCK_BYTES = 1 << 24
 
 @functools.lru_cache(maxsize=4)
 def chi_table(q: int) -> np.ndarray:
-    """Legendre symbols (r|q) for one full period r = 0..q-1 as int8.
+    """Legendre symbols (r|q) for the half period r = 0..(q-1)/2 as int8.
 
-    Built by marking the (q-1)/2 nonzero squares mod q, an independent
-    route from the binary-reciprocity jacobi(); tests pin the two together.
-    Only r < (q+1)/2 is marked: x**2 mod q is x**2 - (x**2 // q) * q, and
-    every square at or above half is clipped onto the one slot half, which
-    the mirror (q-r|q) = (-1|q) (r|q) then overwrites along with the rest of
-    the upper half.  A chunk of squares and their quotients, 16 bytes each,
-    stays within BLOCK_BYTES.
+    That is (q+1)/2 bytes; the upper half follows by the mirror
+    (q-r|q) = (-1|q) (r|q), which _chi_range applies.  Built by marking the
+    (q-1)/2 nonzero squares mod q, an independent route from the
+    binary-reciprocity jacobi(); tests pin the two together.  x**2 mod q is
+    x**2 - (x**2 // q) * q, and every square at or above half is clipped onto
+    one extra slot half, past the returned table.  A chunk of squares and
+    their quotients, 16 bytes each, stays within BLOCK_BYTES.
     """
     q = prime_modulus(q)
     if q > CHI_TABLE_MAX:
         raise ValueError(f"character table for q={q} exceeds memory budget")
     half = (q + 1) // 2
-    t = np.empty(q, dtype=np.int8)
-    t[: half + 1] = -1
+    t = np.full(half + 1, -1, dtype=np.int8)
     t[0] = 0
     step = BLOCK_BYTES // 16
     # one quotient buffer serves every chunk; a fresh one each time costs
@@ -71,22 +70,21 @@ def chi_table(q: int) -> np.ndarray:
         x -= quotient
         t[np.minimum(x, half, out=x)] = 1
         del x  # freed before the next chunk is allocated
-    t[half:] = t[half - 1 : 0 : -1]
-    if q % 4 == 3:
-        np.negative(t[half:], out=t[half:])
     t.setflags(write=False)
-    return t
+    return t[:half]
 
 
 def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
     """Symbols (n|q) for n = n_lo..n_hi inclusive, as an int8 array.
 
-    The one place that picks a route: the full-period table while q fits
+    The one place that picks a route: the half-period table while q fits
     CHI_TABLE_MAX, above it jacobi_array over tiles of numerators in [-q, q)
     whose working set (83 bytes per symbol) fits BLOCK_BYTES.  A range on the
-    table route is a view of the table when it stays inside one period; one
-    that wraps past q is a copy joined from slices: the tail of the table,
-    any whole periods, then its head.
+    table route is a view of the table when it stays inside r <= (q-1)/2.
+    Any other range is one int8 array filled piece by piece: residues in the
+    lower half are slices of the table, those in the upper half its mirror
+    t[q-r] read backwards and negated when q = 3 mod 4.  The pieces fill one
+    period at most; a longer range then repeats it by doubling copies.
     """
     count = n_hi - n_lo + 1
     if q > CHI_TABLE_MAX:
@@ -97,11 +95,30 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
             out[lo : lo + n.size] = jacobi_array(n, q)
         return out
     t = chi_table(q)
+    half = t.size
     lo = n_lo % q
-    if lo + count <= q:
+    if lo + count <= half:
         return t[lo : lo + count]
-    full, rest = divmod(lo + count, q)
-    return np.concatenate((t[lo:], *[t] * (full - 1), t[:rest]))
+    out = np.empty(count, dtype=np.int8)
+    pos, end = 0, min(count, q)
+    while pos < end:
+        r = (lo + pos) % q
+        if r < half:
+            k = min(half - r, end - pos)
+            out[pos : pos + k] = t[r : r + k]
+        else:
+            k = min(q - r, end - pos)
+            mirror = t[q - r - k + 1 : q - r + 1][::-1]
+            if q % 4 == 3:
+                np.negative(mirror, out=out[pos : pos + k])
+            else:
+                out[pos : pos + k] = mirror
+        pos += k
+    while pos < count:  # pos is a whole number of periods
+        k = min(pos, count - pos)
+        out[pos : pos + k] = out[:k]
+        pos += k
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -331,6 +348,11 @@ def window_histograms(qs, configs) -> list[list[int]]:
     from _chi_range in tiles of at most (BLOCK_BYTES - 16 * (2h+1)) // 12
     (or // 13, // 25) symbols, each a block whose column 0 is its first
     start m; the running counts and the tile's own are the 16 * (2h+1).
+    Tiles fold the starts by S(c - m) = (-1|q) S(m), c = q - h - 1: of the
+    starts a..c-a in range, a = max(m_start, c - m_start - g + 1), only those
+    below c/2 are read, and their counts are added twice, reversed the second
+    time when q = 3 mod 4.  The starts before a, the middle c/2 and those
+    after c-a are read directly, so a full period reads about (q-h)/2 starts.
     Warns in the order of qs.
     """
     qs, configs = list(qs), list(configs)
@@ -358,13 +380,27 @@ def window_histograms(qs, configs) -> list[list[int]]:
             block = chi_block(moduli[lo : lo + rows], n_max)
             out.extend(row.tolist() for row in _histograms(block, configs[lo : lo + rows]))
             continue
-        h, m0, stop = configs[lo].h, configs[lo].m_start, configs[lo].m_start + configs[lo].g
+        q, h, m0 = moduli[lo], configs[lo].h, configs[lo].m_start
+        stop = m0 + configs[lo].g
         step = max(1, (BLOCK_BYTES - 2 * per_count_row) // per_symbol - h)
+        # S(c - m) = (-1|q) S(m) with c = q - h - 1, so the starts a..c-a pair
+        # up: a start below c/2 is read once and counted for its mirror too
+        c = q - h - 1
+        a = max(m0, c - stop + 1)
+        if a < (c + 1) // 2:
+            runs = [(m0, a, False), (a, (c + 1) // 2, True),
+                    ((c + 1) // 2, c // 2 + 1, False), (c - a + 1, stop, False)]
+        else:
+            runs = [(m0, stop, False)]
         hist = np.zeros(2 * h + 1, dtype=np.int64)
-        for m in range(m0, stop, step):
-            tile = WindowConfig(h=h, g=min(step, stop - m), m_start=0)
-            symbols = _chi_range(moduli[lo], m, m + tile.g + h - 1)
-            hist += _histograms(symbols[None, :], [tile])[0]
+        for m_lo, m_hi, mirrored in runs:
+            for m in range(m_lo, m_hi, step):
+                tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
+                (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
+                hist += counts
+                if mirrored:
+                    hist += counts[::-1] if q % 4 == 3 else counts
+                del counts  # dropped before the next tile is read
         out.append(hist.tolist())
     return out
 
@@ -419,10 +455,15 @@ def cdf_vs_gaussian(summary: EmpiricalSummary, lambdas, corrected: bool = False)
 
 
 def polya_vinogradov_check(q: int) -> dict:
-    """Max |partial sum of the character| over the period vs sqrt(q) log q."""
+    """Max |partial sum of the character| over the period vs sqrt(q) log q.
+
+    P(n) = sum of (k|q) over 1 <= k <= n satisfies P(q-1-n) = -(-1|q) P(n)
+    and P(q-1) = P(q) = 0, so the maximum over the period is reached at some
+    n <= (q-1)/2: only that half is read, a view of the table.
+    """
     q = prime_modulus(q)
-    chi = _chi_range(q, 1, q)
-    # int64, not a wrapping int16 as in _histograms: the max needs true sums, up to q
+    chi = _chi_range(q, 1, (q - 1) // 2)
+    # int64, not a wrapping int16 as in _histograms: the max needs true sums, up to (q-1)/2
     partial = np.cumsum(chi, dtype=np.int64)
     peak = int(np.max(np.abs(partial)))
     bound = math.sqrt(q) * math.log(q)

@@ -16,6 +16,7 @@ from charwin import (
     cdf_vs_gaussian,
     chi_block,
     chi_table,
+    cli,
     empirical_summary,
     euler_criterion,
     gaussian_moment,
@@ -39,14 +40,17 @@ PRIMES_TO_300 = primes_in_interval(3, 300)
 
 def test_chi_table_three_routes_agree():
     # square-marking table vs binary reciprocity vs Euler's criterion, for
-    # q = 1 and q = 3 mod 4, whose upper halves mirror with opposite signs
+    # q = 1 and q = 3 mod 4, whose upper halves mirror with opposite signs;
+    # the table holds r <= (q-1)/2 and _chi_range mirrors the rest
     for q in (3, 5, 7, 11, 13, 17, 101, 997):
-        t = chi_table(q)
+        assert chi_table(q).size == (q + 1) // 2
+        t = windows._chi_range(q, 0, q - 1)
         assert t[0] == 0
         for n in range(q):
             assert t[n] == jacobi(n, q) == euler_criterion(n, q)
     for q in (1048583, 1048589):  # 3 and 1 mod 4, above 2**20
-        t = chi_table(q)
+        assert chi_table(q).size == (q + 1) // 2
+        t = windows._chi_range(q, 0, q - 1)
         for lo in range(0, q, 2**17):
             n = np.arange(lo, min(lo + 2**17, q), dtype=np.int64)
             assert t[n].tolist() == jacobi_array(n, q).tolist()
@@ -55,22 +59,22 @@ def test_chi_table_three_routes_agree():
 
 
 def test_chi_table_build_stays_within_block_bytes(monkeypatch):
-    # beyond its q-byte table the build holds one chunk of squares and their
-    # quotients; q > 2 * BLOCK_BYTES, so a copied or negated upper half would
-    # exceed the budget as well.  A few hundred bytes of array headers and the
-    # cache entry come on top.
+    # beyond its (q+1)/2-byte table the build holds one chunk of squares and
+    # their quotients; q > 2 * BLOCK_BYTES, so a full-period table, or a
+    # copied or negated upper half, would exceed the budget as well.  A few
+    # hundred bytes of array headers and the cache entry come on top.
     budget = 1 << 18
     monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
     for q in (1000003, 1000033):
         chi_table.cache_clear()
         tracemalloc.start()
         try:
-            t = chi_table(q)
+            chi_table(q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= q + budget + 2048
-        assert t[q - 1] == euler_criterion(q - 1, q)
+        assert peak <= (q + 1) // 2 + budget + 2048
+        assert windows._chi_range(q, q - 1, q - 1)[0] == euler_criterion(q - 1, q)
 
 
 def test_chi_table_is_read_only():
@@ -216,6 +220,16 @@ def _slow_histograms(qs, configs):
     return [value_histogram(window_series(q, c), c.h) for q, c in zip(qs, configs)]
 
 
+def _starts_read(q, config):
+    # Starts the folded column-tile route reads: every start but the mirror
+    # c - m > m of a start m in range, c = q - h - 1.  A tile of k starts
+    # reads the k + h symbols n = m..m+k+h-1 from its first start m on.
+    m = np.arange(config.m_start, config.m_start + config.g)
+    mirror = q - config.h - 1 - m
+    paired = (mirror > m) & (mirror >= config.m_start) & (mirror < config.m_start + config.g)
+    return config.g - np.count_nonzero(paired)
+
+
 @given(
     st.lists(
         st.tuples(
@@ -275,7 +289,8 @@ def test_streamed_histogram_matches_window_series(route, q_and_g, h, m_start):
         fast = window_histograms([q], [config])
     assert fast == slow
     assert [str(w.message) for w in fast_caught] == [str(w.message) for w in slow_caught]
-    assert len(tiles) >= 3 and max(tiles) <= (budget - counts) // 12
+    assert sum(tiles) - h * len(tiles) == _starts_read(q, config)
+    assert max(tiles) <= (budget - counts) // 12
     assert bool(array_calls) == (route == "jacobi_array")
 
 
@@ -354,7 +369,8 @@ def test_streamed_histogram_stays_within_block_bytes(monkeypatch, g_periods):
             tracemalloc.stop()
         monkeypatch.setattr(windows, "_chi_range", real_chi_range)
         assert got == value_histogram(window_series(q, config), h)
-    assert len(tiles) >= 11 * g_periods and max(tiles) == (budget - 16 * (2 * h + 1)) // 12
+    assert sum(tiles) - h * len(tiles) == _starts_read(q, config)
+    assert max(tiles) == (budget - 16 * (2 * h + 1)) // 12
     assert peak <= budget
 
 
@@ -375,6 +391,54 @@ def test_streamed_histogram_counts_stay_within_block_bytes(monkeypatch):
             tracemalloc.stop()
         assert got == value_histogram(window_series(q, config), h)
     assert peak <= budget
+
+
+@pytest.mark.parametrize("route", ["table", "jacobi_array"])
+@pytest.mark.parametrize("q", [101, 103])  # 1 and 3 mod 4
+@pytest.mark.parametrize("h", [4, 5])  # c = q - h - 1 even and odd
+@pytest.mark.parametrize("m_start", [0, 1])
+def test_folded_tiles_match_window_series(route, q, h, m_start):
+    # Tiles of 8 starts fold S(c - m) = (-1|q) S(m): a full period g = q - h,
+    # two periods, and the longest g whose starts do not pair (a = (c+1)//2)
+    # beside the shortest that pairs one start.
+    c = q - h - 1
+    unpaired = c // 2 + 1 - m_start
+    counts = 16 * (2 * h + 1)
+    for g in (q - h, 2 * q, unpaired, unpaired + 1):
+        config = WindowConfig(h=h, g=g, m_start=m_start)
+        tiles = []
+        real_chi_range = windows._chi_range
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExperimentWarning)
+            expected = value_histogram(window_series(q, config), h)
+            mp.setattr(windows, "BLOCK_BYTES", 12 * (8 + h) + counts)
+            mp.setattr(windows, "_chi_range", lambda *a: tiles.append(a[2] - a[1] + 1) or real_chi_range(*a))
+            if route == "jacobi_array":
+                mp.setattr(windows, "CHI_TABLE_MAX", q - 1)
+            assert window_histograms([q], [config]) == [expected]
+        read = sum(tiles) - h * len(tiles)
+        assert read == _starts_read(q, config) and max(tiles) <= 8 + h
+        assert (read < g) == (g != unpaired)
+    assert _starts_read(q, WindowConfig(h=h, g=q - h, m_start=m_start)) <= (q - h) // 2 + 2
+
+
+def test_full_period_clt_single_reads_half_its_starts(monkeypatch, tmp_path):
+    # q = 2000003 does not fit one block, so clt-single --g full takes the
+    # column-tile route and reads about (q - h) / 2 of its q - h starts
+    q, h = 2000003, 100
+    starts = []
+    real_chi_range = windows._chi_range
+
+    def spy(q_, n_lo, n_hi):
+        starts.append(n_hi - n_lo + 1 - h)
+        return real_chi_range(q_, n_lo, n_hi)
+
+    monkeypatch.setattr(windows, "_chi_range", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        assert cli.main(["clt-single", "--q", str(q), "--h", f"const:{h}", "--g", "full",
+                         "--out", str(tmp_path / "out.json")]) == 0
+    assert len(starts) >= 2 and abs(sum(starts) - (q - h) / 2) <= 2
 
 
 def test_window_histograms_validation():
@@ -485,6 +549,22 @@ def test_polya_vinogradov_scan_small():
         assert polya_vinogradov_check(q)["ratio"] < 1
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 101, 103, 997, 1019, 1048583, 1048589])
+def test_polya_vinogradov_matches_full_period_cumsum(q, monkeypatch):
+    # the half period n <= (q-1)/2 against every partial sum of the period,
+    # for q = 1 and 3 mod 4; the half is read as a view of the table
+    full = jacobi_array(np.arange(1, q + 1, dtype=np.int64), q)
+    peak = int(np.abs(np.cumsum(full, dtype=np.int64)).max())
+    reads = []
+    real_chi_range = windows._chi_range
+    monkeypatch.setattr(windows, "_chi_range", lambda *a: reads.append(real_chi_range(*a)) or reads[-1])
+    assert polya_vinogradov_check(q)["max_partial_sum"] == peak
+    (chi,) = reads
+    assert chi.size == (q - 1) // 2 and np.shares_memory(chi, chi_table(q))
+    monkeypatch.setattr(windows, "CHI_TABLE_MAX", q - 1)
+    assert polya_vinogradov_check(q)["max_partial_sum"] == peak
+
+
 def test_incomplete_poly_sum_complete_pair():
     # sum over a full period of chi(n) chi(n+1) equals -1
     for q in (7, 11, 101):
@@ -547,6 +627,22 @@ def test_chi_range_wrap_allocates_only_its_symbols():
     finally:
         tracemalloc.stop()
     assert got.tolist() == [euler_criterion(n, q) for n in range(q - 10**4, q + 10**4)]
+    assert peak < 3 * 10**4
+
+
+def test_chi_range_upper_half_allocates_only_its_symbols():
+    # q = 3 mod 4: the negated mirror is written straight into the range's
+    # own int8 array, with no temporary of the reversed or negated slice
+    q = 1000003
+    assert q % 4 == 3
+    chi_table(q)
+    tracemalloc.start()
+    try:
+        got = windows._chi_range(q, q - 2 * 10**4, q - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [euler_criterion(n, q) for n in range(q - 2 * 10**4, q)]
     assert peak < 3 * 10**4
 
 
