@@ -47,12 +47,11 @@ from .prime_avg import (
     variance_ratio_battery,
 )
 from .selberg import abs_weight_sum, build_selberg, interval_weight_sum, verify_indicator
-from .squares import paired_count_theta
+from .squares import gaussian_moment, paired_count_theta
 from .windows import (
     WindowConfig,
     cdf_vs_gaussian,
     empirical_summary,
-    gaussian_moment,
     random_weil_instances,
     weil_bound_check,
     window_histograms,

@@ -3,10 +3,10 @@ moment deviations with their exceptional sets.
 
 Two experiment families live here.  The first averages |sum a_n (n|q)|^2
 over primes q in [Q, Q+delta] and compares against the random-multiplicative
-model bound.  The second measures, prime by prime, how far the empirical
-window-sum moments sit from their Gaussian targets, flags primes whose
-deviation exceeds g^(-1/8) (a Chebyshev-style exceptional set), and reports
-the exceptional fractions.
+model bound.  The second takes every prime's value histogram from
+window_histograms, reads its moment deviations from the one reducer
+windows.empirical_summary, flags primes whose deviation exceeds g^(-1/8) (a
+Chebyshev-style exceptional set), and reports the exceptional fractions.
 """
 
 from __future__ import annotations
@@ -15,18 +15,16 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .arith import ExperimentWarning, primes_in_interval
 from .rmf import _coeffs, rmf_variance_rhs
-from .squares import paired_count_exact
 from .windows import (
     BLOCK_BYTES,
     WindowConfig,
     chi_block,
-    power_sum,
+    empirical_summary,
     window_histograms,
 )
 
@@ -141,55 +139,6 @@ class DeviationRecord:
     exceptional: bool
 
 
-def _records(
-    q: int, counts: list[int], h: int, g: int, r_max: int, threshold_g: float, threshold_scale: float
-) -> list[DeviationRecord]:
-    """Even and odd deviation records r = 1..min(r_max, h) from one value histogram."""
-    threshold = threshold_scale * threshold_g ** (-1.0 / 8.0)
-    records = []
-    for r in range(1, min(r_max, h) + 1):
-        k_exact = paired_count_exact(r, h)
-        even_dev = float(Fraction(power_sum(counts, h, 2 * r) - g * k_exact, g))
-        odd_dev = power_sum(counts, h, 2 * r - 1) / g
-        for parity, dev in (("even", even_dev), ("odd", odd_dev)):
-            records.append(
-                DeviationRecord(
-                    q=q,
-                    r=r,
-                    parity=parity,
-                    deviation=dev,
-                    threshold=threshold,
-                    exceptional=abs(dev) >= threshold,
-                )
-            )
-    return records
-
-
-def moment_deviation(
-    q: int,
-    g: int,
-    h: int,
-    r: int,
-    even: bool = True,
-    m_start: int = 1,
-    threshold_scale: float = 1.0,
-) -> DeviationRecord:
-    """Empirical moment sum minus its exact pairing-count target.
-
-    Even mode: (1/g) * sum_m S(m)^(2r) - K(r, h), where K(r, h) is the exact
-    fully-paired tuple count (equal to mu_2r * (h - theta*r)^r by definition
-    of theta); computed as an exact rational before the float conversion.
-    Odd mode: (1/g) * sum_m S(m)^(2r-1), whose target is zero.  The record
-    is exceptional when |deviation| >= threshold_scale * g^(-1/8).
-    """
-    if not 1 <= r <= h:
-        raise ValueError(f"need 1 <= r <= h, got r={r}, h={h}")
-    counts = window_histograms([q], [WindowConfig(h=h, g=g, m_start=m_start)])[0]
-    recs = _records(q, counts, h, g, r, float(g), threshold_scale)
-    parity = "even" if even else "odd"
-    return next(rec for rec in recs if rec.r == r and rec.parity == parity)
-
-
 @dataclass
 class ExceptionalReport:
     """All deviation records over a prime interval plus exceptional fractions.
@@ -225,14 +174,19 @@ def exceptional_sets(
 
     The inner moment average runs over m <= g(q_start) by default (the
     interval-wide sample count); per_prime_inner=True uses g(q) instead.
-    Thresholds always use the per-prime g(q).  Strict mode enforces the
-    narrow-window hypothesis h <= g(q)^(1/(2500 r^2)) and fails loudly;
-    relaxed mode accepts any h <= g(q)^(1/4) and warns beyond that.
+    Thresholds always use the per-prime g(q), scaled by threshold_scale,
+    which must be finite and positive.  Each prime's record of order r and
+    parity holds summary.deviation(2r) (even) or summary.deviation(2r - 1)
+    (odd) of its empirical_summary.  Strict mode enforces the narrow-window
+    hypothesis h <= g(q)^(1/(2500 r^2)) and fails loudly; relaxed mode
+    accepts any h <= g(q)^(1/4) and warns beyond that.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
     if r_max < 1:
         raise ValueError(f"need r_max >= 1, got {r_max}")
+    if not (math.isfinite(threshold_scale) and threshold_scale > 0):
+        raise ValueError(f"threshold scale must be finite and > 0, got {threshold_scale}")
     if primes is None:
         primes = interval_primes(spec)
     if not primes:
@@ -275,15 +229,19 @@ def exceptional_sets(
     sq_sums_norm: dict[str, list[float]] = {}
     for q, config, g_q, counts in zip(primes, configs, thresholds_g, histograms):
         h_q = config.h
-        batch = _records(q, counts, h_q, config.g, r_max, g_q, threshold_scale)
-        records.extend(batch)
-        for rec in batch:
-            if rec.exceptional:
-                exceptional_primes[rec.parity].add(rec.q)
-            key = f"r{rec.r}_{rec.parity}"
-            order = 2 * rec.r if rec.parity == "even" else 2 * rec.r - 1
-            sq_sums.setdefault(key, []).append(rec.deviation**2)
-            sq_sums_norm.setdefault(key, []).append((rec.deviation / h_q ** (order / 2)) ** 2)
+        threshold = threshold_scale * g_q ** (-1.0 / 8.0)
+        # no moments: deviation builds only the power sums it reads
+        summary = empirical_summary(counts, max_moment=0)
+        for r in range(1, min(r_max, h_q) + 1):
+            for parity, order in (("even", 2 * r), ("odd", 2 * r - 1)):
+                dev = summary.deviation(order)
+                rec = DeviationRecord(q, r, parity, dev, threshold, abs(dev) >= threshold)
+                records.append(rec)
+                if rec.exceptional:
+                    exceptional_primes[parity].add(q)
+                key = f"r{r}_{parity}"
+                sq_sums.setdefault(key, []).append(dev**2)
+                sq_sums_norm.setdefault(key, []).append((dev / h_q ** (order / 2)) ** 2)
     n = len(primes)
     union = exceptional_primes["even"] | exceptional_primes["odd"]
     return ExceptionalReport(
@@ -303,7 +261,7 @@ class GrowthSchedule:
 
     Kinds: log_power ((log q)^a), small_power (q^eps), const, and table
     (step function through sorted (q, value) pairs).  Decreasing schedules
-    are rejected at construction.
+    and non-finite parameters are rejected at construction.
     """
 
     kind: str
@@ -311,6 +269,7 @@ class GrowthSchedule:
 
     def __post_init__(self) -> None:
         kind, params = self.kind, self.params
+        numbers = params
         if kind == "log_power":
             if len(params) != 1 or params[0] <= 0:
                 raise ValueError(f"log_power needs one positive exponent, got {params}")
@@ -331,8 +290,11 @@ class GrowthSchedule:
             if any(b < a for a, b in zip(vs, vs[1:])) or min(vs) < 1:
                 raise ValueError("table schedule must be non-decreasing and >= 1")
             object.__setattr__(self, "params", pts)
+            numbers = qs + vs
         else:
             raise ValueError(f"unknown schedule kind {kind!r}")
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError(f"{kind} schedule parameters must be finite, got {params}")
 
     def __call__(self, q: int) -> float:
         if q < 3:

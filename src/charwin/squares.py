@@ -6,7 +6,8 @@ of equal offsets (left to right, deterministically) preserves that property.
 The number of fully-paired offset tuples K(r, h) = #{a in [1,h]^(2r) : every
 value appears an even number of times} controls the even moments; it is
 computed exactly two independent ways (enumeration, and the coefficient of
-x^(2r) in cosh(x)^h times (2r)!).
+x^(2r) in cosh(x)^h times (2r)!), and normalized by the Gaussian moment
+mu_2r = (2r-1)!! of gaussian_moment.
 """
 
 from __future__ import annotations
@@ -129,11 +130,13 @@ def paired_count_exact(r: int, h: int) -> int:
     return int(coeff)
 
 
-def double_factorial_odd(j: int) -> int:
-    """(j)!! for odd j >= -1; (2r-1)!! is the 2r-th Gaussian moment."""
-    if j < -1 or j % 2 == 0:
-        raise ValueError(f"need odd j >= -1, got {j}")
-    return math.factorial(j + 1) // (2 ** ((j + 1) // 2) * math.factorial((j + 1) // 2))
+def gaussian_moment(j: int) -> int:
+    """j-th moment of the standard Gaussian: (j-1)!! for even j, 0 for odd."""
+    if not 0 <= j <= 24:
+        raise ValueError(f"gaussian moment order capped at 24, got {j}")
+    if j % 2:
+        return 0
+    return math.factorial(j) // (2 ** (j // 2) * math.factorial(j // 2))
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def paired_count_theta(r: int, h: int) -> PairedCount:
     if not 1 <= r <= h:
         raise ValueError(f"need 1 <= r <= h, got r={r}, h={h}")
     k = paired_count_exact(r, h)
-    mu = double_factorial_odd(2 * r - 1)
+    mu = gaussian_moment(2 * r)
     lower = mu * math.prod(range(h - r + 1, h + 1))
     upper = mu * h**r
     if not lower <= k <= upper:

@@ -1,11 +1,13 @@
 """Sliding-window sums of the quadratic character mod q and their statistics.
 
 The central object is S(m) = sum of (n|q) over the window m < n <= m+h, for
-g consecutive starting points m.  Empirical moments of S/sqrt(h) and the
-empirical CDF are compared against the standard Gaussian.  Window values are
-integers in [-h, h], so all moment accumulation is exact integer arithmetic
-over a value histogram; floats only appear in the final division.
-window_histograms is the one route from symbols to value histograms.
+g consecutive starting points m.  window_histograms is the one route from
+symbols to value histograms, its window sums formed by doubling in the
+narrowest integer dtype that holds [-h, h].  empirical_summary is the one
+reducer from a histogram to statistics: exact integer power sums of S, from
+which come the moments of S/sqrt(h) and the moment deviations against the
+pairing counts K(r, h), and the lattice CDF, compared against the standard
+Gaussian.  Floats only appear in each statistic's final division.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import math
 import operator
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,15 +31,16 @@ from .arith import (
     prime_modulus,
     primes_in_interval,
 )
+from .squares import paired_count_exact
 
 # Character tables are dense int8 arrays of the (q+1)/2 symbols of a half
 # period; cap q so bulk paths never allocate a table of more than ~64 MB.
 CHI_TABLE_MAX = 1 << 27
 # Every bulk loop sizes its working set by this budget: symbol blocks and
 # tiles with their window sums (12 bytes per symbol while every h < 2**7,
-# 13 while h < 2**15, 25 above; see _histograms) and 8 * (2h+1) bytes of
-# counts per row, the chunks of squares in chi_table, and the chunks of
-# _chi_range and incomplete_poly_sum.
+# 15 while h < 2**15; see window_histograms) and 8 * (2h+1) bytes of counts
+# per row, the chunks of squares in chi_table, and the chunks of _chi_range
+# and incomplete_poly_sum.
 BLOCK_BYTES = 1 << 24
 
 
@@ -224,26 +228,24 @@ def window_series(q: int, config: WindowConfig) -> np.ndarray:
 
 @dataclass
 class EmpiricalSummary:
-    """Histogram-backed summary of a window series.
+    """Exact statistics of one value histogram, value_counts[v + h] = #{m : S(m) = v}.
 
-    value_counts[v + h] = #{m : S(m) = v}; moments[j] is the j-th empirical
-    moment of S/sqrt(h), accumulated exactly over the histogram before one
-    final float division.
+    power_sums[j] is the exact integer sum of S(m)^j over the g =
+    sample_count starts, built through power_sum: the orders of moments by
+    empirical_summary, any other when deviation first reads it.  moments[j]
+    is the j-th moment of S/sqrt(h), deviation(j) the j-th power sum's
+    distance from its pairing target, and cdf the lattice CDF of S/sqrt(h).
     """
 
     h: int
     sample_count: int
     value_counts: tuple[int, ...]
     moments: dict[int, float]
-    _cumulative: tuple[int, ...] = field(repr=False, default=None)
+    power_sums: dict[int, int]
 
-    def __post_init__(self) -> None:
-        if self._cumulative is None:
-            acc, cum = 0, []
-            for c in self.value_counts:
-                acc += c
-                cum.append(acc)
-            self._cumulative = tuple(cum)
+    @functools.cached_property
+    def _cumulative(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(self.value_counts))
 
     def cdf(self, lam: float) -> float:
         """Empirical P(S <= lam * sqrt(h)).
@@ -252,6 +254,8 @@ class EmpiricalSummary:
         values within 1e-9 of the integer above are snapped up to keep exact
         grid points (e.g. lam = 0) stable under float noise.
         """
+        if not math.isfinite(lam):
+            raise ValueError(f"CDF point must be finite, got lambda = {lam}")
         x = lam * math.sqrt(self.h)
         t = math.floor(x)
         if x - t > 1 - 1e-9:
@@ -262,6 +266,24 @@ class EmpiricalSummary:
             return 1.0
         return self._cumulative[t + self.h] / self.sample_count
 
+    def deviation(self, j: int) -> float:
+        """(1/g) * sum_m S(m)^j minus its target, for 1 <= j <= 2h.
+
+        Even j = 2r: the target is K(r, h), the exact fully-paired tuple
+        count (equal to mu_2r * (h - theta*r)^r by definition of theta), and
+        the difference is an exact rational before the float conversion.
+        Odd j: the target is zero.
+        """
+        h, g = self.h, self.sample_count
+        if not 1 <= j <= 2 * h:
+            raise ValueError(f"need 1 <= j <= 2h = {2 * h}, got j={j}")
+        total = self.power_sums.get(j)
+        if total is None:
+            total = self.power_sums[j] = power_sum(self.value_counts, h, j)
+        if j % 2:
+            return total / g
+        return float(Fraction(total - g * paired_count_exact(j // 2, h), g))
+
 
 def value_histogram(sums: np.ndarray, h: int) -> list[int]:
     """counts[v + h] = #{m : S(m) = v}: small-case reference of window_histograms."""
@@ -271,50 +293,37 @@ def value_histogram(sums: np.ndarray, h: int) -> list[int]:
 
 
 def _sum_dtype(h: int) -> np.dtype:
-    """Dtype in which _histograms forms the window sums of length h.
-
-    int8 while h < 2**7: sums by doubling are window sums of at most h
-    symbols.  int16 while h < 2**15: S(m) = P(m+h) - P(m) and |S(m)| <= h,
-    so the difference of int16 prefix sums P taken mod 2**16 is S(m) itself;
-    P may wrap, and numpy integer arrays wrap silently.  Longer windows keep
-    int64 prefix sums.
-    """
-    return np.dtype(np.int8 if h < 2**7 else np.int16 if h < 2**15 else np.int64)
+    """The narrowest dtype that holds every window sum of at most h symbols."""
+    return np.dtype(np.int8 if h < 2**7 else np.int16 if h < 2**15 else np.int32)
 
 
 def _doubling_sums(symbols: np.ndarray, h: int, g: int) -> np.ndarray:
-    """int8 sums of h < 2**7 consecutive columns: out[:, i] = sum of symbols[:, i : i+h].
+    """Sums of h consecutive columns, out[:, i] = sum of symbols[:, i : i+h].
 
-    w_1 is the symbols and w_2k[i] = w_k[i] + w_k[i + k]; the sum is the w_k
-    of the set bits k of h, each taken at the offset of the lower bits.  Every
-    partial sum is a window sum of at most h <= 127 symbols, so int8 is exact.
+    w_1 is the int8 symbols and w_2k[i] = w_k[i] + w_k[i + k]; the sum is the
+    w_k of the set bits k of h, each taken at the offset of the lower bits.
+    w_2k holds window sums of 2k symbols, so it is formed in _sum_dtype(2k),
+    and the running sum, of at most h symbols, in _sum_dtype(h): the levels
+    below 2**7 stay int8 for every h.
     """
+    dtype = _sum_dtype(h)
     w, k, offset, acc = symbols, 1, 0, None
     while True:
         if h & k:
             piece = w[:, offset : offset + g]
-            acc = piece if acc is None else acc + piece
+            acc = piece if acc is None else np.add(acc, piece, dtype=dtype)
             offset += k
         if 2 * k > h:
             return acc
-        w = w[:, :-k] + w[:, k:]
+        w = np.add(w[:, :-k], w[:, k:], dtype=_sum_dtype(2 * k))
         k *= 2
 
 
 def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
     """Value histograms of a block's rows (column c is n = c), one config per row.
 
-    Consecutive rows with one config share one bincount, and _sum_dtype(h)
-    picks their route.  While h < 2**7 the window sums come from
-    _doubling_sums in int8: per symbol that is the int8 symbol, the two
-    doubling levels alive, the running int8 sum and the intp window sum
-    bincount reads, 12 bytes.  Above, they are differences of prefix sums,
-    which hold 9 + 2 * itemsize bytes per symbol: the symbol, its prefix sum,
-    its window sum in the prefix dtype (cast in numpy's buffer, at most 2
-    bytes per start while the prefix is int16) and the intp window sum.  That
-    is 13 bytes while h < 2**15, where int16 prefix sums wrap mod 2**16, and
-    25 with int64 prefix sums.  The 2h+1 int64 counts of each row come on top
-    (see window_histograms).
+    Consecutive rows with one config share one bincount of their window sums
+    from _doubling_sums, each offset to its row's 2h+1 bins.
     """
     counts: list = []
     lo = 0
@@ -323,14 +332,7 @@ def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
         h, g, m0 = config.h, config.g, config.m_start
         width = 2 * h + 1
         offsets = h + width * np.arange(k, dtype=np.intp)[:, None]
-        dtype = _sum_dtype(h)
-        if dtype == np.int8:
-            sums = _doubling_sums(block[lo : lo + k, m0 + 1 :], h, g) + offsets
-        else:
-            prefix = np.cumsum(block[lo : lo + k], axis=1, dtype=dtype)
-            sums = np.empty((k, g), dtype=np.intp)
-            np.subtract(prefix[:, m0 + h : m0 + h + g], prefix[:, m0 : m0 + g], out=sums, dtype=prefix.dtype)
-            sums += offsets
+        sums = _doubling_sums(block[lo : lo + k, m0 + 1 :], h, g) + offsets
         counts.extend(np.bincount(sums.ravel(), minlength=width * k).reshape(k, width))
         lo += k
     return counts
@@ -340,14 +342,15 @@ def window_histograms(qs, configs) -> list[list[int]]:
     """Value histogram of the window sums S(m), m = m_start..m_start+g-1, per pair.
 
     Rows of primes share one chi_block, chunked so that the block, its window
-    sums and each row's 2h+1 int64 counts stay within BLOCK_BYTES: 12 bytes
-    per symbol while every h < 2**7, where the window sums are int8 sums by
-    doubling, 13 while every h < 2**15, where they are differences of int16
-    prefix sums that wrap mod 2**16 (exact, since |S(m)| <= h < 2**15), and
-    25 above (see _histograms).  A row that does not fit in one tile is read
-    from _chi_range in tiles of at most (BLOCK_BYTES - 16 * (2h+1)) // 12
-    (or // 13, // 25) symbols, each a block whose column 0 is its first
-    start m; the running counts and the tile's own are the 16 * (2h+1).
+    sums and each row's 2h+1 int64 counts stay within BLOCK_BYTES.  Per
+    symbol that is 9 + 3 * itemsize bytes, itemsize that of _sum_dtype(h):
+    the int8 symbol, the two doubling levels alive and the running sum of
+    _doubling_sums, and the intp window sum bincount reads; 12 bytes while
+    every h < 2**7, 15 while every h < 2**15.  A row that does not fit in one
+    tile is read from _chi_range in tiles of at most
+    (BLOCK_BYTES - 16 * (2h+1)) // 12 (or // 15) symbols, each a block whose
+    column 0 is its first start m; the running counts and the tile's own are
+    the 16 * (2h+1).
     Tiles fold the starts by S(c - m) = (-1|q) S(m), c = q - h - 1: of the
     starts a..c-a in range, a = max(m_start, c - m_start - g + 1), only those
     below c/2 are read, and their counts are added twice, reversed the second
@@ -367,8 +370,7 @@ def window_histograms(qs, configs) -> list[list[int]]:
         moduli.append(q)
         spans.append(config.m_start + config.g + config.h - 1)
     h_max = max((c.h for c in configs), default=1)
-    dtype = _sum_dtype(h_max)
-    per_symbol = 12 if dtype == np.int8 else 9 + 2 * dtype.itemsize
+    per_symbol = 9 + 3 * _sum_dtype(h_max).itemsize
     per_count_row = 8 * (2 * h_max + 1)
     rows = max(1, BLOCK_BYTES // (per_symbol * (max(spans, default=0) + 1) + per_count_row))
     out: list[list[int]] = []
@@ -405,29 +407,26 @@ def window_histograms(qs, configs) -> list[list[int]]:
     return out
 
 
-def power_sum(counts: list[int], h: int, j: int) -> int:
+def power_sum(counts, h: int, j: int) -> int:
     """Exact integer sum of S^j over the series, from its value histogram."""
     return sum(c * (v - h) ** j for v, c in enumerate(counts) if c)
 
 
-def empirical_summary(counts: list[int], max_moment: int = 4) -> EmpiricalSummary:
-    """Exact moments of a value histogram counts[v + h] = #{m : S(m) = v}."""
+def empirical_summary(counts, max_moment: int = 4) -> EmpiricalSummary:
+    """The one reducer of a value histogram counts[v + h] = #{m : S(m) = v}.
+
+    Builds the power sums of orders 1..max_moment, for the moments of
+    S/sqrt(h); the order-0 sum is the sample count g.  deviation reads any
+    other order when asked, so max_moment = 0 builds no power sum up front.
+    """
     if not 0 <= max_moment <= 12:
         raise ValueError(f"moment order capped at 12, got {max_moment}")
     h, g = len(counts) // 2, sum(counts)
     if len(counts) != 2 * h + 1 or h < 1 or g < 1:
         raise ValueError(f"need a nonempty histogram of odd length >= 3, got {len(counts)} bins")
-    moments = {j: power_sum(counts, h, j) / (g * h ** (j / 2)) for j in range(max_moment + 1)}
-    return EmpiricalSummary(h=h, sample_count=g, value_counts=tuple(counts), moments=moments)
-
-
-def gaussian_moment(j: int) -> int:
-    """j-th moment of the standard Gaussian: (j-1)!! for even j, 0 for odd."""
-    if not 0 <= j <= 24:
-        raise ValueError(f"gaussian moment order capped at 24, got {j}")
-    if j % 2:
-        return 0
-    return math.factorial(j) // (2 ** (j // 2) * math.factorial(j // 2))
+    sums = {0: g} | {j: power_sum(counts, h, j) for j in range(1, max_moment + 1)}
+    moments = {j: total / (g * h ** (j / 2)) for j, total in sums.items()}
+    return EmpiricalSummary(h=h, sample_count=g, value_counts=tuple(counts), moments=moments, power_sums=sums)
 
 
 def normal_cdf(x: float) -> float:
@@ -463,7 +462,7 @@ def polya_vinogradov_check(q: int) -> dict:
     """
     q = prime_modulus(q)
     chi = _chi_range(q, 1, (q - 1) // 2)
-    # int64, not a wrapping int16 as in _histograms: the max needs true sums, up to (q-1)/2
+    # int64: the max needs true partial sums, up to (q-1)/2
     partial = np.cumsum(chi, dtype=np.int64)
     peak = int(np.max(np.abs(partial)))
     bound = math.sqrt(q) * math.log(q)

@@ -257,6 +257,34 @@ def test_csv_interval_schema(capsys):
     assert exc in ("true", "false")
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["clt-single", "--q", "101", "--h", "const:5", "--lambdas", "inf"], ["lambda = inf"]),
+        (["clt-single", "--q", "101", "--h", "const:5", "--g", "const:inf"], ["--g", "inf"]),
+        (["clt-interval", "--interval", "1000:100", "--g", "log_power:inf", "--h", "const:3"], ["--g", "inf"]),
+        (["clt-single", "--q", "101", "--h", "const:nan"], ["--h", "nan"]),
+    ],
+    ids=["lambdas-inf", "g-const-inf", "g-log-power-inf", "h-const-nan"],
+)
+def test_non_finite_parameters_exit_2(argv, named, capsys):
+    # each of these used to end in an OverflowError traceback or a late,
+    # unnamed float conversion error
+    rc, out, err = _run(argv, capsys)
+    assert rc == 2 and out == ""
+    for text in named:
+        assert text in err
+
+
+@pytest.mark.parametrize("scale, named", [("nan", "nan"), ("-1", "-1.0")])
+def test_bad_threshold_scale_exits_2(scale, named, capsys):
+    # nan used to flag no prime (fraction_union 0.0) and -1 every prime (1.0)
+    rc, out, err = _run(["clt-interval", "--interval", "1000:100", "--g", "const:20",
+                         "--h", "const:3", "--threshold-scale", scale], capsys)
+    assert rc == 2 and out == ""
+    assert "threshold scale" in err and named in err
+
+
 @pytest.mark.skipif(shutil.which("charwin") is None, reason="console script not on PATH")
 def test_console_script():
     proc = subprocess.run(

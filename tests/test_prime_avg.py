@@ -15,11 +15,11 @@ from charwin import (
     WindowConfig,
     avg_character_variance,
     derivative_check,
+    empirical_summary,
     exceptional_sets,
     growth_schedule,
     interval_primes,
     jacobi,
-    moment_deviation,
     paired_count_exact,
     primes_in_interval,
     random_sparse_vectors,
@@ -27,6 +27,7 @@ from charwin import (
     variance_ratio,
     value_histogram,
     variance_ratio_battery,
+    window_histograms,
     window_series,
 )
 from charwin.prime_avg import _battery_lhs
@@ -110,14 +111,24 @@ def test_random_sparse_vectors():
         random_sparse_vectors(1, 10, seed=0, support=11)
 
 
+def _deviation(q, g, h, j):
+    """The reducer's j-th moment deviation at one prime, m_start = 1."""
+    counts = window_histograms([q], [WindowConfig(h=h, g=g, m_start=1)])[0]
+    return empirical_summary(counts, max_moment=0).deviation(j)
+
+
 def test_moment_deviation_frozen_small_case():
     # q=7, h=2, m_start=1: window sums are (0, 0, 0), so the second-moment
     # sum is 0 and the even deviation is 0/3 - K(1,2) = -2 exactly
-    rec = moment_deviation(7, g=3, h=2, r=1, even=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)  # h = 2 > 3^(1/4)
+        rec, odd = exceptional_sets(
+            IntervalSpec(7, 1), growth_schedule("const", 3.0), growth_schedule("const", 2.0), r_max=1, primes=[7]
+        ).records
+    assert (rec.parity, odd.parity) == ("even", "odd")
     assert rec.deviation == -2.0
     assert rec.threshold == pytest.approx(3 ** (-1 / 8))
     assert rec.exceptional
-    odd = moment_deviation(7, g=3, h=2, r=1, even=False)
     assert odd.deviation == 0.0
     assert not odd.exceptional
 
@@ -126,9 +137,9 @@ def test_moment_deviation_r1_cross_module():
     # r=1, theta=0: deviation = g^-1 sum S^2 - h, reproducible from the series
     for q in (101, 103, 997):
         g, h = 40, 4
-        rec = moment_deviation(q, g=g, h=h, r=1, even=True)
+        deviation = _deviation(q, g, h, 2)
         sums = window_series(q, WindowConfig(h=h, g=g, m_start=1))
-        assert rec.deviation == pytest.approx(
+        assert deviation == pytest.approx(
             sum(int(s) ** 2 for s in sums) / g - h, abs=1e-12
         )
 
@@ -137,21 +148,21 @@ def test_moment_deviation_r1_cross_module():
 @settings(max_examples=40)
 def test_odd_deviation_trivial_bound(q, r):
     h = 2 * r
-    rec = moment_deviation(q, g=20, h=h, r=r, even=False)
-    assert abs(rec.deviation) <= h ** (2 * r - 1)
+    deviation = _deviation(q, 20, h, 2 * r - 1)
+    assert abs(deviation) <= h ** (2 * r - 1)
 
 
 def test_moment_deviation_full_period_small():
     # with g = q - h the empirical second moment is very close to its target
     for q in primes_in_interval(5000, 5200):
         h = 4
-        rec = moment_deviation(q, g=q - h, h=h, r=1, even=True)
-        assert abs(rec.deviation) <= 5 * q ** (-0.5) * h * h * math.log(q)
+        deviation = _deviation(q, q - h, h, 2)
+        assert abs(deviation) <= 5 * q ** (-0.5) * h * h * math.log(q)
 
 
 def test_moment_deviation_validation():
     with pytest.raises(ValueError):
-        moment_deviation(101, g=10, h=2, r=3)  # r > h
+        _deviation(101, 10, 2, 6)  # r = 3 > h
 
 
 def _flagship_spec():
@@ -179,6 +190,13 @@ def test_exceptional_sets_bookkeeping():
     # normalized mean-square deviations divide by h^j <= raw for h > 1
     for key, value in report.mean_sq_deviation_normalized.items():
         assert value <= report.mean_sq_deviation[key]
+
+
+@pytest.mark.parametrize("scale", [math.nan, -1.0, 0.0, math.inf])
+def test_exceptional_sets_rejects_bad_threshold_scale(scale):
+    spec, g_sched, h_sched = _flagship_spec()
+    with pytest.raises(ValueError, match="threshold scale"):
+        exceptional_sets(spec, g_sched, h_sched, r_max=1, threshold_scale=scale)
 
 
 def test_exceptional_sets_threshold_monotone():
@@ -380,6 +398,15 @@ def test_growth_schedule_validation():
         growth_schedule("table", (10, 5.0), (100, 4.0))
     with pytest.raises(ValueError):
         growth_schedule("nope", 1.0)
+    for kind, params in [
+        ("log_power", (math.inf,)),
+        ("const", (math.inf,)),
+        ("const", (math.nan,)),
+        ("table", ((10, 5.0), (100, math.inf))),
+        ("table", ((10, math.nan),)),
+    ]:
+        with pytest.raises(ValueError, match="must be finite"):
+            growth_schedule(kind, *params)
 
 
 def test_derivative_check():

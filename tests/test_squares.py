@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from charwin import (
     count_square_values,
-    double_factorial_odd,
     evertse_bound,
+    gaussian_moment,
     is_perfect_square,
     paired_count_bruteforce,
     paired_count_exact,
@@ -88,16 +88,6 @@ def test_paired_count_bruteforce_budget():
         paired_count_bruteforce(10, 10)
 
 
-def test_double_factorial_odd():
-    assert double_factorial_odd(-1) == 1
-    assert double_factorial_odd(1) == 1
-    assert double_factorial_odd(3) == 3
-    assert double_factorial_odd(5) == 15
-    assert double_factorial_odd(7) == 105
-    with pytest.raises(ValueError):
-        double_factorial_odd(2)
-
-
 def test_theta_spot_values():
     # K(1, h) = h = 1 * (h - 0)^1, so theta = 0 for r = 1
     for h in (1, 2, 10, 50):
@@ -116,7 +106,7 @@ def test_theta_in_unit_interval(r, h):
     pc = paired_count_theta(r, h)
     assert 0.0 <= pc.theta <= 1.0
     # the definition inverts exactly: K = mu_2r * (h - theta r)^r
-    mu = double_factorial_odd(2 * r - 1)
+    mu = gaussian_moment(2 * r)
     assert mu * (h - pc.theta * r) ** r == pytest.approx(pc.count, rel=1e-9)
 
 

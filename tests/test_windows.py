@@ -515,6 +515,10 @@ def test_gaussian_moment_values():
     assert [gaussian_moment(j) for j in range(9)] == [1, 0, 1, 0, 3, 0, 15, 0, 105]
     with pytest.raises(ValueError):
         gaussian_moment(25)
+    # mu_2r = (2r-1)!!: (-1)!!, 1!!, 3!!, 5!!, 7!!
+    assert [gaussian_moment(2 * r) for r in range(5)] == [1, 1, 3, 15, 105]
+    with pytest.raises(ValueError):
+        gaussian_moment(-1)
 
 
 def test_normal_cdf_values():
