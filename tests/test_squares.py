@@ -88,6 +88,18 @@ def test_paired_count_bruteforce_budget():
         paired_count_bruteforce(10, 10)
 
 
+def test_double_factorial_odd():
+    # (2r-1)!! is the Gaussian moment of order 2r, the mu_2r of theta.
+    assert gaussian_moment(0) == 1  # (-1)!!
+    assert gaussian_moment(2) == 1  # 1!!
+    assert gaussian_moment(4) == 3  # 3!!
+    assert gaussian_moment(6) == 15  # 5!!
+    assert gaussian_moment(8) == 105  # 7!!
+    assert gaussian_moment(24) == math.prod(range(1, 24, 2))
+    with pytest.raises(ValueError):
+        gaussian_moment(-2)
+
+
 def test_theta_spot_values():
     # K(1, h) = h = 1 * (h - 0)^1, so theta = 0 for r = 1
     for h in (1, 2, 10, 50):
