@@ -50,9 +50,12 @@ from .selberg import abs_weight_sum, build_selberg, interval_weight_sum, verify_
 from .squares import gaussian_moment, paired_count_theta
 from .windows import (
     WindowConfig,
+    _chi_range,
     cdf_vs_gaussian,
     empirical_summary,
+    power_sum,
     random_weil_instances,
+    value_histogram,
     weil_bound_check,
     window_histograms,
 )
@@ -65,14 +68,21 @@ _REQUIRED = object()
 # ---------------------------------------------------------------------------
 # value parsers: each takes the flag text and returns (value, jsonable echo)
 
-def _conv_int(raw: str):
-    v = int(raw)
-    return v, v
+def _same(kind: Callable[[str], object]):
+    """A parser whose value, kind(raw), is also its echo."""
+    return lambda raw: (kind(raw),) * 2
 
 
-def _conv_float(raw: str):
-    v = float(raw)
-    return v, v
+def _one_of(name: str, *allowed):
+    """A parser that accepts only the allowed values, each of their type."""
+
+    def convert(raw: str):
+        v = type(allowed[0])(raw)
+        if v not in allowed:
+            raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {raw!r}")
+        return v, v
+
+    return convert
 
 
 def _conv_bool(raw: str):
@@ -130,29 +140,6 @@ def _conv_battery(raw: str):
     return (count, length, support), {"count": count, "length": length, "support": support}
 
 
-def _conv_m_start(raw: str):
-    v = int(raw)
-    if v not in (0, 1):
-        raise ValueError(f"m-start must be 0 or 1, got {raw!r}")
-    return v, v
-
-
-def _conv_mode(raw: str):
-    if raw not in ("strict", "relaxed"):
-        raise ValueError(f"mode must be 'strict' or 'relaxed', got {raw!r}")
-    return raw, raw
-
-
-def _conv_format(raw: str):
-    if raw not in ("json", "csv"):
-        raise ValueError(f"format must be 'json' or 'csv', got {raw!r}")
-    return raw, raw
-
-
-def _conv_path(raw: str):
-    return raw, raw
-
-
 @dataclass(frozen=True)
 class _Opt:
     """One CLI option: flag text, converter, default (string form), help."""
@@ -174,84 +161,12 @@ class _Opt:
 
 # execution/IO knobs: never part of the experiment identity, echoed in meta
 _EXEC_OPTS = (
-    _Opt("--format", _conv_format, "json", "output format: json envelope or csv table"),
-    _Opt("--out", _conv_path, None, "write output to this path instead of stdout"),
-    _Opt("--threads", _conv_int, "1",
+    _Opt("--format", _one_of("format", "json", "csv"), "json",
+         "output format: json envelope or csv table"),
+    _Opt("--out", _same(str), None, "write output to this path instead of stdout"),
+    _Opt("--threads", _same(int), "1",
          "accepted and recorded in meta; every run is single-process"),
 )
-
-_COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
-    "clt-single": (
-        "window-sum moments and CDF vs the Gaussian at one prime modulus",
-        (
-            _Opt("--q", _conv_int, help="odd prime modulus"),
-            _Opt("--h", _conv_schedule, "const:100", "window length: const:H or KIND:PARAM"),
-            _Opt("--g", _conv_g_single, "full",
-                 "sample count: 'full' (q - h) or a schedule such as const:C, log_power:A"),
-            _Opt("--moments", _conv_int, "4", "highest moment order to report"),
-            _Opt("--lambdas", _conv_lambdas, "-2,-1,0,1,2", "CDF comparison grid"),
-            _Opt("--m-start", _conv_m_start, "1", "first window start (0 or 1)"),
-            _Opt("--mode", _conv_mode, "relaxed",
-                 "strict warns when g is below sqrt(q) log q"),
-        ),
-    ),
-    "clt-interval": (
-        "per-prime moment deviations and exceptional fractions over an interval",
-        (
-            _Opt("--interval", _conv_interval, help="prime interval Q:DELTA"),
-            _Opt("--g", _conv_schedule, "log_power:3", "sample-count schedule"),
-            _Opt("--h", _conv_schedule, "const:5", "window-length schedule"),
-            _Opt("--rmax", _conv_int, "1", "highest moment order r"),
-            _Opt("--mode", _conv_mode, "relaxed", "strict enforces the narrow-window cap"),
-            _Opt("--threshold-scale", _conv_float, "1.0", "multiplier on the g^(-1/8) threshold"),
-            _Opt("--per-prime-inner", _conv_bool, "false", is_flag=True,
-                 help="average over m <= g(q) instead of g(Q)"),
-            _Opt("--m-start", _conv_m_start, "1", "first window start (0 or 1)"),
-        ),
-    ),
-    "rmf-compare": (
-        "prime-average character variance vs the multiplicative-model bound",
-        (
-            _Opt("--interval", _conv_interval, help="prime interval Q:DELTA"),
-            _Opt("--battery", _conv_battery, "50:100:8",
-                 "random sparse vectors COUNT:LENGTH:SUPPORT"),
-            _Opt("--seed", _conv_int, "1", "battery generation seed"),
-        ),
-    ),
-    "sieve-verify": (
-        "build sieve weights and verify the indicator-domination properties",
-        (
-            _Opt("--z", _conv_int, help="sift odd primes below z"),
-            _Opt("--level", _conv_int, None, "support level D (default: z)"),
-            _Opt("--nmax", _conv_int, "100000", "verify the indicator up to this n"),
-            _Opt("--interval", _conv_interval, None,
-                 "optional Q:DELTA for the interval weight sum"),
-        ),
-    ),
-    "weil-check": (
-        "random incomplete character sums against the 9 K sqrt(q) log q bound",
-        (
-            _Opt("--trials", _conv_int, "1000", "number of random instances"),
-            _Opt("--interval", _conv_interval, "1000:99000", "prime range Q:DELTA"),
-            _Opt("--kmax", _conv_int, "4", "max number of distinct offsets"),
-            _Opt("--seed", _conv_int, "1", "instance generation seed"),
-        ),
-    ),
-    "ktheta": (
-        "fully-paired tuple counts K(r, h) and the extracted theta(r, h)",
-        (
-            _Opt("--rmax", _conv_int, "3", "highest pairing order r"),
-            _Opt("--hmax", _conv_int, "8", "highest window length h"),
-        ),
-    ),
-    "prime-density": (
-        "count primes in the short interval (x, x + x^eta]",
-        (
-            _Opt("--x", _conv_int, help="left endpoint"),
-            _Opt("--eta", _conv_float, "0.525", "interval-length exponent"),
-        ),
-    ),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -261,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (summary, opts) in _COMMANDS.items():
+    for name, (summary, _, opts) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary, description=summary)
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="INI file; flags given here win over its values")
@@ -284,7 +199,7 @@ def _resolve(command: str, args: argparse.Namespace):
             cp.read_file(fh)
         section = cp[command] if cp.has_section(command) else cp["DEFAULT"]
 
-    _, opts = _COMMANDS[command]
+    _, _, opts = _COMMANDS[command]
     values: dict[str, object] = {}
     echo: dict[str, object] = {}
     exec_values: dict[str, object] = {}
@@ -326,6 +241,21 @@ def _columns(records: list[dict], header: list[str]) -> Table:
     return header, [[rec[key] for key in header] for rec in records]
 
 
+def _check_full_period(q: int, config: WindowConfig, counts: list[int]) -> None:
+    """Over the q starts of one period, sum S = 0 and sum S^2 = hq - h^2.
+
+    counts holds the q - h starts of --g full; the h starts after them read
+    the 2h - 1 symbols that follow.  A failure is an AssertionError: exit 1.
+    """
+    h, end = config.h, config.m_start + config.g
+    prefix = np.cumsum(np.r_[0, _chi_range(q, end + 1, end + 2 * h - 1)], dtype=np.int64)
+    period = [a + b for a, b in zip(counts, value_histogram(prefix[h:] - prefix[:-h], h))]
+    sums = power_sum(period, h, 1), power_sum(period, h, 2)
+    if sums != (0, h * q - h * h):
+        raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
+                             f"(sum S, sum S^2) = {sums}, expected (0, {h * q - h * h})")
+
+
 def _run_clt_single(cfg) -> tuple[dict, bool, Table]:
     q = prime_modulus(cfg["q"])
     h = int(math.floor(cfg["h"](q)))
@@ -339,7 +269,10 @@ def _run_clt_single(cfg) -> tuple[dict, bool, Table]:
             ExperimentWarning,
             stacklevel=2,
         )
-    counts = window_histograms([q], [WindowConfig(h=h, g=g, m_start=cfg["m_start"])])[0]
+    config = WindowConfig(h=h, g=g, m_start=cfg["m_start"])
+    counts = window_histograms([q], [config])[0]
+    if cfg["g"] == "full":
+        _check_full_period(q, config, counts)
     summary = empirical_summary(counts, max_moment=cfg["moments"])
     plain = cdf_vs_gaussian(summary, cfg["lambdas"], corrected=False)
     corrected = cdf_vs_gaussian(summary, cfg["lambdas"], corrected=True)
@@ -496,14 +429,85 @@ def _run_prime_density(cfg) -> tuple[dict, bool, Table]:
     return record, record["count"] > 0, _columns([record], header)
 
 
-_RUNNERS = {
-    "clt-single": _run_clt_single,
-    "clt-interval": _run_clt_interval,
-    "rmf-compare": _run_rmf_compare,
-    "sieve-verify": _run_sieve_verify,
-    "weil-check": _run_weil_check,
-    "ktheta": _run_ktheta,
-    "prime-density": _run_prime_density,
+_COMMANDS: dict[str, tuple[str, Callable[[dict], tuple], tuple[_Opt, ...]]] = {
+    "clt-single": (
+        "window-sum moments and CDF vs the Gaussian at one prime modulus",
+        _run_clt_single,
+        (
+            _Opt("--q", _same(int), help="odd prime modulus"),
+            _Opt("--h", _conv_schedule, "const:100", "window length: const:H or KIND:PARAM"),
+            _Opt("--g", _conv_g_single, "full",
+                 "sample count: 'full' (q - h) or a schedule such as const:C, log_power:A"),
+            _Opt("--moments", _same(int), "4", "highest moment order to report"),
+            _Opt("--lambdas", _conv_lambdas, "-2,-1,0,1,2", "CDF comparison grid"),
+            _Opt("--m-start", _one_of("m-start", 0, 1), "1", "first window start (0 or 1)"),
+            _Opt("--mode", _one_of("mode", "strict", "relaxed"), "relaxed",
+                 "strict warns when g is below sqrt(q) log q"),
+        ),
+    ),
+    "clt-interval": (
+        "per-prime moment deviations and exceptional fractions over an interval",
+        _run_clt_interval,
+        (
+            _Opt("--interval", _conv_interval, help="prime interval Q:DELTA"),
+            _Opt("--g", _conv_schedule, "log_power:3", "sample-count schedule"),
+            _Opt("--h", _conv_schedule, "const:5", "window-length schedule"),
+            _Opt("--rmax", _same(int), "1", "highest moment order r"),
+            _Opt("--mode", _one_of("mode", "strict", "relaxed"), "relaxed",
+                 "strict enforces the narrow-window cap"),
+            _Opt("--threshold-scale", _same(float), "1.0", "multiplier on the g^(-1/8) threshold"),
+            _Opt("--per-prime-inner", _conv_bool, "false", is_flag=True,
+                 help="average over m <= g(q) instead of g(Q)"),
+            _Opt("--m-start", _one_of("m-start", 0, 1), "1", "first window start (0 or 1)"),
+        ),
+    ),
+    "rmf-compare": (
+        "prime-average character variance vs the multiplicative-model bound",
+        _run_rmf_compare,
+        (
+            _Opt("--interval", _conv_interval, help="prime interval Q:DELTA"),
+            _Opt("--battery", _conv_battery, "50:100:8",
+                 "random sparse vectors COUNT:LENGTH:SUPPORT"),
+            _Opt("--seed", _same(int), "1", "battery generation seed"),
+        ),
+    ),
+    "sieve-verify": (
+        "build sieve weights and verify the indicator-domination properties",
+        _run_sieve_verify,
+        (
+            _Opt("--z", _same(int), help="sift odd primes below z"),
+            _Opt("--level", _same(int), None, "support level D (default: z)"),
+            _Opt("--nmax", _same(int), "100000", "verify the indicator up to this n"),
+            _Opt("--interval", _conv_interval, None,
+                 "optional Q:DELTA for the interval weight sum"),
+        ),
+    ),
+    "weil-check": (
+        "random incomplete character sums against the 9 K sqrt(q) log q bound",
+        _run_weil_check,
+        (
+            _Opt("--trials", _same(int), "1000", "number of random instances"),
+            _Opt("--interval", _conv_interval, "1000:99000", "prime range Q:DELTA"),
+            _Opt("--kmax", _same(int), "4", "max number of distinct offsets"),
+            _Opt("--seed", _same(int), "1", "instance generation seed"),
+        ),
+    ),
+    "ktheta": (
+        "fully-paired tuple counts K(r, h) and the extracted theta(r, h)",
+        _run_ktheta,
+        (
+            _Opt("--rmax", _same(int), "3", "highest pairing order r"),
+            _Opt("--hmax", _same(int), "8", "highest window length h"),
+        ),
+    ),
+    "prime-density": (
+        "count primes in the short interval (x, x + x^eta]",
+        _run_prime_density,
+        (
+            _Opt("--x", _same(int), help="left endpoint"),
+            _Opt("--eta", _same(float), "0.525", "interval-length exponent"),
+        ),
+    ),
 }
 
 
@@ -544,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results, ok, table = _RUNNERS[args.command](cfg)
+            results, ok, table = _COMMANDS[args.command][1](cfg)
         captured = [str(w.message) for w in caught]
     except AssertionError as exc:  # guaranteed inequality failed: exit 1
         results, ok, table = {"ok": False, "error": str(exc)}, False, None

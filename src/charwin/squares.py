@@ -5,9 +5,9 @@ appear an odd number of times still leave a square; deleting matched pairs
 of equal offsets (left to right, deterministically) preserves that property.
 The number of fully-paired offset tuples K(r, h) = #{a in [1,h]^(2r) : every
 value appears an even number of times} controls the even moments; it is
-computed exactly two independent ways (enumeration, and the coefficient of
-x^(2r) in cosh(x)^h times (2r)!), and normalized by the Gaussian moment
-mu_2r = (2r-1)!! of gaussian_moment.
+computed exactly two independent ways (enumeration, and a sum over the
+partitions of the 2r slots into blocks of even size), and normalized by the
+Gaussian moment mu_2r = (2r-1)!! of gaussian_moment.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import _factorization, odd_exponent_primes
 
@@ -93,41 +92,26 @@ def paired_count_bruteforce(r: int, h: int) -> int:
     return count
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], deg: int) -> list[Fraction]:
-    out = [Fraction(0)] * (deg + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(min(deg - i, len(b) - 1) + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
 @functools.lru_cache(maxsize=1024)
 def paired_count_exact(r: int, h: int) -> int:
-    """K(r, h) = (2r)! * [x^(2r)] cosh(x)^h, via exact rational power series.
+    """K(r, h) = sum over j of h (h-1) ... (h-j+1) * E(2r, j), in integers.
 
-    Each of the h factors contributes an even number of slots; cosh is the
-    exponential generating function of "even multiplicity", so the truncated
-    h-th power collects exactly the fully-paired tuples.  Cached: an
-    interval run asks for the same few (r, h) at every prime.
+    A fully-paired tuple partitions its 2r slots into j blocks of even size
+    with a distinct value on each block, and math.perm(h, j) counts the
+    values (0 for j > h).  E(2m, j), the partitions of 2m slots into j even
+    blocks, sums C(2m-1, 2s-1) E(2m-2s, j-1) over the size 2s of the block
+    holding slot 1.  Cached: an interval run asks for the same few (r, h) at
+    every prime.
     """
     if r < 1 or h < 1:
         raise ValueError(f"need r >= 1 and h >= 1, got r={r}, h={h}")
-    deg = 2 * r
-    cosh = [Fraction(1, math.factorial(j)) if j % 2 == 0 else Fraction(0) for j in range(deg + 1)]
-    result = [Fraction(0)] * (deg + 1)
-    result[0] = Fraction(1)
-    base, e = cosh, h
-    while e:
-        if e & 1:
-            result = _series_mul(result, base, deg)
-        e >>= 1
-        if e:
-            base = _series_mul(base, base, deg)
-    coeff = result[deg] * math.factorial(deg)
-    assert coeff.denominator == 1, "pairing count must be integral"
-    return int(coeff)
+    blocks = [[1]]  # blocks[m][j] = E(2m, j)
+    for m in range(1, r + 1):
+        blocks.append([0] + [
+            sum(math.comb(2 * m - 1, 2 * s - 1) * blocks[m - s][j - 1] for s in range(1, m - j + 2))
+            for j in range(1, m + 1)
+        ])
+    return sum(math.perm(h, j) * e for j, e in enumerate(blocks[r]))
 
 
 def gaussian_moment(j: int) -> int:

@@ -19,7 +19,6 @@ import operator
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -270,8 +269,8 @@ class EmpiricalSummary:
         """(1/g) * sum_m S(m)^j minus its target, for 1 <= j <= 2h.
 
         Even j = 2r: the target is K(r, h), the exact fully-paired tuple
-        count (equal to mu_2r * (h - theta*r)^r by definition of theta), and
-        the difference is an exact rational before the float conversion.
+        count (equal to mu_2r * (h - theta*r)^r by definition of theta); the
+        difference is an exact integer, and dividing it by g rounds once.
         Odd j: the target is zero.
         """
         h, g = self.h, self.sample_count
@@ -280,9 +279,8 @@ class EmpiricalSummary:
         total = self.power_sums.get(j)
         if total is None:
             total = self.power_sums[j] = power_sum(self.value_counts, h, j)
-        if j % 2:
-            return total / g
-        return float(Fraction(total - g * paired_count_exact(j // 2, h), g))
+        target = 0 if j % 2 else paired_count_exact(j // 2, h)
+        return (total - g * target) / g
 
 
 def value_histogram(sums: np.ndarray, h: int) -> list[int]:
@@ -356,6 +354,8 @@ def window_histograms(qs, configs) -> list[list[int]]:
     below c/2 are read, and their counts are added twice, reversed the second
     time when q = 3 mod 4.  The starts before a, the middle c/2 and those
     after c-a are read directly, so a full period reads about (q-h)/2 starts.
+    A tiled row of g >= q starts folds whole periods, S(m + q) = S(m): it adds
+    g // q times the counts of one period from m_start to those of its first g % q.
     Warns in the order of qs.
     """
     qs, configs = list(qs), list(configs)
@@ -382,27 +382,35 @@ def window_histograms(qs, configs) -> list[list[int]]:
             block = chi_block(moduli[lo : lo + rows], n_max)
             out.extend(row.tolist() for row in _histograms(block, configs[lo : lo + rows]))
             continue
-        q, h, m0 = moduli[lo], configs[lo].h, configs[lo].m_start
-        stop = m0 + configs[lo].g
+        q, h, g, m0 = moduli[lo], configs[lo].h, configs[lo].g, configs[lo].m_start
         step = max(1, (BLOCK_BYTES - 2 * per_count_row) // per_symbol - h)
-        # S(c - m) = (-1|q) S(m) with c = q - h - 1, so the starts a..c-a pair
-        # up: a start below c/2 is read once and counted for its mirror too
+        # S(m + q) = S(m): the g starts are g // q whole periods from m0 and
+        # the first g % q starts once more; counts pass 2**63 only if g does
+        periods, rest = divmod(g, q)
+        dtype = np.int64 if g < 2**63 else object
+        hist = np.zeros(2 * h + 1, dtype=dtype)
         c = q - h - 1
-        a = max(m0, c - stop + 1)
-        if a < (c + 1) // 2:
-            runs = [(m0, a, False), (a, (c + 1) // 2, True),
-                    ((c + 1) // 2, c // 2 + 1, False), (c - a + 1, stop, False)]
-        else:
-            runs = [(m0, stop, False)]
-        hist = np.zeros(2 * h + 1, dtype=np.int64)
-        for m_lo, m_hi, mirrored in runs:
-            for m in range(m_lo, m_hi, step):
-                tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
-                (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
-                hist += counts
-                if mirrored:
-                    hist += counts[::-1] if q % 4 == 3 else counts
-                del counts  # dropped before the next tile is read
+        for stop, weight in ((m0 + rest, 1), (m0 + q, periods)):
+            if not weight:
+                continue
+            # S(c - m) = (-1|q) S(m) with c = q - h - 1, so the starts a..c-a
+            # pair up: a start below c/2 is read once and counted for its mirror too
+            a = max(m0, c - stop + 1)
+            if a < (c + 1) // 2:
+                runs = [(m0, a, False), (a, (c + 1) // 2, True),
+                        ((c + 1) // 2, c // 2 + 1, False), (c - a + 1, stop, False)]
+            else:
+                runs = [(m0, stop, False)]
+            for m_lo, m_hi, mirrored in runs:
+                for m in range(m_lo, m_hi, step):
+                    tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
+                    (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
+                    counts = counts.astype(dtype, copy=False)
+                    counts *= weight
+                    hist += counts
+                    if mirrored:
+                        hist += counts[::-1] if q % 4 == 3 else counts
+                    del counts  # dropped before the next tile is read
         out.append(hist.tolist())
     return out
 

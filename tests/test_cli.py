@@ -285,6 +285,45 @@ def test_bad_threshold_scale_exits_2(scale, named, capsys):
     assert "threshold scale" in err and named in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["clt-single", "--q", "101", "--m-start", "2"],
+         "clt-single: bad value for --m-start: m-start must be 0 or 1, got '2'"),
+        (["clt-interval", "--interval", "1000:100", "--mode", "x"],
+         "clt-interval: bad value for --mode: mode must be 'strict' or 'relaxed', got 'x'"),
+        (["ktheta", "--format", "xml"],
+         "ktheta: bad value for --format: format must be 'json' or 'csv', got 'xml'"),
+    ],
+    ids=["m-start", "mode", "format"],
+)
+def test_choice_options_name_the_allowed_values(argv, message, capsys):
+    rc, out, err = _run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"charwin: {message}\n"
+
+
+def test_full_period_identities_catch_a_miscounted_start(monkeypatch, capsys):
+    # Over one period, sum S = 0 and sum S^2 = hq - h^2; moving one start of
+    # the --g full histogram to the next bin breaks the first, so exit 1
+    real = cli.window_histograms
+
+    def shifted(qs, configs):
+        out = real(qs, configs)
+        counts = out[0]
+        v = next(v for v, c in enumerate(counts) if c)
+        counts[v] -= 1
+        counts[v + 1] += 1
+        return out
+
+    argv = ["clt-single", "--q", "1000003", "--h", "const:100", "--g", "full"]
+    assert _envelope(argv, capsys)[0] == 0
+    monkeypatch.setattr(cli, "window_histograms", shifted)
+    rc, env = _envelope(argv, capsys)
+    assert rc == 1 and not env["results"]["ok"]
+    assert "full-period identities" in env["results"]["error"]
+
+
 @pytest.mark.skipif(shutil.which("charwin") is None, reason="console script not on PATH")
 def test_console_script():
     proc = subprocess.run(

@@ -5,7 +5,8 @@ Lists each non-dunder top-level ``def``, ``class`` and assignment target in
 ``src/charwin/*.py`` and counts its whole-word occurrences across ``src/``,
 ``tests/`` and ``perfbench/``.  A name that occurs only where it is defined
 is dead code: nothing calls, exports, tests or documents it.  Likewise a
-parameter that its function's body never loads is a setting nothing obeys.
+parameter that its function's body never loads is a setting nothing obeys,
+and an import that its module never names is a dependency nothing uses.
 """
 
 from __future__ import annotations
@@ -68,3 +69,23 @@ def test_every_parameter_is_read():
                 if a is not None and a.arg not in loaded
             )
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_every_import_is_used():
+    # __init__.py is left out: its imports are the package's re-exports
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused.extend(f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in named)
+    assert not unused, f"imported but never used: {unused}"

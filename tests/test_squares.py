@@ -83,6 +83,19 @@ def test_paired_count_exact_is_cached():
         paired_count_exact(0, 5)
 
 
+def test_paired_count_exact_matches_rademacher_moments():
+    # K(r, h) is E[(e_1 + ... + e_h)^(2r)] for independent signs e_i = +-1:
+    # expanding the power, a tuple's expectation is 1 if it is fully paired
+    # and 0 otherwise.  Summing over the k signs equal to -1 gives
+    # 2^h K(r, h) = sum_k C(h, k) (h - 2k)^(2r), far past brute force.
+    for h in range(1, 301):
+        terms = [math.comb(h, k) for k in range(h + 1)]
+        squares = [(h - 2 * k) ** 2 for k in range(h + 1)]
+        for r in range(1, 13):
+            terms = [t * s for t, s in zip(terms, squares)]
+            assert paired_count_exact(r, h) << h == sum(terms), (r, h)
+
+
 def test_paired_count_bruteforce_budget():
     with pytest.raises(ValueError):
         paired_count_bruteforce(10, 10)

@@ -1,5 +1,6 @@
 """Window sums, their moments, and character-sum bounds."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -224,10 +225,16 @@ def _starts_read(q, config):
     # Starts the folded column-tile route reads: every start but the mirror
     # c - m > m of a start m in range, c = q - h - 1.  A tile of k starts
     # reads the k + h symbols n = m..m+k+h-1 from its first start m on.
-    m = np.arange(config.m_start, config.m_start + config.g)
-    mirror = q - config.h - 1 - m
-    paired = (mirror > m) & (mirror >= config.m_start) & (mirror < config.m_start + config.g)
-    return config.g - np.count_nonzero(paired)
+    # For g >= q the route folds whole periods, S(m + q) = S(m): it reads the
+    # range of q starts from m_start and then that of its first g mod q.
+    periods, rest = divmod(config.g, q)
+    read = 0
+    for g in [q, rest] if periods else [rest]:
+        m = np.arange(config.m_start, config.m_start + g)
+        mirror = q - config.h - 1 - m
+        paired = (mirror > m) & (mirror >= config.m_start) & (mirror < config.m_start + g)
+        read += g - np.count_nonzero(paired)
+    return read
 
 
 @given(
@@ -439,6 +446,33 @@ def test_full_period_clt_single_reads_half_its_starts(monkeypatch, tmp_path):
         assert cli.main(["clt-single", "--q", str(q), "--h", f"const:{h}", "--g", "full",
                          "--out", str(tmp_path / "out.json")]) == 0
     assert len(starts) >= 2 and abs(sum(starts) - (q - h) / 2) <= 2
+
+
+def test_clt_single_beyond_one_period_reads_at_most_two_periods(monkeypatch, tmp_path):
+    # g = 10^300 starts are g // q whole periods and g % q starts more, and
+    # S(m + q) = S(m): the run reads one period and a remainder, never g starts
+    q, h, g = 101, 5, int(1e300)
+    period = value_histogram(window_series(q, WindowConfig(h=h, g=q, m_start=1)), h)
+    head = value_histogram(window_series(q, WindowConfig(h=h, g=g % q, m_start=1)), h)
+    read = []
+    real_chi_range = windows._chi_range
+
+    def spy(q_, n_lo, n_hi):
+        read.append(n_hi - n_lo + 1 - h)
+        if sum(read) > 2 * q:
+            raise RuntimeError(f"read {sum(read)} starts, more than two periods of q = {q}")
+        return real_chi_range(q_, n_lo, n_hi)
+
+    monkeypatch.setattr(windows, "_chi_range", spy)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        assert cli.main(["clt-single", "--q", str(q), "--h", f"const:{h}", "--g", "const:1e300",
+                         "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["g"] == g and sum(results["value_counts"]) == g
+    assert results["value_counts"] == [(g // q) * p + r for p, r in zip(period, head)]
+    assert sum(read) == _starts_read(q, WindowConfig(h=h, g=g, m_start=1))
 
 
 def test_window_histograms_validation():
