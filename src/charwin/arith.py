@@ -283,8 +283,8 @@ def primes_in_interval(lo: int, hi: int) -> list[int]:
 
 def prime_density_check(x: int, eta: float) -> dict:
     """Count primes in (x, x + floor(x**eta)] against the x**eta / log x heuristic."""
-    if x < 3:
-        raise ValueError(f"need x >= 3, got {x}")
+    if not 3 <= x < 2**63:
+        raise ValueError(f"need 3 <= x < 2**63, got x={x}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"need 0 < eta <= 1, got {eta}")
     length = math.floor(x**eta)

@@ -32,7 +32,6 @@ class SieveSystem:
     lambda_base: dict[int, Fraction]
     rho: dict[int, Fraction]
     scale: int = field(repr=False, default=1)
-    lambda_scaled: dict[int, int] = field(repr=False, default_factory=dict)
     rho_scaled: dict[int, int] = field(repr=False, default_factory=dict)
 
 
@@ -96,7 +95,6 @@ def build_selberg(z: int, level: int) -> SieveSystem:
         lambda_base=lam,
         rho=rho,
         scale=scale,
-        lambda_scaled=lam_scaled,
         rho_scaled=rho_scaled,
     )
 

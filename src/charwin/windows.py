@@ -124,44 +124,29 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _block_plan(n_max: int) -> tuple[np.ndarray, tuple]:
-    """Primes p <= n_max, and the composites n <= n_max in layers by their
-    number of prime factors, each with its spf[n] and n // spf[n]."""
-    spf = _spf_sieve(max(n_max, 2))[: n_max + 1].astype(np.int64)
-    n = np.arange(n_max + 1, dtype=np.int64)
-    is_prime = (spf == n) & (n >= 2)
-    done = (n < 2) | is_prime
-    pending = np.flatnonzero(~done)
-    layers = []
-    while pending.size:
-        ready = done[pending // spf[pending]]
-        layer = pending[ready]
-        layers.append((layer, spf[layer], layer // spf[layer]))
-        done[layer] = True
-        pending = pending[~ready]
-    return np.flatnonzero(is_prime), tuple(layers)
-
-
 def chi_block(qs, n_max: int) -> np.ndarray:
     """Symbols (n|q) for n = 0..n_max (columns) and every q in qs (rows), int8.
 
-    Prime columns come from one jacobi_array call; each composite column is
-    the product of the columns for spf[n] and n // spf[n], filled in order
-    of the number of prime factors.  (n|q) is completely multiplicative in
-    n, so the block is exact for n_max >= q as well.
+    Prime columns come from one jacobi_array call.  The rest is filled in
+    dyadic slices lo <= n < 2 lo, lo = 4, 8, 16, ...: (n|q) is completely
+    multiplicative in n, so column n is column spf[n] times column
+    n // spf[n], and both lie below lo for every composite n in the slice.
+    A prime n reads itself times column 1, which is 1.  The block is exact
+    for n_max >= q as well.
     """
     qs = np.array([prime_modulus(operator.index(q)) for q in qs], dtype=np.int64)
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    primes, layers = _block_plan(n_max)
+    spf = _spf_sieve(max(n_max, 2))[: n_max + 1]
+    primes = np.flatnonzero(spf == np.arange(n_max + 1, dtype=spf.dtype))[2:]
     block = np.empty((qs.size, n_max + 1), dtype=np.int8)
-    block[:, 0] = 0
-    if n_max >= 1:
-        block[:, 1] = 1
+    block[:, :2] = [0, 1][: n_max + 1]
     block[:, primes] = jacobi_array(primes[None, :], qs[:, None])
-    for layer, p, cofactor in layers:
-        block[:, layer] = block[:, p] * block[:, cofactor]
+    lo = 4
+    while lo <= n_max:
+        p = spf[lo : 2 * lo]
+        block[:, lo : lo + p.size] = block[:, p] * block[:, np.arange(lo, lo + p.size, dtype=p.dtype) // p]
+        lo *= 2
     return block
 
 
@@ -256,6 +241,10 @@ class EmpiricalSummary:
         if not math.isfinite(lam):
             raise ValueError(f"CDF point must be finite, got lambda = {lam}")
         x = lam * math.sqrt(self.h)
+        if x >= self.h:
+            return 1.0
+        if x < -self.h - 1:
+            return 0.0
         t = math.floor(x)
         if x - t > 1 - 1e-9:
             t += 1
@@ -531,7 +520,7 @@ def random_weil_instances(trials: int, q_lo: int, q_hi: int, k_max: int, seed: i
     out = []
     for _ in range(trials):
         q = rng.choice(pool)
-        k = rng.randint(1, k_max)
+        k = min(rng.randint(1, k_max), q)  # offsets are distinct mod q
         gamma = tuple(sorted(rng.sample(range(q), k)))
         y = rng.randint(1, q)
         x = rng.randrange(0, q)

@@ -309,7 +309,7 @@ def test_factorization_beyond_limit_falls_back():
 
 
 def test_table_primes_match_sieve():
-    # windows._block_plan reads its prime columns off the same sieve
+    # windows.chi_block reads its prime columns off the same sieve
     spf = _spf_sieve(20000)
     primes = np.flatnonzero(spf == np.arange(spf.size))[2:].tolist()
     assert primes[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -446,4 +446,8 @@ def test_prime_density_check_validation():
         prime_density_check(100, 0.0)
     with pytest.raises(ValueError):
         prime_density_check(100, 1.5)
+    # x**eta used to overflow the float conversion with an OverflowError
+    for x in (2**63, 10**400):
+        with pytest.raises(ValueError, match=f"x={x}"):
+            prime_density_check(x, 0.5)
 

@@ -165,6 +165,30 @@ def test_weil_check_all_hold(capsys):
     assert 0 < env["results"]["max_ratio"] < 1
 
 
+def test_clt_single_far_tail_lambdas(capsys):
+    # lambda * sqrt(h) = +-2.2e308 used to crash math.floor in the CDF
+    rc, env = _envelope(["clt-single", "--q", "101", "--h", "const:5",
+                         "--lambdas", "1e308,-1e308"], capsys)
+    assert rc == 0
+    for key in ("cdf_plain", "cdf_corrected"):
+        assert [row["empirical"] for row in env["results"][key]["rows"]] == [1.0, 0.0]
+
+
+def test_weil_check_with_kmax_above_small_primes(capsys):
+    # q = 3, 5, 7 with up to 4 offsets: random.sample used to fail with
+    # "Sample larger than population" when k > q was drawn
+    rc, env = _envelope(["weil-check", "--interval", "3:10", "--kmax", "4"], capsys)
+    assert rc == 0
+    assert env["results"]["holds"] == env["results"]["trials"]
+
+
+def test_prime_density_beyond_2_63_exits_2(capsys):
+    x = str(10**400)
+    rc, out, err = _run(["prime-density", "--x", x], capsys)
+    assert rc == 2 and out == ""
+    assert x in err
+
+
 def test_strict_mode_warning_lands_in_envelope(capsys):
     rc, env = _envelope(
         ["clt-single", "--q", "101", "--h", "const:5", "--g", "const:10",

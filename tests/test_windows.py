@@ -193,7 +193,7 @@ def test_composite_moduli_rejected():
         weil_bound_check(25, (0, 1), 0, 5)
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 12, 60, 250])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 7, 8, 12, 60, 250, 1023, 1024, 1025])
 def test_chi_block_matches_jacobi(n_max):
     # n_max = 60 and 250 pass several moduli: n = q, its multiples and
     # wrapped residues all come from the multiplicative fill
@@ -208,6 +208,23 @@ def test_chi_block_near_2_63():
     block = chi_block(qs, 300)
     assert block.tolist() == [[jacobi(n, q) for n in range(301)] for q in qs]
     assert [block[0, n] for n in (2, 3, 299)] == [euler_criterion(n, qs[0]) for n in (2, 3, 299)]
+
+
+def test_chi_block_leaves_nothing_allocated():
+    # the fill holds its spf sieve for one call only: once the block is
+    # dropped, traced memory is back where it started, and the call's peak
+    # (a 4 MB int32 sieve, the 1 MB block, the prime columns) is well
+    # inside two symbol budgets
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        block = chi_block([1000000007], 10**6)
+        del block
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current - start < 1 << 20
+    assert peak < 2 * windows.BLOCK_BYTES
 
 
 def test_chi_block_rejects_non_prime_moduli():
@@ -536,6 +553,9 @@ def test_cdf_lattice_semantics():
     assert summary.cdf(-0.1) == 0.0  # threshold floors to -1
     assert summary.cdf(5.0) == 1.0
     assert summary.cdf(-5.0) == 0.0
+    # lambda * sqrt(h) past the int range of math.floor: no OverflowError
+    assert summary.cdf(1e308) == 1.0
+    assert summary.cdf(-1e308) == 0.0
 
 
 def test_cdf_monotone():
@@ -730,3 +750,14 @@ def test_random_weil_instances_deterministic():
         assert 100 <= inst["q"] <= 1000
         assert 1 <= len(inst["gamma"]) <= 3
         assert 0 < inst["y"] <= inst["q"]
+
+
+def test_random_weil_instances_cap_offsets_at_q():
+    # q = 3, 5 or 7 with k_max = 10: offsets are distinct residues, so a
+    # draw of k > q takes all q of them instead of failing in random.sample
+    instances = random_weil_instances(200, 3, 10, 10, seed=5)
+    assert {inst["q"] for inst in instances} == {3, 5, 7}
+    assert any(len(inst["gamma"]) == inst["q"] for inst in instances)
+    for inst in instances:
+        assert inst["gamma"] == tuple(sorted(set(inst["gamma"])))
+        assert len(inst["gamma"]) <= inst["q"]
