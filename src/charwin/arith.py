@@ -290,6 +290,8 @@ def prime_density_check(x: int, eta: float) -> dict:
     length = math.floor(x**eta)
     if length < 1:
         raise ValueError(f"interval (x, x + x**eta] is empty for x={x}, eta={eta}")
+    if x + length >= 2**63:
+        raise ValueError(f"interval (x, x + x**eta] ends at {x + length} >= 2**63 for x={x}, eta={eta}")
     count = len(primes_in_interval(x + 1, x + length))
     comparator = x**eta / math.log(x)
     return {

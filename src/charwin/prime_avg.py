@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import windows
 from .arith import ExperimentWarning, primes_in_interval
 from .rmf import _coeffs, rmf_variance_rhs
 from .windows import (
-    BLOCK_BYTES,
     WindowConfig,
     chi_block,
     empirical_summary,
@@ -72,7 +72,8 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int] | N
                 stacklevel=3,
             )
     n_max = max((len(vec) for vec in vectors), default=0)
-    rows = max(1, BLOCK_BYTES // (n_max + 1))
+    # half the budget per block: chi_block counts its tables as much again
+    rows = max(1, windows.BLOCK_BYTES // (2 * (n_max + 1)))
     per_vector = [[] for _ in vectors]
     for lo in range(0, len(primes), rows):
         block = chi_block(primes[lo : lo + rows], n_max)

@@ -39,8 +39,23 @@ CHI_TABLE_MAX = 1 << 27
 # tiles with their window sums (12 bytes per symbol while every h < 2**7,
 # 15 while h < 2**15; see window_histograms) and 8 * (2h+1) bytes of counts
 # per row, the chunks of squares in chi_table, and the chunks of _chi_range
-# and incomplete_poly_sum.
+# and incomplete_poly_sum.  chi_block refuses a block whose spf sieve,
+# symbols and reciprocity tables (no more entries than the symbols) would
+# pass 2 * BLOCK_BYTES, so its callers keep the symbols within half of that.
 BLOCK_BYTES = 1 << 24
+
+
+def _square_slots(x: np.ndarray, q, half, quotient=None) -> np.ndarray:
+    """x**2 mod q clipped at half, in place in x: the entry of a half table
+    of (r|q) that the square of x marks, slot half being a spare past it.
+
+    Over x = 1..(q-1)/2 these are all the nonzero squares mod q, each once.
+    x**2 mod q is x**2 - (x**2 // q) * q; q and half broadcast against x.
+    """
+    quotient = np.floor_divide(np.square(x, out=x), q, out=quotient)
+    quotient *= q
+    x -= quotient
+    return np.minimum(x, half, out=x)
 
 
 @functools.lru_cache(maxsize=4)
@@ -67,11 +82,7 @@ def chi_table(q: int) -> np.ndarray:
     quotients = np.empty(min(step, half - 1), dtype=np.int64)
     for lo in range(1, half, step):
         x = np.arange(lo, min(lo + step, half), dtype=np.int64)
-        quotient = quotients[: x.size]
-        np.floor_divide(np.square(x, out=x), q, out=quotient)
-        quotient *= q
-        x -= quotient
-        t[np.minimum(x, half, out=x)] = 1
+        t[_square_slots(x, q, half, quotients[: x.size])] = 1
         del x  # freed before the next chunk is allocated
     t.setflags(write=False)
     return t[:half]
@@ -124,24 +135,84 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
     return out
 
 
+def _half_tables(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half tables (r|l), r = 0..(l-1)/2, of the odd primes ells, laid end to
+    end in one int8 array, each followed by its spare slot, so (l+3)/2
+    entries per l; with the offset of each table.  One _square_slots call
+    marks the squares x = 1..(l-1)/2 of every table, as in chi_table, in
+    ells.dtype.
+    """
+    halves = (ells + 1) // 2
+    ends = np.cumsum(halves + 1, dtype=ells.dtype)
+    starts = ends - halves - 1
+    t = np.full(ends[-1], -1, dtype=np.int8)
+    t[starts] = 0
+    counts = halves - 1
+    x = np.arange(1, counts.sum() + 1, dtype=ells.dtype)
+    x -= np.repeat(np.cumsum(counts, dtype=ells.dtype) - counts, counts)
+    slots = _square_slots(x, np.repeat(ells, counts), np.repeat(halves, counts))
+    slots += np.repeat(starts, counts)
+    t[slots] = 1
+    return t, starts
+
+
 def chi_block(qs, n_max: int) -> np.ndarray:
     """Symbols (n|q) for n = 0..n_max (columns) and every q in qs (rows), int8.
 
-    Prime columns come from one jacobi_array call.  The rest is filled in
-    dyadic slices lo <= n < 2 lo, lo = 4, 8, 16, ...: (n|q) is completely
-    multiplicative in n, so column n is column spf[n] times column
-    n // spf[n], and both lie below lo for every composite n in the slice.
-    A prime n reads itself times column 1, which is 1.  The block is exact
-    for n_max >= q as well.
+    Prime columns l come by quadratic reciprocity, in increasing order, as
+    long as the half tables of the odd primes up to l hold no more entries
+    than the block's first l+1 columns: (2|q) = 1 exactly when q = +-1 mod 8,
+    and for odd l, (l|q) = (q mod l | l), negated when l = q = 3 mod 4, is
+    read from the half table of l, through the mirror (l-r|l) = (-1|l) (r|l)
+    when q mod l > l/2.  So a block of few rows keeps few tables: one row
+    reads only l = 2, 3 this way.  The other prime columns come from one
+    jacobi_array call.  The rest is filled in dyadic slices lo <= n < 2 lo,
+    lo = 4, 8, 16, ...: (n|q) is completely multiplicative in n, so column n
+    is column spf[n] times column n // spf[n], and both lie below lo for
+    every composite n in the slice.  A prime n reads itself times column 1,
+    which is 1.  The block is exact for n_max >= q as well.
+
+    Before any allocation, the int32 spf sieve, the block and the tables,
+    which hold no more entries than the block, are checked against
+    2 * BLOCK_BYTES.  Transient on top: 6 bytes per cell of the
+    reciprocity columns (q mod l as int32, its mirror flag and the symbols
+    read), 4 * 4 bytes per square marked in the tables, and jacobi_array's
+    working set, about 83 bytes per cell, on the larger prime columns.
     """
     qs = np.array([prime_modulus(operator.index(q)) for q in qs], dtype=np.int64)
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
+    estimate = (4 + 2 * qs.size) * (n_max + 1)
+    if estimate > 2 * BLOCK_BYTES:
+        raise ValueError(
+            f"symbol block of {qs.size} moduli to n_max={n_max} needs about {estimate} bytes "
+            f"for its spf sieve, block and tables, over 2 * BLOCK_BYTES = {2 * BLOCK_BYTES}"
+        )
     spf = _spf_sieve(max(n_max, 2))[: n_max + 1]
     primes = np.flatnonzero(spf == np.arange(n_max + 1, dtype=spf.dtype))[2:]
     block = np.empty((qs.size, n_max + 1), dtype=np.int8)
     block[:, :2] = [0, 1][: n_max + 1]
-    block[:, primes] = jacobi_array(primes[None, :], qs[:, None])
+    if n_max >= 2:
+        block[:, 2] = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)[qs & 7]
+    ells = primes[1:]
+    fits = np.cumsum((ells + 3) // 2) <= qs.size * (ells + 1)
+    split = fits.size if fits.all() else int(fits.argmin())
+    # tables of at most BLOCK_BYTES = 2**24 entries stop below l = 25457, so
+    # the squares x**2 < l**2 / 4 that mark them fit int32
+    small, large = ells[:split].astype(np.int32), ells[split:]
+    if small.size:
+        t, starts = _half_tables(small)
+        r = np.remainder(qs[:, None], small, out=np.empty((qs.size, small.size), np.int32), casting="unsafe")
+        mirrored = r > small // 2
+        np.subtract(small, r, out=r, where=mirrored)
+        r += starts
+        # (-1|l) and the reciprocity sign are -1 only for l = 3 mod 4: there
+        # the symbol flips when one of mirrored and q = 3 mod 4 holds
+        mirrored ^= (qs[:, None] & 3) == 3
+        mirrored &= (small & 3) == 3
+        symbols = t[r]
+        block[:, small] = np.negative(symbols, out=symbols, where=mirrored)
+    block[:, large] = jacobi_array(large[None, :], qs[:, None])
     lo = 4
     while lo <= n_max:
         p = spf[lo : 2 * lo]

@@ -450,4 +450,7 @@ def test_prime_density_check_validation():
     for x in (2**63, 10**400):
         with pytest.raises(ValueError, match=f"x={x}"):
             prime_density_check(x, 0.5)
+    # x itself fits, the interval's end does not
+    with pytest.raises(ValueError, match=r"x=9223372036854775000, eta=1\.0"):
+        prime_density_check(9223372036854775000, 1.0)
 

@@ -189,6 +189,13 @@ def test_prime_density_beyond_2_63_exits_2(capsys):
     assert x in err
 
 
+def test_prime_density_window_past_2_63_names_x_and_eta(capsys):
+    # x < 2**63, but the interval (x, x + x**eta] ends past it
+    rc, out, err = _run(["prime-density", "--x", "9223372036854775000", "--eta", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert "x=9223372036854775000, eta=1.0" in err and "2**63" in err
+
+
 def test_strict_mode_warning_lands_in_envelope(capsys):
     rc, env = _envelope(
         ["clt-single", "--q", "101", "--h", "const:5", "--g", "const:10",

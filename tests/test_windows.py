@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import time
 import tracemalloc
 import warnings
 
@@ -22,6 +24,7 @@ from charwin import (
     euler_criterion,
     gaussian_moment,
     incomplete_poly_sum,
+    is_prime,
     jacobi,
     jacobi_array,
     normal_cdf,
@@ -210,21 +213,93 @@ def test_chi_block_near_2_63():
     assert [block[0, n] for n in (2, 3, 299)] == [euler_criterion(n, qs[0]) for n in (2, 3, 299)]
 
 
+def _primes_in_each_class_mod_8(seed: int, per_class: int) -> list[int]:
+    # seeded random primes q = 1, 3, 5, 7 mod 8, small enough to be columns,
+    # mid-sized, and within 2**30 of 2**63
+    rng = random.Random(seed)
+    qs = []
+    for lo, hi in ((3, 300), (10**6, 10**7), (10**12, 10**13), (2**63 - 2**30, 2**63 - 2**29)):
+        for c in (1, 3, 5, 7):
+            for _ in range(per_class):
+                q = rng.randrange(lo, hi)
+                q += (c - q) % 8
+                while not is_prime(q):
+                    q += 8
+                qs.append(q)
+    return qs
+
+
+@pytest.fixture
+def jacobi_cells(monkeypatch):
+    """Cell counts of each jacobi_array call made through windows."""
+    cells = []
+    monkeypatch.setattr(windows, "jacobi_array", lambda a, b: cells.append(np.broadcast(a, b).size) or jacobi_array(a, b))
+    return cells
+
+
+@pytest.mark.parametrize("rows, n_max, jacobi_columns", [
+    (32, 500, False),  # every prime column by reciprocity
+    (32, 3000, True),  # both routes: the tables stop below 3000
+    (1, 2000, True),  # one row: only l = 2, 3 by reciprocity
+])
+def test_chi_block_reciprocity_matches_jacobi_and_euler(rows, n_max, jacobi_columns, jacobi_cells):
+    qs = _primes_in_each_class_mod_8(seed=rows * n_max, per_class=2)[-rows:]
+    assert rows == 1 or ({q % 8 for q in qs} == {1, 3, 5, 7} and min(qs) <= n_max)
+    block = chi_block(qs, n_max)
+    n = np.arange(n_max + 1)
+    assert np.array_equal(block, jacobi_array(n[None, :], np.array(qs)[:, None]))
+    primes = primes_in_interval(2, n_max)
+    assert block[:, primes].tolist() == [[euler_criterion(p, q) for p in primes] for q in qs]
+    # column 2 always goes by q mod 8, column 3 by its table
+    assert 0 < sum(jacobi_cells) < rows * (len(primes) - 1) if jacobi_columns else sum(jacobi_cells) == 0
+
+
+def test_chi_block_reads_interval_columns_by_reciprocity(jacobi_cells):
+    # the clt-interval block at Q = 10^6, g = (log Q)^3 sends no cell to
+    # jacobi_array; one row to 10^6, whose tables would outgrow it, still
+    # sends every prime column but 2 and 3
+    qs = primes_in_interval(10**6, 10**6 + 2000)[:150]
+    assert chi_block(qs, 2637).shape == (150, 2638) and sum(jacobi_cells) == 0
+    chi_block([1000000007], 10**6)
+    assert sum(jacobi_cells) == len(primes_in_interval(5, 10**6))
+
+
 def test_chi_block_leaves_nothing_allocated():
-    # the fill holds its spf sieve for one call only: once the block is
-    # dropped, traced memory is back where it started, and the call's peak
-    # (a 4 MB int32 sieve, the 1 MB block, the prime columns) is well
-    # inside two symbol budgets
+    # the fill holds its spf sieve and tables for one call only: once the
+    # block is dropped, traced memory is back where it started (less the
+    # prime_modulus cache, which 7216 moduli churn), and the call's peak is
+    # well inside two symbol budgets: at 10**6 a 4 MB int32 sieve, the 1 MB
+    # block and the Jacobi columns; with many rows the tables and residues
+    shapes = [
+        ([1000000007], 10**6),
+        (primes_in_interval(10**6, 10**6 + 10**5), 100),
+        (primes_in_interval(10**6, 10**6 + 2000)[:150], 2637),
+    ]
+    for qs, n_max in shapes:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            block = chi_block(qs, n_max)
+            del block
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current - start < 1 << 20, (len(qs), n_max)
+        assert peak < 2 * windows.BLOCK_BYTES, (len(qs), n_max)
+
+
+def test_chi_block_over_budget_raises_before_allocating():
+    # n_max = 10**9 would first ask for a 4 GB int32 spf sieve
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        block = chi_block([1000000007], 10**6)
-        del block
-        current, peak = tracemalloc.get_traced_memory()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"about 6000000006 bytes .* 2 \* BLOCK_BYTES"):
+            chi_block([1000003], 10**9)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert current - start < 1 << 20
-    assert peak < 2 * windows.BLOCK_BYTES
+    assert seconds < 1 and peak < windows.BLOCK_BYTES
 
 
 def test_chi_block_rejects_non_prime_moduli():
