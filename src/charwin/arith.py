@@ -156,8 +156,8 @@ def is_perfect_square(n: int) -> bool:
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
-    dtype = np.int32 if limit < 2**31 else np.int64
-    spf = np.zeros(limit + 1, dtype=dtype)
+    """Smallest prime factor of each n <= limit < 2**31, as int32; 0 and 1 map to themselves."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
             sl = spf[p * p :: p]
@@ -168,56 +168,26 @@ def _spf_sieve(limit: int) -> np.ndarray:
     return spf
 
 
-# The one smallest-prime-factor lookup behind every factorization, with its
-# primes: grown to the next power of two above the largest n factored so
-# far, never beyond 2**_SPF_MAX_BITS entries (int32, 4 MB).
-_SPF_MAX_BITS = 20
-_spf_cache: tuple[memoryview, list[int]] = (memoryview(np.arange(2, dtype=np.int32)), [])
-
-
-def _grow_spf_cache(n: int) -> tuple[memoryview, list[int]]:
-    """The spf lookup, first rebuilt to cover n if the cap allows."""
-    global _spf_cache
-    size = 1 << min(n.bit_length(), _SPF_MAX_BITS)
-    if size > len(_spf_cache[0]):
-        spf = _spf_sieve(size - 1)
-        _spf_cache = (memoryview(spf), np.flatnonzero(spf == np.arange(size))[2:].tolist())
-    return _spf_cache
-
-
 def _factorization(n: int) -> list[tuple[int, int]]:
     """Ascending (prime, exponent) pairs of n >= 1, exact for every n.
 
-    An n inside the cached spf lookup is a walk through it.  A larger n is
-    trial-divided by the lookup's primes, then by odd d, until the cofactor
-    fits in the lookup or is proven prime by d * d > cofactor.
+    Trial division by 2, then by odd d while d * d <= the cofactor; a
+    cofactor above 1 at the end is prime.
     """
     if n < 1:
         raise ValueError(f"cannot factor n={n}")
-    spf, primes = _spf_cache
-    if n >= len(spf):
-        spf, primes = _grow_spf_cache(n)
     out = []
-    if n >= len(spf):
-        for d in itertools.chain(primes, itertools.count(len(spf) + 1, 2)):
-            if n < len(spf):
-                break
-            if d * d > n:
-                out.append((n, 1))
-                return out
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                out.append((d, e))
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
+    for d in itertools.chain((2,), itertools.count(3, 2)):
+        if d * d > n:
+            break
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+    if n > 1:
+        out.append((n, 1))
     return out
 
 
@@ -292,7 +262,10 @@ def prime_density_check(x: int, eta: float) -> dict:
         raise ValueError(f"interval (x, x + x**eta] is empty for x={x}, eta={eta}")
     if x + length >= 2**63:
         raise ValueError(f"interval (x, x + x**eta] ends at {x + length} >= 2**63 for x={x}, eta={eta}")
-    count = len(primes_in_interval(x + 1, x + length))
+    try:
+        count = len(primes_in_interval(x + 1, x + length))
+    except ValueError as exc:  # a sieve budget, checked before allocation
+        raise ValueError(f"{exc} for x={x}, eta={eta}") from exc
     comparator = x**eta / math.log(x)
     return {
         "x": x,

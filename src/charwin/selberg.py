@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import primes_in_interval
+from .arith import MAX_SEGMENT, primes_in_interval
 
 
 @dataclass
@@ -118,13 +118,20 @@ def verify_indicator(system: SieveSystem, n_max: int) -> dict:
     One scan: acc[e::e] += rho_e over the support, a sifted mask from the
     sifting primes, then one search for violations.  acc is int64 when the
     sum of |rho_e|, which bounds every partial sum, is below 2**63, and an
-    array of Python ints otherwise; the same lines serve both.
+    array of Python ints otherwise; the same lines serve both.  Before any
+    allocation, n_max + 1 must fit the MAX_SEGMENT entries of a prime sieve.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     sq = system.scale**2
     exact_int64 = sum(abs(v) for v in system.rho_scaled.values()) < 2**63
-    acc = np.zeros(n_max + 1, dtype=np.int64 if exact_int64 else object)
+    dtype = np.dtype(np.int64 if exact_int64 else object)
+    if n_max + 1 > MAX_SEGMENT:
+        raise ValueError(
+            f"indicator scan to n_max={n_max} needs about {(n_max + 1) * (dtype.itemsize + 1)} "
+            f"bytes for its {dtype} sums and bool mask, over MAX_SEGMENT = {MAX_SEGMENT} entries"
+        )
+    acc = np.zeros(n_max + 1, dtype=dtype)
     for e, v in system.rho_scaled.items():
         acc[e::e] += v
     sifted = np.zeros(n_max + 1, dtype=bool)

@@ -527,11 +527,18 @@ def polya_vinogradov_check(q: int) -> dict:
     P(n) = sum of (k|q) over 1 <= k <= n satisfies P(q-1-n) = -(-1|q) P(n)
     and P(q-1) = P(q) = 0, so the maximum over the period is reached at some
     n <= (q-1)/2: only that half is read, a view of the table.
+
+    For q = 1 mod 4 the character is even, so P(q-1) = 0 reads as
+    P((q-1)/2) = 0, checked at no extra cost; a failure raises
+    AssertionError.  For q = 3 mod 4 the character is odd and the mirror
+    gives P(q-1) = 0 from any half, so the identity checks nothing there.
     """
     q = prime_modulus(q)
     chi = _chi_range(q, 1, (q - 1) // 2)
     # int64: the max needs true partial sums, up to (q-1)/2
     partial = np.cumsum(chi, dtype=np.int64)
+    if q % 4 == 1 and partial[-1]:
+        raise AssertionError(f"P(q-1) = 2 * P((q-1)/2) = {2 * int(partial[-1])} != 0 at q={q}")
     peak = int(np.max(np.abs(partial)))
     bound = math.sqrt(q) * math.log(q)
     return {"q": q, "max_partial_sum": peak, "bound": bound, "ratio": peak / bound}

@@ -23,9 +23,7 @@ from charwin import (
 )
 from charwin import arith
 from charwin.arith import (
-    _SPF_MAX_BITS,
     _factorization,
-    _grow_spf_cache,
     _spf_sieve,
     odd_exponent_primes,
     prime_modulus,
@@ -247,34 +245,36 @@ def test_factor_table_spot():
     assert _factorization(97) == [(97, 1)]
     assert _factorization(1) == []
     assert _factorization(360) == [(2, 3), (3, 2), (5, 1)]
+    assert _factorization(100) == [(2, 2), (5, 2)]
+    assert _factorization(2**80) == [(2, 80)]
     for bad in (0, -12):
         with pytest.raises(ValueError):
             _factorization(bad)
 
 
-CACHE = 1 << _SPF_MAX_BITS
-# the two smallest primes above the largest spf lookup
-P_ABOVE, Q_ABOVE = [n for n in range(CACHE, CACHE + 100) if is_prime(n)][:2]
+EDGE = 1 << 20
+# the two smallest primes above 2**20: trial division must pass 2**20 to find them
+P_ABOVE, Q_ABOVE = [n for n in range(EDGE, EDGE + 100) if is_prime(n)][:2]
 
 
 @given(
     st.one_of(
-        st.integers(1, 4 * CACHE),
-        st.integers(CACHE - 2000, CACHE + 2000),
-        # both primes above the cache: trial division past the table's primes
+        st.integers(1, 4 * EDGE),
+        st.integers(EDGE - 2000, EDGE + 2000),
+        # both primes above 2**20: trial division past d = 2**20
         st.sampled_from((P_ABOVE * Q_ABOVE, P_ABOVE**2, 2 * P_ABOVE * Q_ABOVE)),
-        # a cofactor below the cache times the largest power of p that
+        # a cofactor below 2**20 times the largest power of p that
         # keeps n below 2**62
         st.builds(
             lambda k, p: k * p ** int((62 - k.bit_length()) / math.log2(p)),
-            st.integers(1, CACHE - 1),
+            st.integers(1, EDGE - 1),
             st.sampled_from((2, 3, 5, 7)),
         ),
     )
 )
-@example(CACHE - 1)
-@example(CACHE)
-@example(CACHE + 1)
+@example(EDGE - 1)
+@example(EDGE)
+@example(EDGE + 1)
 @example(P_ABOVE * Q_ABOVE)
 @example(2**62)
 @example(3**39)
@@ -286,20 +286,8 @@ def test_factorization_reconstructs(n):
     assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
 
 
-def test_spf_cache_grows_by_bit_length_to_the_cap(monkeypatch):
-    monkeypatch.setattr(arith, "_spf_cache", (memoryview(np.arange(2, dtype=np.int32)), []))
-    assert _factorization(100) == [(2, 2), (5, 2)]
-    assert len(arith._spf_cache[0]) == 128
-    _factorization(20)
-    assert len(arith._spf_cache[0]) == 128
-    _factorization(200)
-    assert len(arith._spf_cache[0]) == 256
-    assert _factorization(2**80) == [(2, 80)]
-    assert len(arith._spf_cache[0]) == CACHE
-
-
 def test_factorization_beyond_limit_falls_back():
-    # 20011 is prime; P_ABOVE is a prime above the largest spf lookup
+    # 20011 is prime; P_ABOVE is a prime above 2**20
     assert _factorization(20011) == [(20011, 1)]
     assert _factorization(2 * 20011) == [(2, 1), (20011, 1)]
     assert _factorization(P_ABOVE) == [(P_ABOVE, 1)]
@@ -314,7 +302,8 @@ def test_table_primes_match_sieve():
     primes = np.flatnonzero(spf == np.arange(spf.size))[2:].tolist()
     assert primes[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes == primes_in_interval(2, 20000)
-    assert _grow_spf_cache(CACHE)[1] == primes_in_interval(2, CACHE - 1)
+    spf = _spf_sieve(EDGE - 1)
+    assert np.flatnonzero(spf == np.arange(EDGE))[2:].tolist() == primes_in_interval(2, EDGE - 1)
 
 
 @given(st.integers(min_value=1, max_value=10**5))

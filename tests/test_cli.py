@@ -8,6 +8,7 @@ import json
 import shutil
 import subprocess
 import time
+import tracemalloc
 
 import pytest
 
@@ -194,6 +195,33 @@ def test_prime_density_window_past_2_63_names_x_and_eta(capsys):
     rc, out, err = _run(["prime-density", "--x", "9223372036854775000", "--eta", "1"], capsys)
     assert rc == 2 and out == ""
     assert "x=9223372036854775000, eta=1.0" in err and "2**63" in err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["--x", str(10**18), "--eta", "0.6"], "segment length 63095734448"),
+        (["--x", str(10**17), "--eta", "0.3"], "base sieve to sqrt(hi) = 316227766"),
+    ],
+)
+def test_prime_density_over_budget_names_x_and_eta(argv, names, capsys):
+    rc, out, err = _run(["prime-density", *argv], capsys)
+    assert rc == 2 and out == ""
+    assert f"x={argv[1]}, eta={float(argv[3])}" in err and names in err
+
+
+def test_sieve_verify_over_budget_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        rc, out, err = _run(["sieve-verify", "--z", "10", "--nmax", str(2**28)], capsys)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert seconds < 1 and peak < 2**20
+    assert f"n_max={2**28} needs about {9 * (2**28 + 1)} bytes" in err
 
 
 def test_strict_mode_warning_lands_in_envelope(capsys):

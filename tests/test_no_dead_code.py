@@ -1,5 +1,6 @@
 """Every top-level name in the package is used somewhere besides its
-definition, and every function parameter is read.
+definition, every function parameter is read, and no function rebinds a
+module global.
 
 Lists each non-dunder top-level ``def``, ``class`` and assignment target in
 ``src/charwin/*.py`` and counts its whole-word occurrences across ``src/``,
@@ -7,6 +8,8 @@ Lists each non-dunder top-level ``def``, ``class`` and assignment target in
 is dead code: nothing calls, exports, tests or documents it.  Likewise a
 parameter that its function's body never loads is a setting nothing obeys,
 and an import that its module never names is a dependency nothing uses.
+A ``global`` statement makes module state that calls share and tests must
+reset; the package keeps none.
 """
 
 from __future__ import annotations
@@ -89,3 +92,13 @@ def test_every_import_is_used():
         unused.extend(f"{path.name}:{line} {name}" for name, line in imported.items()
                       if name not in named)
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_function_rebinds_a_module_global():
+    rebound = [
+        f"{path.name}:{node.lineno} global {', '.join(node.names)}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert not rebound, f"module globals rebound: {rebound}"

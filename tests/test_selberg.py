@@ -1,6 +1,8 @@
 """Sieve weight construction and the indicator-domination properties."""
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from charwin import (
     interval_weight_sum,
     verify_indicator,
 )
+from charwin import selberg
 
 
 def _indicator_oracle(system, n_max):
@@ -198,3 +201,30 @@ def test_verify_indicator_reports_the_smallest_bad_n(z, rough_prime):
             verify_indicator(system, 5 * rough_prime)
         assert str(info.value) == message.format(indicator_value(system, n))
         _check_against_oracle(system, 5 * rough_prime)
+
+
+@pytest.mark.parametrize("z, dtype", [(10, "int64"), (60, "object")])
+def test_verify_indicator_over_budget_raises_before_allocating(z, dtype):
+    # n_max + 1 = 2**28 + 1 entries: about 2.4 GB of int64 sums and bool mask
+    system = build_selberg(z, z)
+    n_max = 2**28
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            verify_indicator(system, n_max)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1 and peak < 2**20
+    message = f"n_max={n_max} needs about {9 * (n_max + 1)} bytes for its {dtype} sums"
+    assert message in str(info.value)
+
+
+def test_verify_indicator_budget_edge(monkeypatch):
+    monkeypatch.setattr(selberg, "MAX_SEGMENT", 1000)
+    system = build_selberg(10, 10)
+    assert verify_indicator(system, 999)["ok"]
+    with pytest.raises(ValueError, match="MAX_SEGMENT = 1000 entries"):
+        verify_indicator(system, 1000)

@@ -698,6 +698,28 @@ def test_polya_vinogradov_matches_full_period_cumsum(q, monkeypatch):
     assert polya_vinogradov_check(q)["max_partial_sum"] == peak
 
 
+@pytest.mark.parametrize("q", [13, 101, 1000033, 11, 103, 1000003])
+def test_polya_vinogradov_half_sum_identity_catches_a_flipped_symbol(q, monkeypatch):
+    # q = 1 mod 4: P((q-1)/2) = 0 is checked, so one flipped symbol raises;
+    # q = 3 mod 4: nothing is checked, and the mutant's own maximum comes back
+    real_chi_range = windows._chi_range
+
+    def flipped(*args):
+        chi = real_chi_range(*args).copy()
+        chi[len(chi) // 2] *= -1
+        return chi
+
+    polya_vinogradov_check(q)
+    monkeypatch.setattr(windows, "_chi_range", flipped)
+    if q % 4 == 1:
+        with pytest.raises(AssertionError, match=f"q={q}"):
+            polya_vinogradov_check(q)
+    else:
+        chi = flipped(q, 1, (q - 1) // 2)
+        peak = int(np.abs(np.cumsum(chi, dtype=np.int64)).max())
+        assert polya_vinogradov_check(q)["max_partial_sum"] == peak
+
+
 def test_incomplete_poly_sum_complete_pair():
     # sum over a full period of chi(n) chi(n+1) equals -1
     for q in (7, 11, 101):
