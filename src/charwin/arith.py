@@ -228,6 +228,15 @@ def tau(n: int) -> int:
 MAX_SEGMENT = 1 << 28
 
 
+def fit_budget(what: str, units: int, per_unit: int, cap: int, cap_name: str, unit="bytes", parts="") -> int:
+    """How many units of per_unit each fit cap: the one budget check of the package.
+    Fewer than units raise the ValueError (exit 2) naming the estimate and the cap."""
+    if cap // per_unit < units:
+        parts = f" for {parts}" if parts else ""
+        raise ValueError(f"{what} needs about {units * per_unit} {unit}{parts}, over {cap_name} = {cap} {unit}")
+    return cap // per_unit
+
+
 def primes_in_interval(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], by a segmented sieve of Eratosthenes.
 
@@ -238,11 +247,9 @@ def primes_in_interval(lo: int, hi: int) -> list[int]:
     """
     if not 2 <= lo <= hi < MAX_MODULUS:
         raise ValueError(f"need 2 <= lo <= hi < 2**63, got [{lo}, {hi}]")
-    if hi - lo + 1 > MAX_SEGMENT:
-        raise ValueError(f"segment length {hi - lo + 1} exceeds budget {MAX_SEGMENT}")
+    fit_budget(f"segment length {hi - lo + 1}", hi - lo + 1, 1, MAX_SEGMENT, "MAX_SEGMENT", "entries")
     root = math.isqrt(hi)
-    if root - 1 > MAX_SEGMENT:
-        raise ValueError(f"base sieve to sqrt(hi) = {root} exceeds budget {MAX_SEGMENT}")
+    fit_budget(f"base sieve to sqrt(hi) = {root}", root - 1, 1, MAX_SEGMENT, "MAX_SEGMENT", "entries")
     seg = np.ones(hi - lo + 1, dtype=bool)
     for p in primes_in_interval(2, root) if root >= 2 else ():
         start = max(p * p, ((lo + p - 1) // p) * p)

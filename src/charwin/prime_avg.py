@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import windows
-from .arith import ExperimentWarning, primes_in_interval
+from .arith import ExperimentWarning, fit_budget, primes_in_interval
 from .rmf import _coeffs, rmf_variance_rhs
 from .windows import (
     WindowConfig,
@@ -73,7 +73,7 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int] | N
             )
     n_max = max((len(vec) for vec in vectors), default=0)
     # half the budget per block: chi_block counts its tables as much again
-    rows = max(1, windows.BLOCK_BYTES // (2 * (n_max + 1)))
+    rows = fit_budget(f"symbol row to n_max={n_max}", 1, 2 * (n_max + 1), windows.BLOCK_BYTES, "BLOCK_BYTES")
     per_vector = [[] for _ in vectors]
     for lo in range(0, len(primes), rows):
         block = chi_block(primes[lo : lo + rows], n_max)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import odd_exponent_primes, squarefree_part
+from .arith import fit_budget, odd_exponent_primes, squarefree_part
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -114,8 +114,7 @@ def enumerate_second_moment(a) -> float:
     vals = _coeffs(a)
     profiles = [odd_exponent_primes(n) for n in range(1, len(vals) + 1)]
     primes = sorted({p for prof in profiles for p in prof})
-    if len(primes) > 20:
-        raise ValueError(f"enumeration over {len(primes)} primes is out of budget")
+    fit_budget(f"enumerating {len(primes)} primes", 2 ** len(primes), 1, 2**20, "2**20", "sign patterns")
     index = {p: i for i, p in enumerate(primes)}
     masks = [sum(1 << index[p] for p in prof) for prof in profiles]
     total = 0.0

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import MAX_SEGMENT, primes_in_interval
+from .arith import MAX_SEGMENT, fit_budget, primes_in_interval
 
 
 @dataclass
@@ -126,11 +126,10 @@ def verify_indicator(system: SieveSystem, n_max: int) -> dict:
     sq = system.scale**2
     exact_int64 = sum(abs(v) for v in system.rho_scaled.values()) < 2**63
     dtype = np.dtype(np.int64 if exact_int64 else object)
-    if n_max + 1 > MAX_SEGMENT:
-        raise ValueError(
-            f"indicator scan to n_max={n_max} needs about {(n_max + 1) * (dtype.itemsize + 1)} "
-            f"bytes for its {dtype} sums and bool mask, over MAX_SEGMENT = {MAX_SEGMENT} entries"
-        )
+    per = dtype.itemsize + 1
+    fit_budget(f"indicator scan to n_max={n_max}", n_max + 1, per, per * MAX_SEGMENT,
+               f"MAX_SEGMENT = {MAX_SEGMENT} entries of {per} bytes",
+               parts=f"its {dtype} sums and bool mask")
     acc = np.zeros(n_max + 1, dtype=dtype)
     for e, v in system.rho_scaled.items():
         acc[e::e] += v

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .arith import _factorization, odd_exponent_primes
+from .arith import _factorization, fit_budget, odd_exponent_primes
 
 BRUTE_FORCE_BUDGET = 10**8
 
@@ -83,8 +83,7 @@ def paired_count_bruteforce(r: int, h: int) -> int:
     """K(r, h) by direct enumeration of [1,h]^(2r).  Independent oracle."""
     if r < 1 or h < 1:
         raise ValueError(f"need r >= 1 and h >= 1, got r={r}, h={h}")
-    if h ** (2 * r) > BRUTE_FORCE_BUDGET:
-        raise ValueError(f"h**(2r) = {h**(2*r)} exceeds enumeration budget")
+    fit_budget(f"[1, {h}]^{2 * r}", h ** (2 * r), 1, BRUTE_FORCE_BUDGET, "BRUTE_FORCE_BUDGET", "tuples")
     count = 0
     for tup in itertools.product(range(1, h + 1), repeat=2 * r):
         if all(c % 2 == 0 for c in Counter(tup).values()):

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
+    MAX_SEGMENT,
     ExperimentWarning,
     _spf_sieve,
+    fit_budget,
     jacobi,
     jacobi_array,
     prime_modulus,
@@ -37,11 +39,13 @@ from .squares import paired_count_exact
 CHI_TABLE_MAX = 1 << 27
 # Every bulk loop sizes its working set by this budget: symbol blocks and
 # tiles with their window sums (12 bytes per symbol while every h < 2**7,
-# 15 while h < 2**15; see window_histograms) and 8 * (2h+1) bytes of counts
-# per row, the chunks of squares in chi_table, and the chunks of _chi_range
-# and incomplete_poly_sum.  chi_block refuses a block whose spf sieve,
-# symbols and reciprocity tables (no more entries than the symbols) would
-# pass 2 * BLOCK_BYTES, so its callers keep the symbols within half of that.
+# 15 while h < 2**15, 21 above; see window_histograms) and 8 * (2h+1) bytes
+# of counts per row, the chunks of squares in chi_table, and the chunks of
+# _chi_range and incomplete_poly_sum.  chi_block refuses a block whose spf
+# sieve, symbols and reciprocity tables (no more entries than the symbols)
+# would pass 2 * BLOCK_BYTES, so its callers keep the symbols within half of
+# that.  Above CHI_TABLE_MAX, a call reads at most MAX_SEGMENT symbols from
+# jacobi_array.  arith.fit_budget checks and refuses every one of these caps.
 BLOCK_BYTES = 1 << 24
 
 
@@ -71,9 +75,8 @@ def chi_table(q: int) -> np.ndarray:
     their quotients, 16 bytes each, stays within BLOCK_BYTES.
     """
     q = prime_modulus(q)
-    if q > CHI_TABLE_MAX:
-        raise ValueError(f"character table for q={q} exceeds memory budget")
     half = (q + 1) // 2
+    fit_budget(f"character table for q={q}", half, 1, (CHI_TABLE_MAX + 1) // 2, "(CHI_TABLE_MAX + 1) // 2")
     t = np.full(half + 1, -1, dtype=np.int8)
     t[0] = 0
     step = BLOCK_BYTES // 16
@@ -93,7 +96,9 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
 
     The one place that picks a route: the half-period table while q fits
     CHI_TABLE_MAX, above it jacobi_array over tiles of numerators in [-q, q)
-    whose working set (83 bytes per symbol) fits BLOCK_BYTES.  A range on the
+    whose working set fits BLOCK_BYTES at 83 bytes per symbol, a bound with
+    margin (tracemalloc reads about 66 at q = 10**9 + 7); a range of more
+    than MAX_SEGMENT symbols is refused there.  A range on the
     table route is a view of the table when it stays inside r <= (q-1)/2.
     Any other range is one int8 array filled piece by piece: residues in the
     lower half are slices of the table, those in the upper half its mirror
@@ -102,8 +107,10 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
     """
     count = n_hi - n_lo + 1
     if q > CHI_TABLE_MAX:
+        fit_budget(f"jacobi_array read of n = {n_lo}..{n_hi} at q={q}", count, 1, MAX_SEGMENT, "MAX_SEGMENT",
+                   "symbols")
         out = np.empty(count, dtype=np.int8)
-        step = max(1, BLOCK_BYTES // 83)
+        step = max(1, BLOCK_BYTES // 83)  # one symbol at least, under a budget below 83 bytes too
         for lo in range(0, count, step):
             n = np.arange(min(step, count - lo), dtype=np.int64) + ((n_lo + lo) % q - q)
             out[lo : lo + n.size] = jacobi_array(n, q)
@@ -177,17 +184,14 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     2 * BLOCK_BYTES.  Transient on top: 6 bytes per cell of the
     reciprocity columns (q mod l as int32, its mirror flag and the symbols
     read), 4 * 4 bytes per square marked in the tables, and jacobi_array's
-    working set, about 83 bytes per cell, on the larger prime columns.
+    working set on the larger prime columns: at most 83 bytes per cell, a
+    bound with margin (tracemalloc reads about 66 at q = 10**9 + 7).
     """
     qs = np.array([prime_modulus(operator.index(q)) for q in qs], dtype=np.int64)
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    estimate = (4 + 2 * qs.size) * (n_max + 1)
-    if estimate > 2 * BLOCK_BYTES:
-        raise ValueError(
-            f"symbol block of {qs.size} moduli to n_max={n_max} needs about {estimate} bytes "
-            f"for its spf sieve, block and tables, over 2 * BLOCK_BYTES = {2 * BLOCK_BYTES}"
-        )
+    fit_budget(f"symbol block of {qs.size} moduli to n_max={n_max}", n_max + 1, 4 + 2 * qs.size,
+               2 * BLOCK_BYTES, "2 * BLOCK_BYTES", parts="its spf sieve, block and tables")
     spf = _spf_sieve(max(n_max, 2))[: n_max + 1]
     primes = np.flatnonzero(spf == np.arange(n_max + 1, dtype=spf.dtype))[2:]
     block = np.empty((qs.size, n_max + 1), dtype=np.int8)
@@ -404,11 +408,14 @@ def window_histograms(qs, configs) -> list[list[int]]:
     symbol that is 9 + 3 * itemsize bytes, itemsize that of _sum_dtype(h):
     the int8 symbol, the two doubling levels alive and the running sum of
     _doubling_sums, and the intp window sum bincount reads; 12 bytes while
-    every h < 2**7, 15 while every h < 2**15.  A row that does not fit in one
-    tile is read from _chi_range in tiles of at most
-    (BLOCK_BYTES - 16 * (2h+1)) // 12 (or // 15) symbols, each a block whose
-    column 0 is its first start m; the running counts and the tile's own are
-    the 16 * (2h+1).
+    every h < 2**7, 15 while every h < 2**15, and 21 above.  A row that does
+    not fit in one block is read from _chi_range in tiles of at most
+    (BLOCK_BYTES - 16 * (2h+1)) // 12 (or // 15, // 21) symbols, each a block
+    whose column 0 is its first start m; the running counts and the tile's
+    own are the 16 * (2h+1).  A tile that cannot hold one start, from
+    h = 316551 at the default budget, is refused, as is a row above
+    CHI_TABLE_MAX whose jacobi_array tiles would read more than MAX_SEGMENT
+    starts after the folds.
     Tiles fold the starts by S(c - m) = (-1|q) S(m), c = q - h - 1: of the
     starts a..c-a in range, a = max(m_start, c - m_start - g + 1), only those
     below c/2 are read, and their counts are added twice, reversed the second
@@ -443,13 +450,13 @@ def window_histograms(qs, configs) -> list[list[int]]:
             out.extend(row.tolist() for row in _histograms(block, configs[lo : lo + rows]))
             continue
         q, h, g, m0 = moduli[lo], configs[lo].h, configs[lo].g, configs[lo].m_start
-        step = max(1, (BLOCK_BYTES - 2 * per_count_row) // per_symbol - h)
+        step = fit_budget(f"tile of one start at h={h}", h + 1, per_symbol, BLOCK_BYTES - 2 * per_count_row,
+                          f"BLOCK_BYTES less {2 * per_count_row} of counts") - h
         # S(m + q) = S(m): the g starts are g // q whole periods from m0 and
         # the first g % q starts once more; counts pass 2**63 only if g does
         periods, rest = divmod(g, q)
-        dtype = np.int64 if g < 2**63 else object
-        hist = np.zeros(2 * h + 1, dtype=dtype)
         c = q - h - 1
+        runs = []
         for stop, weight in ((m0 + rest, 1), (m0 + q, periods)):
             if not weight:
                 continue
@@ -457,20 +464,26 @@ def window_histograms(qs, configs) -> list[list[int]]:
             # pair up: a start below c/2 is read once and counted for its mirror too
             a = max(m0, c - stop + 1)
             if a < (c + 1) // 2:
-                runs = [(m0, a, False), (a, (c + 1) // 2, True),
-                        ((c + 1) // 2, c // 2 + 1, False), (c - a + 1, stop, False)]
+                runs += [(m0, a, False, weight), (a, (c + 1) // 2, True, weight),
+                         ((c + 1) // 2, c // 2 + 1, False, weight), (c - a + 1, stop, False, weight)]
             else:
-                runs = [(m0, stop, False)]
-            for m_lo, m_hi, mirrored in runs:
-                for m in range(m_lo, m_hi, step):
-                    tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
-                    (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
-                    counts = counts.astype(dtype, copy=False)
-                    counts *= weight
-                    hist += counts
-                    if mirrored:
-                        hist += counts[::-1] if q % 4 == 3 else counts
-                    del counts  # dropped before the next tile is read
+                runs.append((m0, stop, False, weight))
+        if q > CHI_TABLE_MAX:
+            starts = sum(m_hi - m_lo for m_lo, m_hi, _, _ in runs)
+            fit_budget(f"the jacobi_array route of q={q}, h={h}", starts, 1, MAX_SEGMENT, "MAX_SEGMENT",
+                       "symbols")
+        dtype = np.int64 if g < 2**63 else object
+        hist = np.zeros(2 * h + 1, dtype=dtype)
+        for m_lo, m_hi, mirrored, weight in runs:
+            for m in range(m_lo, m_hi, step):
+                tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
+                (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
+                counts = counts.astype(dtype, copy=False)
+                counts *= weight
+                hist += counts
+                if mirrored:
+                    hist += counts[::-1] if q % 4 == 3 else counts
+                del counts  # dropped before the next tile is read
         out.append(hist.tolist())
     return out
 
@@ -526,7 +539,8 @@ def polya_vinogradov_check(q: int) -> dict:
 
     P(n) = sum of (k|q) over 1 <= k <= n satisfies P(q-1-n) = -(-1|q) P(n)
     and P(q-1) = P(q) = 0, so the maximum over the period is reached at some
-    n <= (q-1)/2: only that half is read, a view of the table.
+    n <= (q-1)/2: only that half is read, a view of the table.  Above
+    CHI_TABLE_MAX, _chi_range refuses a half of more than MAX_SEGMENT symbols.
 
     For q = 1 mod 4 the character is even, so P(q-1) = 0 reads as
     P((q-1)/2) = 0, checked at no extra cost; a failure raises
@@ -548,7 +562,8 @@ def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
     """Sum over x < n <= x+y of prod_i (n + gamma_i | q).
 
     Symbols are multiplied term-wise; the polynomial product of the shifted
-    arguments is never formed.  Offsets must be distinct mod q.
+    arguments is never formed.  Offsets must be distinct mod q.  Above
+    CHI_TABLE_MAX, more than MAX_SEGMENT symbols y * len(gamma) are refused.
     """
     q = prime_modulus(q)
     gamma = tuple(int(c) for c in gamma)
@@ -558,6 +573,9 @@ def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
         raise ValueError(f"offsets must be distinct mod q={q}: {gamma}")
     if not 0 < y <= q:
         raise ValueError(f"need 0 < y <= q, got y={y}")
+    if q > CHI_TABLE_MAX:
+        fit_budget(f"incomplete sum of {len(gamma)} offsets over y={y} at q={q}", y * len(gamma), 1,
+                   MAX_SEGMENT, "MAX_SEGMENT", "symbols")
     total = 0
     step = BLOCK_BYTES // 9
     for lo in range(x + 1, x + y + 1, step):
