@@ -7,9 +7,9 @@ to keep the bulk numpy paths in other modules safe.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -66,16 +66,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
 def prime_modulus(q: int) -> int:
-    """q itself if it is an odd prime with 3 <= q < 2**63; raises otherwise.
+    """q as an int if it is an odd prime with 3 <= q < 2**63; raises otherwise.
 
-    The one modulus check of the package: every entry point that needs a
-    prime modulus (the windows functions and the CLI) calls it.
-    Cached, so a modulus seen before costs a dictionary lookup.
+    The one prime-modulus check of the package: every entry point that takes
+    a prime modulus (the windows functions and the CLI) calls it once.  It
+    reads q through operator.index: any integral type, never a float.
     """
-    if not isinstance(q, int):
-        raise TypeError(f"modulus must be int, got {type(q).__name__}")
+    q = operator.index(q)
     if not 3 <= q < MAX_MODULUS:
         raise ValueError(f"modulus must satisfy 3 <= q < 2**63, got {q}")
     if not is_prime(q):

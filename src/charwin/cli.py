@@ -36,13 +36,12 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .arith import ExperimentWarning, prime_density_check, prime_modulus
+from .arith import ExperimentWarning, prime_density_check, prime_modulus, primes_in_interval
 from .prime_avg import (
     IntervalSpec,
     derivative_check,
     exceptional_sets,
     growth_schedule,
-    interval_primes,
     random_sparse_vectors,
     variance_ratio_battery,
 )
@@ -51,11 +50,11 @@ from .squares import gaussian_moment, paired_count_theta
 from .windows import (
     WindowConfig,
     _chi_range,
+    _histograms,
     cdf_vs_gaussian,
     empirical_summary,
     power_sum,
     random_weil_instances,
-    value_histogram,
     weil_bound_check,
     window_histograms,
 )
@@ -103,8 +102,7 @@ def _conv_interval(raw: str):
 
 
 def _conv_schedule(raw: str):
-    body = raw[len("sched:"):] if raw.startswith("sched:") else raw
-    kind, _, rest = body.partition(":")
+    kind, _, rest = raw.partition(":")
     if kind == "table":
         pairs = []
         for tok in rest.split(","):
@@ -112,9 +110,9 @@ def _conv_schedule(raw: str):
             if not sep:
                 raise ValueError(f"table entries look like Q=V, got {tok!r}")
             pairs.append((int(point), float(value)))
-        return growth_schedule(kind, *pairs), body
+        return growth_schedule(kind, *pairs), raw
     params = tuple(float(tok) for tok in rest.split(":") if tok) if rest else ()
-    return growth_schedule(kind, *params), body
+    return growth_schedule(kind, *params), raw
 
 
 def _conv_g_single(raw: str):
@@ -248,8 +246,8 @@ def _check_full_period(q: int, config: WindowConfig, counts: list[int]) -> None:
     the 2h - 1 symbols that follow.  A failure is an AssertionError: exit 1.
     """
     h, end = config.h, config.m_start + config.g
-    prefix = np.cumsum(np.r_[0, _chi_range(q, end + 1, end + 2 * h - 1)], dtype=np.int64)
-    period = [a + b for a, b in zip(counts, value_histogram(prefix[h:] - prefix[:-h], h))]
+    (tail,) = _histograms(_chi_range(q, end, end + 2 * h - 1)[None, :], [WindowConfig(h=h, g=h, m_start=0)])
+    period = [a + b for a, b in zip(counts, tail.tolist())]
     sums = power_sum(period, h, 1), power_sum(period, h, 2)
     if sums != (0, h * q - h * h):
         raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
@@ -335,13 +333,12 @@ def _run_rmf_compare(cfg) -> tuple[dict, bool, Table]:
     spec = cfg["interval"]
     count, length, support = cfg["battery"]
     battery = random_sparse_vectors(count, length, seed=cfg["seed"], support=support)
-    primes = interval_primes(spec)
     rows = [
         {"index": i, "lhs": rec["lhs"], "rhs": rec["rhs"], "ratio": rec["ratio"]}
-        for i, rec in enumerate(variance_ratio_battery(spec, battery, primes))
+        for i, rec in enumerate(variance_ratio_battery(spec, battery))
     ]
     results = {
-        "prime_count": len(primes),
+        "prime_count": len(primes_in_interval(spec.q_start, spec.q_start + spec.delta)),
         "rows": rows,
         "max_ratio": max(r["ratio"] for r in rows),
     }
@@ -414,13 +411,13 @@ def _run_ktheta(cfg) -> tuple[dict, bool, Table]:
             rows.append({"r": r, "h": h, "K": pc.count, "theta": pc.theta})
     if not rows:
         raise ValueError(f"no (r, h) pairs with r <= h <= {cfg['hmax']}")
-    ok = all(0.0 <= row["theta"] <= 1.0 for row in rows)
     results = {
         "rows": rows,
         "theta_min": min(row["theta"] for row in rows),
         "theta_max": max(row["theta"] for row in rows),
     }
-    return results, ok, _columns(rows, ["r", "h", "K", "theta"])
+    # paired_count_theta itself fails (exit 1) on a theta outside [0, 1], and clamps into it
+    return results, True, _columns(rows, ["r", "h", "K", "theta"])
 
 
 def _run_prime_density(cfg) -> tuple[dict, bool, Table]:

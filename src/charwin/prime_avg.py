@@ -55,14 +55,13 @@ def interval_primes(spec: IntervalSpec) -> list[int]:
     return primes
 
 
-def avg_character_variance(spec: IntervalSpec, a, primes: list[int] | None = None) -> float:
+def avg_character_variance(spec: IntervalSpec, a) -> float:
     """(log Q / delta) * sum over primes q in the interval of |sum_n a_n (n|q)|^2."""
-    return _battery_lhs(spec, [_coeffs(a)], primes)[0]
+    return _battery_lhs(spec, [_coeffs(a)], interval_primes(spec))[0]
 
 
-def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int] | None) -> list[float]:
-    if primes is None:
-        primes = interval_primes(spec)
+def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int]) -> list[float]:
+    """The scaled prime sums of each vector; primes come from the sieve and are not checked."""
     supports = [[(n, c) for n, c in enumerate(vec, 1) if c != 0] for vec in vectors]
     for vec in vectors:
         if len(vec) > spec.delta:
@@ -87,17 +86,15 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int] | N
     return [scale * math.fsum(terms) for terms in per_vector]
 
 
-def variance_ratio(spec: IntervalSpec, a, primes: list[int] | None = None) -> dict:
+def variance_ratio(spec: IntervalSpec, a) -> dict:
     """Prime-average variance over the random-multiplicative-model bound."""
-    return variance_ratio_battery(spec, [a], primes)[0]
+    return variance_ratio_battery(spec, [a])[0]
 
 
-def variance_ratio_battery(spec: IntervalSpec, vectors, primes: list[int] | None = None) -> list[dict]:
+def variance_ratio_battery(spec: IntervalSpec, vectors) -> list[dict]:
     """variance_ratio for many coefficient vectors, sharing the prime sweep."""
     coeff_vecs = [_coeffs(a) for a in vectors]
-    if primes is None:
-        primes = interval_primes(spec)
-    lhs_values = _battery_lhs(spec, coeff_vecs, primes)
+    lhs_values = _battery_lhs(spec, coeff_vecs, interval_primes(spec))
     out = []
     for vec, lhs in zip(coeff_vecs, lhs_values):
         if all(c == 0 for c in vec):
@@ -169,7 +166,6 @@ def exceptional_sets(
     per_prime_inner: bool = False,
     threshold_scale: float = 1.0,
     m_start: int = 1,
-    primes: list[int] | None = None,
 ) -> ExceptionalReport:
     """Deviation records for every prime in the interval, r = 1..r_max.
 
@@ -188,8 +184,7 @@ def exceptional_sets(
         raise ValueError(f"need r_max >= 1, got {r_max}")
     if not (math.isfinite(threshold_scale) and threshold_scale > 0):
         raise ValueError(f"threshold scale must be finite and > 0, got {threshold_scale}")
-    if primes is None:
-        primes = interval_primes(spec)
+    primes = interval_primes(spec)
     if not primes:
         raise ValueError(f"no odd primes in [{spec.q_start}, {spec.q_start + spec.delta}]")
     notes: list[str] = []

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
+    MAX_MODULUS,
     MAX_SEGMENT,
     ExperimentWarning,
     _spf_sieve,
@@ -164,7 +165,11 @@ def _half_tables(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chi_block(qs, n_max: int) -> np.ndarray:
-    """Symbols (n|q) for n = 0..n_max (columns) and every q in qs (rows), int8.
+    """Jacobi symbols (n|q) for n = 0..n_max (columns) and every q in qs (rows), int8.
+
+    Every q must be odd with 3 <= q < 2**63 and is not tested for primality;
+    for prime q these are the Legendre symbols.  Each step below, reciprocity
+    included, holds for Jacobi symbols too.
 
     Prime columns l come by quadratic reciprocity, in increasing order, as
     long as the half tables of the odd primes up to l hold no more entries
@@ -187,7 +192,11 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     working set on the larger prime columns: at most 83 bytes per cell, a
     bound with margin (tracemalloc reads about 66 at q = 10**9 + 7).
     """
-    qs = np.array([prime_modulus(operator.index(q)) for q in qs], dtype=np.int64)
+    qs = [operator.index(q) for q in qs]
+    for q in qs:
+        if q % 2 == 0 or not 3 <= q < MAX_MODULUS:
+            raise ValueError(f"chi_block moduli must be odd with 3 <= q < 2**63, got {q}")
+    qs = np.array(qs, dtype=np.int64)
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     fit_budget(f"symbol block of {qs.size} moduli to n_max={n_max}", n_max + 1, 4 + 2 * qs.size,
@@ -430,7 +439,7 @@ def window_histograms(qs, configs) -> list[list[int]]:
         raise ValueError(f"{len(qs)} moduli but {len(configs)} window configs")
     moduli, spans = [], []
     for q, config in zip(qs, configs):
-        q = prime_modulus(operator.index(q))
+        q = prime_modulus(q)
         if config.h >= q:
             raise ValueError(f"window length h={config.h} must be < q={q}")
         _warn_if_wraps(q, config, stacklevel=2)

@@ -230,11 +230,11 @@ def test_criterion_10_variance_ratio_battery():
     spec = IntervalSpec(q_start=10**5, delta=10**4)
     primes = interval_primes(spec)
     battery = random_sparse_vectors(50, 100, seed=20260814, support=8)
-    rows = variance_ratio_battery(spec, battery, primes=primes)
+    rows = variance_ratio_battery(spec, battery)
     worst = max(rec["ratio"] for rec in rows)
     # one coefficient on a fixed non-square: every inner sum is +-1, so the
     # prime average collapses to (log Q / delta) * #primes with no error term
-    lhs = avg_character_variance(spec, (0.0, 1.0), primes)
+    lhs = avg_character_variance(spec, (0.0, 1.0))
     identity_ok = lhs == math.log(spec.q_start) / spec.delta * len(primes)
     elapsed = time.perf_counter() - t0
     ok = worst <= 100.0 and identity_ok and elapsed < 120.0

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from charwin import cli
+from charwin import arith, cli
 
 
 def _run(argv, capsys):
@@ -120,6 +120,16 @@ def test_sparse_interval_warning_appears_once(capsys):
     assert [w for w in env["warnings"] if "statistically weak" in w] == [
         "only 16 primes in [1000, 1100]; averages will be statistically weak"
     ]
+
+
+def test_rmf_compare_tests_no_modulus_for_primality(monkeypatch, capsys):
+    # the interval's moduli come from the sieve, which proves them prime
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    rc, env = _envelope(["rmf-compare", "--interval", "1000000:100000"], capsys)
+    assert rc == 0 and env["results"]["prime_count"] == 7216
+    assert calls == []
 
 
 def test_config_file_fills_required_and_flags_win(tmp_path, capsys):
@@ -245,6 +255,10 @@ def test_exit_two_on_bad_schedule(capsys):
     rc, out, err = _run(["clt-interval", "--interval", "1000:100", "--g", "bogus:3"], capsys)
     assert rc == 2
     assert "--g" in err
+    # a schedule is KIND:PARAMS, with no prefix before the kind
+    rc, out, err = _run(["clt-single", "--q", "1009", "--h", "sched:const:5"], capsys)
+    assert rc == 2
+    assert "--h" in err
 
 
 def test_exit_two_on_composite_modulus(capsys):

@@ -57,7 +57,7 @@ def test_single_coefficient_identity_exact():
     spec = IntervalSpec(q_start=1000, delta=1000)
     primes = interval_primes(spec)
     a = (0.0, 1.0)  # supported on n = 2
-    lhs = avg_character_variance(spec, a, primes)
+    lhs = avg_character_variance(spec, a)
     assert lhs == math.log(1000) / 1000 * len(primes)
 
 
@@ -68,8 +68,7 @@ def test_variance_ratio_zero_vector():
 
 def test_variance_ratio_single_coefficient():
     spec = IntervalSpec(q_start=1000, delta=1000)
-    primes = interval_primes(spec)
-    rec = variance_ratio(spec, (1.0,), primes)
+    rec = variance_ratio(spec, (1.0,))
     assert rec["rhs"] == pytest.approx(rmf_variance_rhs((1.0,), 1000))
     assert rec["ratio"] == pytest.approx(rec["lhs"] / rec["rhs"])
     # ratio ~ pi-count * log Q / delta over (1 + delta^(-1/2)), i.e. order 1
@@ -78,21 +77,19 @@ def test_variance_ratio_single_coefficient():
 
 def test_variance_ratio_phase_invariance():
     spec = IntervalSpec(q_start=1000, delta=1000)
-    primes = interval_primes(spec)
     base = (1.0, 0.0, -2.0, 0.0, 1.5)
-    r1 = variance_ratio(spec, base, primes)["ratio"]
+    r1 = variance_ratio(spec, base)["ratio"]
     for c in (-1.0, 3.7, 0.25):
         scaled = tuple(c * x for x in base)
-        r2 = variance_ratio(spec, scaled, primes)["ratio"]
+        r2 = variance_ratio(spec, scaled)["ratio"]
         assert r2 == pytest.approx(r1, abs=1e-9)
 
 
 def test_variance_ratio_battery_shares_primes():
     spec = IntervalSpec(q_start=1000, delta=1000)
-    primes = interval_primes(spec)
     vectors = [(1.0, 0.0, 1.0), (0.0, 1.0)]
-    batch = variance_ratio_battery(spec, vectors, primes)
-    single = [variance_ratio(spec, v, primes) for v in vectors]
+    batch = variance_ratio_battery(spec, vectors)
+    single = [variance_ratio(spec, v) for v in vectors]
     assert batch == single
 
 
@@ -121,9 +118,9 @@ def test_moment_deviation_frozen_small_case():
     # q=7, h=2, m_start=1: window sums are (0, 0, 0), so the second-moment
     # sum is 0 and the even deviation is 0/3 - K(1,2) = -2 exactly
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExperimentWarning)  # h = 2 > 3^(1/4)
+        warnings.simplefilter("ignore", ExperimentWarning)  # h = 2 > 3^(1/4), one prime in [7, 8]
         rec, odd = exceptional_sets(
-            IntervalSpec(7, 1), growth_schedule("const", 3.0), growth_schedule("const", 2.0), r_max=1, primes=[7]
+            IntervalSpec(7, 1), growth_schedule("const", 3.0), growth_schedule("const", 2.0), r_max=1
         ).records
     assert (rec.parity, odd.parity) == ("even", "odd")
     assert rec.deviation == -2.0
@@ -321,24 +318,6 @@ def test_battery_lhs_random_sparse_battery_bit_identical():
     battery = [tuple(0.37 * c + 1.1 * (i % 3) * c for i, c in enumerate(vec))
                for vec in random_sparse_vectors(12, 150, seed=5, support=30)]
     assert _battery_lhs(spec, battery, primes) == _slow_battery_lhs(spec, battery, primes)
-
-
-def test_caller_supplied_moduli_are_checked():
-    spec = IntervalSpec(1000, 100)
-    with pytest.raises(ValueError):
-        avg_character_variance(spec, [1.0, 1.0, 1.0], primes=[15, 21])
-    with pytest.raises(ValueError):
-        avg_character_variance(spec, [1.0, 1.0], primes=[1009, 1024])
-    with pytest.raises(ValueError):
-        variance_ratio_battery(spec, [(1.0, 2.0)], primes=[1009, 1013, 1015])
-    with pytest.raises(ValueError):
-        exceptional_sets(
-            spec, growth_schedule("const", 5.0), growth_schedule("const", 2.0), r_max=1, primes=[15]
-        )
-    with pytest.raises(ValueError):
-        exceptional_sets(
-            spec, growth_schedule("const", 5.0), growth_schedule("const", 2.0), r_max=1, primes=[1024]
-        )
 
 
 def test_exceptional_sets_per_prime_inner():

@@ -38,6 +38,7 @@ from charwin import (
     window_sum,
     windows,
 )
+from charwin.arith import prime_modulus
 
 PRIMES_TO_300 = primes_in_interval(3, 300)
 
@@ -196,6 +197,21 @@ def test_composite_moduli_rejected():
         weil_bound_check(25, (0, 1), 0, 5)
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda q: repr(prime_modulus(q)), id="prime_modulus"),  # a Python int
+    pytest.param(lambda q: chi_table(q).tolist(), id="chi_table"),
+    pytest.param(lambda q: window_sum(q, 5, 10), id="window_sum"),
+    pytest.param(lambda q: window_series(q, WindowConfig(h=5, g=20)).tolist(), id="window_series"),
+    pytest.param(lambda q: window_histograms([q], [WindowConfig(h=5, g=20)]), id="window_histograms"),
+    pytest.param(lambda q: chi_block([q], 30).tolist(), id="chi_block"),
+    pytest.param(polya_vinogradov_check, id="polya_vinogradov_check"),
+    pytest.param(lambda q: incomplete_poly_sum(q, (0, 1), 3, 50), id="incomplete_poly_sum"),
+    pytest.param(lambda q: weil_bound_check(q, (0, 1), 3, 50), id="weil_bound_check"),
+])
+def test_moduli_of_any_integral_type(entry):
+    assert entry(np.int64(1009)) == entry(1009)
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 7, 8, 12, 60, 250, 1023, 1024, 1025])
 def test_chi_block_matches_jacobi(n_max):
     # n_max = 60 and 250 pass several moduli: n = q, its multiples and
@@ -266,10 +282,10 @@ def test_chi_block_reads_interval_columns_by_reciprocity(jacobi_cells):
 
 def test_chi_block_leaves_nothing_allocated():
     # the fill holds its spf sieve and tables for one call only: once the
-    # block is dropped, traced memory is back where it started (less the
-    # prime_modulus cache, which 7216 moduli churn), and the call's peak is
-    # well inside two symbol budgets: at 10**6 a 4 MB int32 sieve, the 1 MB
-    # block and the Jacobi columns; with many rows the tables and residues
+    # block is dropped, traced memory is back where it started, and the
+    # call's peak is well inside two symbol budgets: at 10**6 a 4 MB int32
+    # sieve, the 1 MB block and the Jacobi columns; with many rows the
+    # tables and residues
     shapes = [
         ([1000000007], 10**6),
         (primes_in_interval(10**6, 10**6 + 10**5), 100),
@@ -303,10 +319,43 @@ def test_chi_block_over_budget_raises_before_allocating():
 
 
 def test_chi_block_rejects_non_prime_moduli():
-    for bad in ([7, 15], [16], [1], [2**63 + 29]):
-        with pytest.raises(ValueError):
-            chi_block(bad, 10)
+    # even, negative, below 3 and from 2**63 on; odd composites are valid
+    # (test_chi_block_matches_jacobi_on_odd_moduli).  n_max = 10**6 would
+    # first allocate a 4 MB spf sieve
+    for bad in ([16], [1], [2], [-7], [2**63 + 29], [3, 2**63 + 1], [9, 10]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="odd with 3 <= q < 2"):
+                chi_block(bad, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, bad
     assert chi_block([], 10).shape == (0, 11)
+
+
+def _odd_moduli() -> list[list[int]]:
+    rng = random.Random(17)
+    return [
+        [7, 15],
+        list(range(3, 3002, 2)),
+        [rng.randrange(3, 10**12) | 1 for _ in range(300)],
+        [2**63 - 1 - 2 * i for i in range(50)],
+    ]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 100, 3000])
+def test_chi_block_matches_jacobi_on_odd_moduli(n_max):
+    # reciprocity, the q mod 8 column and the multiplicative fill hold for
+    # Jacobi symbols, so composite rows need no other route
+    n = np.arange(n_max + 1)
+    for qs in _odd_moduli():
+        block = chi_block(qs, n_max)
+        for lo in range(0, len(qs), 100):
+            rows = np.array(qs[lo : lo + 100])[:, None]
+            assert np.array_equal(block[lo : lo + 100], jacobi_array(n[None, :], rows))
+        for i in range(0, len(qs), 37):
+            assert block[i, ::97].tolist() == [jacobi(k, qs[i]) for k in range(0, n_max + 1, 97)]
 
 
 def _slow_histograms(qs, configs):
