@@ -5,8 +5,11 @@ config, the results payload, library versions, and any warnings raised
 during the run.  Identical config and seed produce byte-identical envelopes
 up to the ``meta`` block (timestamp, runtime, execution knobs such as
 thread count).  Runs are single-process; ``--threads`` is accepted and
-recorded in ``meta`` only.  ``--format csv`` projects the main table of
-each command instead; floats keep 12 significant digits.
+recorded in ``meta`` only.  The JSON is byte for byte the stdlib's
+``json.dumps(envelope, indent=2, sort_keys=True)``: ASCII-escaped, with
+``NaN`` and ``Infinity`` literals, and encoded by the C encoder
+(``_json_text``).  ``--format csv`` projects the main table of each command
+instead; floats keep 12 significant digits.
 
 Exit codes: 0 success; 1 a guaranteed inequality failed (these signal
 implementation bugs, never findings); 2 invalid configuration or input.
@@ -36,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .arith import ExperimentWarning, prime_density_check, prime_modulus, primes_in_interval
+from .arith import MAX_SEGMENT, ExperimentWarning, fit_budget, prime_density_check, prime_modulus, primes_in_interval
 from .prime_avg import (
     IntervalSpec,
     derivative_check,
@@ -48,6 +51,7 @@ from .prime_avg import (
 from .selberg import abs_weight_sum, build_selberg, interval_weight_sum, verify_indicator
 from .squares import gaussian_moment, paired_count_theta
 from .windows import (
+    CHI_TABLE_MAX,
     WindowConfig,
     _chi_range,
     _histograms,
@@ -384,6 +388,11 @@ def _run_weil_check(cfg) -> tuple[dict, bool, Table]:
     instances = random_weil_instances(
         cfg["trials"], spec.q_start, spec.q_start + spec.delta, cfg["kmax"], seed=cfg["seed"]
     )
+    # each trial's own cap leaves room for minutes of jacobi_array reads
+    # over a whole run; refuse such a run before its first trial
+    symbols = sum(inst["y"] * len(inst["gamma"]) for inst in instances if inst["q"] > CHI_TABLE_MAX)
+    fit_budget(f"weil-check of {len(instances)} trials", symbols, 1, MAX_SEGMENT, "MAX_SEGMENT", "symbols",
+               "the jacobi_array reads at q > CHI_TABLE_MAX")
     checks = []
     for inst in instances:
         rec = weil_bound_check(inst["q"], inst["gamma"], inst["x"], inst["y"])
@@ -521,9 +530,64 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _c_encoder(inner: str, encoders: dict, key_separator: str = ": "):
+    """The C encoder whose item separator starts the next item at indent
+    inner, made once per render; None without the C encoder."""
+    if (inner, key_separator) not in encoders:
+        make = json.encoder.c_make_encoder
+        encoders[inner, key_separator] = make and make(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+            key_separator, ",\n" + inner, True, False, True)
+    return encoders[inner, key_separator]
+
+
+def _json_text(obj, outer: str, encoders: dict) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, byte for
+    byte, nested where its own closing bracket sits at indent outer.
+
+    The C encoder does the encoding, its item separator carrying the indent
+    of the items.  With ensure_ascii no encoded string holds a raw newline
+    or a NUL, so the text splits unambiguously at what the encoder itself
+    put there.  A scalar, an empty container, or one of scalars only, is one
+    call, then opened onto its own lines.  A list of non-empty dicts whose
+    values are scalars, or lists of non-string scalars, is one call too:
+    the key separator ":\\0 " marks where a list value opens, and
+    "},\\n<indent>{" is always a closer, a separator and an opener.  Other
+    containers recurse.  Without the C encoder, or for a dict with a key
+    that is not a str, the stdlib's own text stands in, re-indented.
+    Containers of exact builtin types take the one-call routes; subclasses
+    recurse, which is slower and gives the same bytes.
+    """
+    inner, deeper, scalar = outer + "  ", outer + "    ", {str, int, float, bool, type(None)}
+    encode, is_dict = _c_encoder(inner, encoders), isinstance(obj, dict)
+    values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
+    if encode and set(map(type, values)) <= scalar:
+        text = "".join(encode(obj, 0))
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}" if values else text
+    if not encode or is_dict and not set(map(type, obj)) <= {str}:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + outer)
+    if is_dict:
+        parts = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(obj[k], inner, encoders)}"
+                 for k in sorted(obj)]
+        return "{\n" + inner + f",\n{inner}".join(parts) + f"\n{outer}}}"
+    if set(map(type, obj)) == {dict} and all(obj):
+        kinds = {type(x) for d in obj for x in d.values()}
+        lists = [x for d in obj for x in d.values() if type(x) in (list, tuple)] if kinds - scalar else []
+        if kinds <= scalar | {list, tuple} and {type(y) for x in lists for y in x} <= scalar - {str}:
+            text, *tails = "".join(_c_encoder(deeper, encoders, ":\0 ")(obj, 0))[2:-2].split(":\0 [")
+            pieces = [text]
+            for body, _, rest in (tail.partition("]") for tail in tails):
+                body = body.replace(",\n" + deeper, f",\n{deeper}  ")
+                pieces.append(f"[\n{deeper}  {body}\n{deeper}]{rest}" if body else f"[]{rest}")
+            text = ": ".join(pieces).replace(":\0 ", ": ")
+            text = text.replace(f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}")
+            return f"[\n{inner}{{\n{deeper}{text}\n{inner}}}\n{outer}]"
+    return "[\n" + inner + f",\n{inner}".join(_json_text(v, inner, encoders) for v in obj) + f"\n{outer}]"
+
+
 def _render(envelope: dict, table: Table | None, fmt: str) -> str:
     if fmt == "json" or table is None:
-        return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        return _json_text(envelope, "", {}) + "\n"
     header, rows = table
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -572,8 +636,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     text = _render(envelope, table, exec_cfg["format"])
     if exec_cfg["out"] is not None:
-        with open(exec_cfg["out"], "w") as fh:
-            fh.write(text)
+        try:
+            with open(exec_cfg["out"], "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"charwin: cannot write --out {exec_cfg['out']}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

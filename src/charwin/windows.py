@@ -63,7 +63,6 @@ def _square_slots(x: np.ndarray, q, half, quotient=None) -> np.ndarray:
     return np.minimum(x, half, out=x)
 
 
-@functools.lru_cache(maxsize=4)
 def chi_table(q: int) -> np.ndarray:
     """Legendre symbols (r|q) for the half period r = 0..(q-1)/2 as int8.
 
@@ -75,7 +74,16 @@ def chi_table(q: int) -> np.ndarray:
     one extra slot half, past the returned table.  A chunk of squares and
     their quotients, 16 bytes each, stays within BLOCK_BYTES.
     """
-    q = prime_modulus(q)
+    return _cached_table(prime_modulus(q))
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_table(q: int) -> np.ndarray:
+    """chi_table's build and cache, for a q its caller has checked prime.
+
+    _chi_range reads it directly: every caller of _chi_range has already
+    checked its modulus, so no table read tests primality again.
+    """
     half = (q + 1) // 2
     fit_budget(f"character table for q={q}", half, 1, (CHI_TABLE_MAX + 1) // 2, "(CHI_TABLE_MAX + 1) // 2")
     t = np.full(half + 1, -1, dtype=np.int8)
@@ -116,7 +124,7 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
             n = np.arange(min(step, count - lo), dtype=np.int64) + ((n_lo + lo) % q - q)
             out[lo : lo + n.size] = jacobi_array(n, q)
         return out
-    t = chi_table(q)
+    t = _cached_table(q)
     half = t.size
     lo = n_lo % q
     if lo + count <= half:

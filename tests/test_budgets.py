@@ -60,6 +60,9 @@ CASES = [
                  id="clt-single-jacobi-route"),
     pytest.param(_clt_single(1000003, 400000), "8400021 bytes", "BLOCK_BYTES less 12800016 of counts = 3977200 bytes",
                  id="clt-single-large-h"),
+    pytest.param(lambda tmp_path: cli.main(["weil-check", "--interval", "1000000000:100", "--trials", "3",
+                                            "--seed", "1", "--out", str(tmp_path / "out.json")]),
+                 "1925759232 symbols", "MAX_SEGMENT = 268435456 symbols", id="weil-check-run"),
 ]
 
 
@@ -96,6 +99,26 @@ def test_every_refusal_is_fast_small_and_names_estimate_and_cap(call, estimate, 
     assert rc == 2
     assert seconds < 1 and peak < 2**20, (seconds, peak)
     assert f"needs about {estimate}" in message and f"over {cap}" in message, message
+
+
+def test_weil_check_refuses_the_whole_run_before_a_jacobi_read(monkeypatch, tmp_path, capsys):
+    # three trials that each fit the per-call cap, and together do not; a
+    # trial at q <= CHI_TABLE_MAX reads the table and adds nothing
+    q = 1000000007
+    trials = [{"q": q, "gamma": (0, 5), "x": 0, "y": 200}] * 3 + [{"q": 1009, "gamma": (0,), "x": 0, "y": 900}]
+
+    def no_read(*args):
+        raise RuntimeError("jacobi_array reached")
+
+    monkeypatch.setattr(cli, "random_weil_instances", lambda *args, **kwargs: trials)
+    monkeypatch.setattr(windows, "jacobi_array", no_read)
+    monkeypatch.setattr(cli, "MAX_SEGMENT", 1199)
+    argv = ["weil-check", "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 2
+    assert "weil-check of 4 trials needs about 1200 symbols" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_SEGMENT", 1200)
+    with pytest.raises(RuntimeError, match="jacobi_array reached"):
+        cli.main(argv)
 
 
 def test_battery_rows_refused_when_one_row_passes_the_budget(monkeypatch):

@@ -5,12 +5,16 @@ capsys; one test exercises the installed console script for real.
 """
 
 import json
+import json.encoder
+import math
 import shutil
 import subprocess
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charwin import arith, cli
 
@@ -130,6 +134,16 @@ def test_rmf_compare_tests_no_modulus_for_primality(monkeypatch, capsys):
     rc, env = _envelope(["rmf-compare", "--interval", "1000000:100000"], capsys)
     assert rc == 0 and env["results"]["prime_count"] == 7216
     assert calls == []
+
+
+def test_weil_check_tests_each_modulus_for_primality_once(monkeypatch, capsys):
+    # incomplete_poly_sum checks its q; the table it then reads does not
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    rc, env = _envelope(["weil-check", "--trials", "2000", "--seed", "1"], capsys)
+    assert rc == 0 and env["results"]["trials"] == 2000
+    assert len(calls) == 2000
 
 
 def test_config_file_fills_required_and_flags_win(tmp_path, capsys):
@@ -315,6 +329,14 @@ def test_out_file_suppresses_stdout(tmp_path, capsys):
     assert payload["results"]["count"] > 0
 
 
+@pytest.mark.parametrize("target", ["missing/dir/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_2_naming_the_path(target, tmp_path, capsys):
+    path = tmp_path / target
+    rc, out, err = _run(["ktheta", "--out", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"charwin: cannot write --out {path}: ") and "Traceback" not in err
+
+
 def test_csv_interval_schema(capsys):
     rc, out, err = _run(
         ["clt-interval", "--interval", "1000:200", "--g", "const:64",
@@ -406,3 +428,59 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "r,h,K,theta"
+
+
+# ---------------------------------------------------------------------------
+# the JSON renderer against the stdlib's indent=2, sort_keys=True layout
+
+def _stdlib(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_TEXT = st.text(st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u4e2d",
+                                 "\U0001f600", "{", "}", "[", "]", ",", ":", " ", "a", "Z"]), max_size=6)
+_NUMBERS = (st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+            | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan, 2**64 + 1]))
+_SCALARS = _NUMBERS | _TEXT
+# a list of non-empty dicts holding scalars and lists of numbers is the
+# renderer's one-call route for records, and a list holding a string leaves
+# it; random nesting seldom builds either
+_RECORDS = st.lists(st.dictionaries(_TEXT, _SCALARS | st.lists(_NUMBERS, max_size=3) | st.tuples(_NUMBERS)
+                                    | st.lists(_SCALARS, max_size=3), min_size=1, max_size=4), min_size=1, max_size=4)
+_VALUES = st.recursive(
+    _SCALARS | _RECORDS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_VALUES)
+@example([{"k": ["a]b", 1], "v": "}, {"}, {"k": [], "w": ":\x00 ["}])
+@example([{"a": {"b": [1, 2]}}, {"a": 1}])
+@settings(max_examples=300, deadline=None)
+def test_json_text_matches_the_stdlib(obj):
+    assert cli._json_text(obj, "", {}) == _stdlib(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: [2, {"a": []}], 2.5: None, False: {"x": (1,)}, -7: {None: "n"}},
+    {"outer": {3: [1, 2], 4: {}}, "list": [{5: 6}, {7: [8]}]},
+    [{1: 1, 2: [3, 4]}, {0.5: None, False: (5,)}],
+], ids=["top", "nested", "records"])
+def test_json_text_non_str_keys_match_the_stdlib(obj):
+    assert cli._json_text(obj, "", {}) == _stdlib(obj)
+
+
+def test_json_text_without_the_c_encoder(monkeypatch, capsys):
+    argv = ["clt-interval", "--interval", "1000:300", "--g", "const:64", "--h", "const:3", "--rmax", "2"]
+    with_c = _run(argv, capsys)[1]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    obj = json.loads(with_c)
+    assert cli._json_text(obj, "", {}) == _stdlib(obj)
+    without_c = _run(argv, capsys)[1]
+    assert without_c == _stdlib(json.loads(without_c)) + "\n"
+    payloads = [json.loads(text) for text in (with_c, without_c)]
+    for payload in payloads:
+        del payload["meta"]
+    assert payloads[0] == payloads[1]

@@ -7,7 +7,8 @@ through the column-tile route.
 The JSON envelope is hashed without ``meta`` (timestamp, runtime, threads)
 and ``versions`` (Python and numpy versions), re-serialised with sorted keys
 and two-space indent; the CSV text is hashed as printed.  Any change to a
-result, a warning, the config echo or a CSV table moves a hash.
+result, a warning, the config echo or a CSV table moves a hash.  A second
+test pins the printed JSON itself to that stdlib layout, byte for byte.
 
 To re-record after an intended output change, print the current hashes
 
@@ -100,6 +101,14 @@ CASES = [
 def test_golden_envelope(name, fmt, block_bytes, monkeypatch):
     monkeypatch.setattr(windows, "BLOCK_BYTES", block_bytes)
     assert digest(name, fmt) == GOLDEN[name, fmt]
+
+
+@pytest.mark.parametrize("name", sorted(ARGVS))
+def test_json_layout_is_the_stdlib_indent_2_sorted(name):
+    # the hashes above re-serialise the envelope; this pins the bytes printed
+    rc, text = _output(ARGVS[name])
+    assert rc == 0
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":

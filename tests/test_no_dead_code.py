@@ -9,7 +9,9 @@ is dead code: nothing calls, exports, tests or documents it.  Likewise a
 parameter that its function's body never loads is a setting nothing obeys,
 and an import that its module never names is a dependency nothing uses.
 A ``global`` statement makes module state that calls share and tests must
-reset; the package keeps none.
+reset; the package keeps none.  JSON has one rendering route, the C-encoder
+renderer ``cli._json_text``: an indented ``json.dumps`` anywhere else in the
+package would be a second one.
 """
 
 from __future__ import annotations
@@ -102,3 +104,15 @@ def test_no_function_rebinds_a_module_global():
         if isinstance(node, ast.Global)
     ]
     assert not rebound, f"module globals rebound: {rebound}"
+
+
+def test_one_indented_json_route():
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        renderer = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_json_text"
+                    for n in ast.walk(f)}
+        stray.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and id(node) not in renderer
+                     and ast.unparse(node.func).endswith("dumps") and any(k.arg == "indent" for k in node.keywords))
+    assert not stray, f"indented json.dumps outside cli._json_text's fallback: {stray}"

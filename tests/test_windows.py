@@ -71,7 +71,7 @@ def test_chi_table_build_stays_within_block_bytes(monkeypatch):
     budget = 1 << 18
     monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
     for q in (1000003, 1000033):
-        chi_table.cache_clear()
+        windows._cached_table.cache_clear()
         tracemalloc.start()
         try:
             chi_table(q)
