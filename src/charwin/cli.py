@@ -171,14 +171,17 @@ _EXEC_OPTS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands) -> argparse.ArgumentParser:
+    """The parser of the named subcommands.  main passes only the one its
+    argv names; that command's help and errors read as in the full parser."""
     parser = argparse.ArgumentParser(
         prog="charwin",
         description="experiments on sums of consecutive quadratic-residue symbols",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (summary, _, opts) in _COMMANDS.items():
+    for name in commands:
+        summary, _, opts = _COMMANDS[name]
         sp = sub.add_parser(name, help=summary, description=summary)
         sp.add_argument("--config", default=None, metavar="PATH",
                         help="INI file; flags given here win over its values")
@@ -597,7 +600,10 @@ def _render(envelope: dict, table: Table | None, fmt: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # one subparser instead of all of them when argv names its command;
+    # --help, --version and an unknown command take the full parser
+    args = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS).parse_args(argv)
     started = time.perf_counter()
     try:
         cfg, echo, exec_cfg = _resolve(args.command, args)

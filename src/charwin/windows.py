@@ -38,16 +38,25 @@ from .squares import paired_count_exact
 # Character tables are dense int8 arrays of the (q+1)/2 symbols of a half
 # period; cap q so bulk paths never allocate a table of more than ~64 MB.
 CHI_TABLE_MAX = 1 << 27
-# Every bulk loop sizes its working set by this budget: symbol blocks and
-# tiles with their window sums (12 bytes per symbol while every h < 2**7,
-# 15 while h < 2**15, 21 above; see window_histograms) and 8 * (2h+1) bytes
-# of counts per row, the chunks of squares in chi_table, and the chunks of
-# _chi_range and incomplete_poly_sum.  chi_block refuses a block whose spf
-# sieve, symbols and reciprocity tables (no more entries than the symbols)
-# would pass 2 * BLOCK_BYTES, so its callers keep the symbols within half of
-# that.  Above CHI_TABLE_MAX, a call reads at most MAX_SEGMENT symbols from
+# BLOCK_BYTES is a memory cap, not a pass size.  Every bulk loop keeps its
+# working set within it: symbol blocks and tiles with their window sums (12
+# bytes per symbol while every h < 2**7, 15 while h < 2**15, 21 above; see
+# window_histograms) and 8 * (2h+1) bytes of counts per row, the chunks of
+# squares in chi_table, and the chunks of _chi_range, incomplete_poly_sum
+# and polya_vinogradov_check.  chi_block refuses a block whose spf sieve,
+# symbols and reciprocity tables (no more entries than the symbols) would
+# pass 2 * BLOCK_BYTES, so its callers keep the symbols within half of that.
+# Above CHI_TABLE_MAX, a call reads at most MAX_SEGMENT symbols from
 # jacobi_array.  arith.fit_budget checks and refuses every one of these caps.
 BLOCK_BYTES = 1 << 24
+# The passes that read the character table, whose per-call cost is small,
+# work on min(BLOCK_BYTES, _PASS_BYTES) at a time so that each numpy pass
+# stays in a core's L2 cache: the chunks of squares in chi_table, the
+# single-row tiles of window_histograms below CHI_TABLE_MAX and the chunks
+# of incomplete_poly_sum and polya_vinogradov_check.  Chosen by a measured
+# sweep from 256 KB to 4 MB (BENCH_cache_resident_passes.json).  Row
+# blocks, the jacobi_array tiles and the refusals keep BLOCK_BYTES.
+_PASS_BYTES = 1 << 20
 
 
 def _square_slots(x: np.ndarray, q, half, quotient=None) -> np.ndarray:
@@ -71,8 +80,9 @@ def chi_table(q: int) -> np.ndarray:
     (q-1)/2 nonzero squares mod q, an independent route from the
     binary-reciprocity jacobi(); tests pin the two together.  x**2 mod q is
     x**2 - (x**2 // q) * q, and every square at or above half is clipped onto
-    one extra slot half, past the returned table.  A chunk of squares and
-    their quotients, 16 bytes each, stays within BLOCK_BYTES.
+    one extra slot half, past the returned table.  The squares are marked in
+    chunks that fit min(BLOCK_BYTES, _PASS_BYTES), a cache-sized pass, at 16
+    bytes per square: x and its quotient.
     """
     return _cached_table(prime_modulus(q))
 
@@ -88,9 +98,10 @@ def _cached_table(q: int) -> np.ndarray:
     fit_budget(f"character table for q={q}", half, 1, (CHI_TABLE_MAX + 1) // 2, "(CHI_TABLE_MAX + 1) // 2")
     t = np.full(half + 1, -1, dtype=np.int8)
     t[0] = 0
-    step = BLOCK_BYTES // 16
-    # one quotient buffer serves every chunk; a fresh one each time costs
-    # about as much in page faults as the division itself
+    # a chunk of x and its quotients, 16 bytes per square, stays in cache;
+    # one quotient buffer serves every chunk, and each x takes the memory
+    # the last one freed, so neither costs page faults
+    step = min(BLOCK_BYTES, _PASS_BYTES) // 16
     quotients = np.empty(min(step, half - 1), dtype=np.int64)
     for lo in range(1, half, step):
         x = np.arange(lo, min(lo + step, half), dtype=np.int64)
@@ -432,7 +443,10 @@ def window_histograms(qs, configs) -> list[list[int]]:
     own are the 16 * (2h+1).  A tile that cannot hold one start, from
     h = 316551 at the default budget, is refused, as is a row above
     CHI_TABLE_MAX whose jacobi_array tiles would read more than MAX_SEGMENT
-    starts after the folds.
+    starts after the folds.  That cap sizes the jacobi_array tiles, which
+    want long calls; table reads are cheap per call, so below CHI_TABLE_MAX
+    a tile also holds at most _PASS_BYTES // 12 (or // 15, // 21) symbols, a
+    cache-sized pass, or h starts when h leaves fewer.
     Tiles fold the starts by S(c - m) = (-1|q) S(m), c = q - h - 1: of the
     starts a..c-a in range, a = max(m_start, c - m_start - g + 1), only those
     below c/2 are read, and their counts are added twice, reversed the second
@@ -469,6 +483,10 @@ def window_histograms(qs, configs) -> list[list[int]]:
         q, h, g, m0 = moduli[lo], configs[lo].h, configs[lo].g, configs[lo].m_start
         step = fit_budget(f"tile of one start at h={h}", h + 1, per_symbol, BLOCK_BYTES - 2 * per_count_row,
                           f"BLOCK_BYTES less {2 * per_count_row} of counts") - h
+        if q <= CHI_TABLE_MAX:
+            # table reads are cheap per call, so a tile fits a cache-sized
+            # pass, or reads 2h symbols when h alone nearly fills one
+            step = min(step, max(h, _PASS_BYTES // per_symbol - h))
         # S(m + q) = S(m): the g starts are g // q whole periods from m0 and
         # the first g % q starts once more; counts pass 2**63 only if g does
         periods, rest = divmod(g, q)
@@ -558,6 +576,9 @@ def polya_vinogradov_check(q: int) -> dict:
     and P(q-1) = P(q) = 0, so the maximum over the period is reached at some
     n <= (q-1)/2: only that half is read, a view of the table.  Above
     CHI_TABLE_MAX, _chi_range refuses a half of more than MAX_SEGMENT symbols.
+    The int64 partial sums are taken in passes of min(BLOCK_BYTES,
+    _PASS_BYTES) at 16 bytes per symbol, each carrying on from the last
+    one's P, so they add one pass to the half, not 16 bytes per symbol.
 
     For q = 1 mod 4 the character is even, so P(q-1) = 0 reads as
     P((q-1)/2) = 0, checked at no extra cost; a failure raises
@@ -566,11 +587,18 @@ def polya_vinogradov_check(q: int) -> dict:
     """
     q = prime_modulus(q)
     chi = _chi_range(q, 1, (q - 1) // 2)
-    # int64: the max needs true partial sums, up to (q-1)/2
-    partial = np.cumsum(chi, dtype=np.int64)
-    if q % 4 == 1 and partial[-1]:
-        raise AssertionError(f"P(q-1) = 2 * P((q-1)/2) = {2 * int(partial[-1])} != 0 at q={q}")
-    peak = int(np.max(np.abs(partial)))
+    # int64 partial sums, up to (q-1)/2, a pass at a time, each carrying on
+    # from the last one's P: 16 bytes per symbol, the sums and cumsum's cast
+    step = min(BLOCK_BYTES, _PASS_BYTES) // 16
+    sums = np.empty(min(step, chi.size), dtype=np.int64)
+    peak = total = 0
+    for lo in range(0, chi.size, step):
+        partial = np.cumsum(chi[lo : lo + step], dtype=np.int64, out=sums[: chi.size - lo])
+        partial += total
+        peak = max(peak, int(partial.max()), -int(partial.min()))
+        total = int(partial[-1])
+    if q % 4 == 1 and total:
+        raise AssertionError(f"P(q-1) = 2 * P((q-1)/2) = {2 * total} != 0 at q={q}")
     bound = math.sqrt(q) * math.log(q)
     return {"q": q, "max_partial_sum": peak, "bound": bound, "ratio": peak / bound}
 
@@ -581,6 +609,8 @@ def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
     Symbols are multiplied term-wise; the polynomial product of the shifted
     arguments is never formed.  Offsets must be distinct mod q.  Above
     CHI_TABLE_MAX, more than MAX_SEGMENT symbols y * len(gamma) are refused.
+    The sum runs in chunks of n that fit min(BLOCK_BYTES, _PASS_BYTES) at 9
+    bytes each.
     """
     q = prime_modulus(q)
     gamma = tuple(int(c) for c in gamma)
@@ -594,7 +624,7 @@ def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
         fit_budget(f"incomplete sum of {len(gamma)} offsets over y={y} at q={q}", y * len(gamma), 1,
                    MAX_SEGMENT, "MAX_SEGMENT", "symbols")
     total = 0
-    step = BLOCK_BYTES // 9
+    step = min(BLOCK_BYTES, _PASS_BYTES) // 9
     for lo in range(x + 1, x + y + 1, step):
         hi = min(lo + step, x + y + 1) - 1
         acc = _chi_range(q, lo + gamma[0], hi + gamma[0])

@@ -258,6 +258,27 @@ def test_strict_mode_warning_lands_in_envelope(capsys):
     assert any("sqrt(q) log q" in note for note in env["warnings"])
 
 
+def _parse_exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["bogus"], ["--threads", "1", "ktheta"]]
+                         + [[name, *rest] for name in cli._COMMANDS
+                            for rest in (["--help"], ["--bogus", "1"], ["--format"], ["extra"])])
+def test_one_command_parser_reads_as_the_full_one(argv, monkeypatch, capsys):
+    # main builds only the subparser its argv names; help, usage, error text
+    # and exit code are those of the parser of every command
+    expected = _parse_exit(cli._build_parser(cli._COMMANDS).parse_args, argv, capsys)
+    built = []
+    real_build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda commands: built.append(list(commands)) or real_build(commands))
+    assert _parse_exit(cli.main, argv, capsys) == expected
+    assert built == [argv[:1] if argv and argv[0] in cli._COMMANDS else list(cli._COMMANDS)]
+
+
 def test_exit_two_on_missing_required(capsys):
     rc, out, err = _run(["clt-interval"], capsys)
     assert rc == 2

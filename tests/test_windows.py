@@ -65,21 +65,24 @@ def test_chi_table_three_routes_agree():
 
 def test_chi_table_build_stays_within_block_bytes(monkeypatch):
     # beyond its (q+1)/2-byte table the build holds one chunk of squares and
-    # their quotients; q > 2 * BLOCK_BYTES, so a full-period table, or a
-    # copied or negated upper half, would exceed the budget as well.  A few
-    # hundred bytes of array headers and the cache entry come on top.
-    budget = 1 << 18
-    monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
-    for q in (1000003, 1000033):
-        windows._cached_table.cache_clear()
-        tracemalloc.start()
-        try:
-            chi_table(q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (q + 1) // 2 + budget + 2048
-        assert windows._chi_range(q, q - 1, q - 1)[0] == euler_criterion(q - 1, q)
+    # their quotients, within one pass of min(BLOCK_BYTES, _PASS_BYTES).  At
+    # the default budget that is the 1 MB pass, not the 16 MB cap; at
+    # 1 << 18, q > 2 * BLOCK_BYTES, so a full-period table, or a copied or
+    # negated upper half, would exceed the budget as well.  A few hundred
+    # bytes of array headers and the cache entry come on top.
+    for budget in (windows.BLOCK_BYTES, 1 << 18):
+        monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+        chunk = min(budget, windows._PASS_BYTES)
+        for q in (1000003, 1000033):
+            windows._cached_table.cache_clear()
+            tracemalloc.start()
+            try:
+                chi_table(q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (q + 1) // 2 + chunk + 2048, budget
+            assert windows._chi_range(q, q - 1, q - 1)[0] == euler_criterion(q - 1, q)
 
 
 def test_chi_table_is_read_only():
@@ -437,7 +440,10 @@ def test_streamed_histogram_matches_window_series(route, q_and_g, h, m_start):
         fast = window_histograms([q], [config])
     assert fast == slow
     assert [str(w.message) for w in fast_caught] == [str(w.message) for w in slow_caught]
+    # the folds read about half the starts, so a row takes at least 3 tiles
+    # whenever those starts need 3 of g // 3
     assert sum(tiles) - h * len(tiles) == _starts_read(q, config)
+    assert len(tiles) >= -(-_starts_read(q, config) // (g // 3))
     assert max(tiles) <= (budget - counts) // 12
     assert bool(array_calls) == (route == "jacobi_array")
 
@@ -520,6 +526,24 @@ def test_streamed_histogram_stays_within_block_bytes(monkeypatch, g_periods):
     assert sum(tiles) - h * len(tiles) == _starts_read(q, config)
     assert max(tiles) == (budget - 16 * (2 * h + 1)) // 12
     assert peak <= budget
+
+
+def test_tiled_histogram_stays_within_one_pass():
+    # At the default budget a full period of q ~ 10^7 goes to column tiles of
+    # the table; each holds one cache-sized pass, not BLOCK_BYTES (16 MB).
+    q, h = 10000019, 100
+    config = WindowConfig(h=h, g=q - h, m_start=1)
+    chi_table(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        tracemalloc.start()
+        try:
+            (got,) = window_histograms([q], [config])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sum(got) == config.g
+    assert peak <= windows._PASS_BYTES + 16 * (2 * h + 1) + 4096
 
 
 def test_streamed_histogram_counts_stay_within_block_bytes(monkeypatch):
@@ -745,6 +769,33 @@ def test_polya_vinogradov_matches_full_period_cumsum(q, monkeypatch):
     assert chi.size == (q - 1) // 2 and np.shares_memory(chi, chi_table(q))
     monkeypatch.setattr(windows, "CHI_TABLE_MAX", q - 1)
     assert polya_vinogradov_check(q)["max_partial_sum"] == peak
+
+
+@pytest.mark.parametrize("q", [1000033, 1000003])  # 1 and 3 mod 4
+def test_polya_vinogradov_partial_sums_stay_within_one_pass(q, monkeypatch):
+    # the int64 partial sums run in passes of 16 bytes per symbol within
+    # BLOCK_BYTES, not over the whole half at once (8 MB here), up to 16 KB
+    # of array headers and Python objects; the carried sums equal one cumsum
+    # of the half, also when a pass holds 3 symbols.  Negated symbols put
+    # the maximum of |P| on a negative P.
+    expected = int(np.abs(np.cumsum(chi_table(q)[1:], dtype=np.int64)).max())
+    budget = 1 << 18
+    monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        got = polya_vinogradov_check(q)["max_partial_sum"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected and peak <= budget + (1 << 14)
+    real_chi_range = windows._chi_range
+    monkeypatch.setattr(windows, "_chi_range", lambda *a: -real_chi_range(*a))
+    assert polya_vinogradov_check(q)["max_partial_sum"] == expected
+    monkeypatch.setattr(windows, "_chi_range", real_chi_range)
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 48)
+    for p in primes_in_interval(3, 500):
+        half = jacobi_array(np.arange(1, (p + 1) // 2, dtype=np.int64), p)
+        assert polya_vinogradov_check(p)["max_partial_sum"] == int(np.abs(np.cumsum(half)).max())
 
 
 @pytest.mark.parametrize("q", [13, 101, 1000033, 11, 103, 1000003])
