@@ -42,21 +42,34 @@ CHI_TABLE_MAX = 1 << 27
 # working set within it: symbol blocks and tiles with their window sums (12
 # bytes per symbol while every h < 2**7, 15 while h < 2**15, 21 above; see
 # window_histograms) and 8 * (2h+1) bytes of counts per row, the chunks of
-# squares in chi_table, and the chunks of _chi_range, incomplete_poly_sum
-# and polya_vinogradov_check.  chi_block refuses a block whose spf sieve,
-# symbols and reciprocity tables (no more entries than the symbols) would
-# pass 2 * BLOCK_BYTES, so its callers keep the symbols within half of that.
-# Above CHI_TABLE_MAX, a call reads at most MAX_SEGMENT symbols from
-# jacobi_array.  arith.fit_budget checks and refuses every one of these caps.
+# squares in chi_table (16 bytes per square for x and its quotient, 29 on
+# the fill route above _FILL_ABOVE, which adds the uint32 test of 3, the bool
+# keep mask and the kept int64 slots), and the chunks of _chi_range,
+# incomplete_poly_sum and polya_vinogradov_check.  chi_block refuses a block
+# whose spf sieve, symbols and reciprocity tables (no more entries than the
+# symbols) would pass 2 * BLOCK_BYTES, so its callers keep the symbols
+# within half of that.  Above CHI_TABLE_MAX, a call reads at most
+# MAX_SEGMENT symbols from jacobi_array.  arith.fit_budget checks and
+# refuses every one of these caps.
 BLOCK_BYTES = 1 << 24
 # The passes that read the character table, whose per-call cost is small,
 # work on min(BLOCK_BYTES, _PASS_BYTES) at a time so that each numpy pass
-# stays in a core's L2 cache: the chunks of squares in chi_table, the
-# single-row tiles of window_histograms below CHI_TABLE_MAX and the chunks
-# of incomplete_poly_sum and polya_vinogradov_check.  Chosen by a measured
-# sweep from 256 KB to 4 MB (BENCH_cache_resident_passes.json).  Row
-# blocks, the jacobi_array tiles and the refusals keep BLOCK_BYTES.
+# stays in a core's L2 cache: the chunks of squares in chi_table and the
+# blocks of its fill, the single-row tiles of window_histograms below
+# CHI_TABLE_MAX and the chunks of incomplete_poly_sum and
+# polya_vinogradov_check.  Chosen by a measured sweep from 256 KB to 4 MB
+# (BENCH_cache_resident_passes.json).  Row blocks, the jacobi_array tiles
+# and the refusals keep BLOCK_BYTES.
 _PASS_BYTES = 1 << 20
+# A character table of more than _FILL_ABOVE entries (bytes) outgrows the
+# cache, and marking its squares is random writes that miss it.  Above this
+# size chi_table marks only the squares prime to 6 and fills the multiples of
+# 2 and 3 by multiplicativity, in cache-local strided copies.  On a table
+# that fits the cache the extra passes cost more than the misses they save:
+# a measured sweep of table sizes from 1 to 62 MiB found the plain marking
+# faster up to about 2.5 MiB on a 2 MB L2, and 4 MiB leaves room for larger
+# caches (BENCH_multiplicative_fill.json).
+_FILL_ABOVE = 1 << 22
 
 
 def _square_slots(x: np.ndarray, q, half, quotient=None) -> np.ndarray:
@@ -72,6 +85,45 @@ def _square_slots(x: np.ndarray, q, half, quotient=None) -> np.ndarray:
     return np.minimum(x, half, out=x)
 
 
+def _coprime_to_6(slots: np.ndarray, thirds: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Mark in keep the slots that are odd and not divisible by 3, by way of
+    thirds, a uint32 buffer of the same size.
+
+    The slots lie below 2**26, so uint32 holds them exactly.  0xAAAAAAAB is
+    the inverse of 3 mod 2**32: s * 0xAAAAAAAB mod 2**32 is s / 3 <=
+    0x55555555 when 3 divides s and lies above that otherwise, and as an
+    odd factor it keeps the parity of s.  np.remainder costs several times
+    as much.
+    """
+    np.copyto(thirds, slots, casting="unsafe")
+    thirds *= 0xAAAAAAAB
+    np.greater(thirds, 0x55555555, out=keep)
+    thirds &= 1
+    return np.logical_and(keep, thirds, out=keep)
+
+
+def _fill_multiples_of_2_and_3(t: np.ndarray, q: int) -> None:
+    """Set t[n] = (n|q) for every n >= 2 of the table t that 2 or 3 divides,
+    in place, given t[k] for every k prime to 6.
+
+    (n|q) is completely multiplicative, so t[p k] = (p|q) t[k] for p = 2, 3,
+    one strided copy per p and block.  The blocks lo <= n < hi grow in
+    increasing order with hi <= 2 lo, so every k = n / p lies below lo,
+    already final, and each block spans at most a pass of
+    min(BLOCK_BYTES, _PASS_BYTES).  The signs come from closed forms, not
+    from jacobi(), so the table stays an independent route: (2|q) = 1
+    exactly when q = +-1 mod 8, and (3|q) = 1 exactly when q = +-1 mod 12.
+    """
+    signs = ((2, 1 if q % 8 in (1, 7) else -1), (3, 1 if q % 12 in (1, 11) else -1))
+    lo = 2
+    while lo < t.size:
+        hi = min(2 * lo, lo + min(BLOCK_BYTES, _PASS_BYTES), t.size)
+        for p, sign in signs:
+            k = -(-lo // p)
+            np.multiply(t[k : -(-hi // p)], sign, out=t[p * k : hi : p])
+        lo = hi
+
+
 def chi_table(q: int) -> np.ndarray:
     """Legendre symbols (r|q) for the half period r = 0..(q-1)/2 as int8.
 
@@ -83,6 +135,16 @@ def chi_table(q: int) -> np.ndarray:
     one extra slot half, past the returned table.  The squares are marked in
     chunks that fit min(BLOCK_BYTES, _PASS_BYTES), a cache-sized pass, at 16
     bytes per square: x and its quotient.
+
+    A table of more than _FILL_ABOVE entries, which outgrows the cache,
+    takes a second route with the same result: only the squares prime to 6
+    are marked, at 29 bytes per square (x and its quotient, a uint32 test
+    of divisibility by 3, the bool keep mask and the kept slots), and the
+    multiples of 2 and 3 are filled by t[p k] = (p|q) t[k], with (2|q) = 1
+    exactly when q = +-1 mod 8 and (3|q) = 1 exactly when q = +-1 mod 12.
+    Its spare slot is the first multiple of 6 at or above half, so the
+    clipped squares are dropped with the rest.  That turns two thirds of the
+    random writes into strided copies and saves the writes to the spare.
     """
     return _cached_table(prime_modulus(q))
 
@@ -92,21 +154,38 @@ def _cached_table(q: int) -> np.ndarray:
     """chi_table's build and cache, for a q its caller has checked prime.
 
     _chi_range reads it directly: every caller of _chi_range has already
-    checked its modulus, so no table read tests primality again.
+    checked its modulus, so no table read tests primality again.  Up to
+    _FILL_ABOVE entries every square is marked; above, only the squares
+    prime to 6 (_coprime_to_6), and _fill_multiples_of_2_and_3 sets the rest.
     """
     half = (q + 1) // 2
     fit_budget(f"character table for q={q}", half, 1, (CHI_TABLE_MAX + 1) // 2, "(CHI_TABLE_MAX + 1) // 2")
-    t = np.full(half + 1, -1, dtype=np.int8)
+    fill = half > _FILL_ABOVE
+    # the squares at or above half land on one spare slot past the table; on
+    # the fill route it is a multiple of 6, which _coprime_to_6 drops, so
+    # about half the squares cost no write at all
+    spare = -(-half // 6) * 6 if fill else half
+    t = np.full(spare + 1, -1, dtype=np.int8)
     t[0] = 0
     # a chunk of x and its quotients, 16 bytes per square, stays in cache;
     # one quotient buffer serves every chunk, and each x takes the memory
-    # the last one freed, so neither costs page faults
-    step = min(BLOCK_BYTES, _PASS_BYTES) // 16
+    # the last one freed, so neither costs page faults.  The fill route
+    # adds a uint32 and a bool buffer, reused too, and the kept slots, 8
+    # bytes for each at most: 29 bytes per square
+    step = min(BLOCK_BYTES, _PASS_BYTES) // (29 if fill else 16)
     quotients = np.empty(min(step, half - 1), dtype=np.int64)
+    if fill:
+        thirds = np.empty(quotients.size, dtype=np.uint32)
+        keep = np.empty(quotients.size, dtype=bool)
     for lo in range(1, half, step):
         x = np.arange(lo, min(lo + step, half), dtype=np.int64)
-        t[_square_slots(x, q, half, quotients[: x.size])] = 1
-        del x  # freed before the next chunk is allocated
+        slots = _square_slots(x, q, spare, quotients[: x.size])
+        if fill:
+            slots = slots[_coprime_to_6(slots, thirds[: x.size], keep[: x.size])]
+        t[slots] = 1
+        del x, slots  # freed before the next chunk is allocated
+    if fill:
+        _fill_multiples_of_2_and_3(t[:half], q)
     t.setflags(write=False)
     return t[:half]
 

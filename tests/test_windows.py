@@ -70,19 +70,115 @@ def test_chi_table_build_stays_within_block_bytes(monkeypatch):
     # 1 << 18, q > 2 * BLOCK_BYTES, so a full-period table, or a copied or
     # negated upper half, would exceed the budget as well.  A few hundred
     # bytes of array headers and the cache entry come on top.
+    # On the fill route (_FILL_ABOVE = 0) a chunk holds x and its quotients
+    # (8 + 8 bytes per square), the uint32 test of divisibility by 3 (4),
+    # the bool keep mask (1) and the kept int64 slots (8 at most), as many
+    # squares as fit the same pass; the fill copies between views, and the
+    # spare slot, at most 5 bytes further out, is within the headers' room.
+    fill_square = 8 + 8 + 4 + 1 + 8
+    default = windows._FILL_ABOVE
+    fills = _spy(monkeypatch, "_fill_multiples_of_2_and_3")
     for budget in (windows.BLOCK_BYTES, 1 << 18):
         monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
         chunk = min(budget, windows._PASS_BYTES)
-        for q in (1000003, 1000033):
-            windows._cached_table.cache_clear()
-            tracemalloc.start()
-            try:
-                chi_table(q)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= (q + 1) // 2 + chunk + 2048, budget
-            assert windows._chi_range(q, q - 1, q - 1)[0] == euler_criterion(q - 1, q)
+        for q in (1000003, 1000033):  # (2|q) = (3|q) = -1, and +1
+            for fill_above in (default, 0):
+                monkeypatch.setattr(windows, "_FILL_ABOVE", fill_above)
+                windows._cached_table.cache_clear()
+                tracemalloc.start()
+                try:
+                    chi_table(q)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                if fill_above:
+                    assert peak <= (q + 1) // 2 + chunk + 2048, budget
+                else:
+                    assert fills[-1] == q
+                    assert peak <= (q + 1) // 2 + chunk // fill_square * fill_square + 2048, budget
+                assert windows._chi_range(q, q - 1, q - 1)[0] == euler_criterion(q - 1, q)
+    windows._cached_table.cache_clear()
+
+
+def _spy(monkeypatch, name):
+    """The moduli that each call of windows.<name>(t, q) is given."""
+    calls = []
+    real = getattr(windows, name)
+    monkeypatch.setattr(windows, name, lambda t, q: calls.append(q) or real(t, q))
+    return calls
+
+
+def _table_by_route(monkeypatch, q, fill):
+    """A fresh chi_table(q), through the fill route or the plain marking."""
+    monkeypatch.setattr(windows, "_FILL_ABOVE", 0 if fill else q)
+    windows._cached_table.cache_clear()
+    try:
+        return chi_table(q)
+    finally:
+        windows._cached_table.cache_clear()
+
+
+def test_fill_route_matches_plain_route_on_small_primes(monkeypatch):
+    # every prime 5 <= q < 3000: fill route = plain marking = jacobi, and
+    # Euler's criterion at n < 10, where the first multiples of 2 and 3 are
+    # filled, and at the last entry
+    for q in primes_in_interval(5, 2999):
+        t = _table_by_route(monkeypatch, q, fill=True)
+        assert np.array_equal(t, _table_by_route(monkeypatch, q, fill=False)), q
+        assert t.tolist() == [jacobi(n, q) for n in range(t.size)], q
+        for n in {*range(min(t.size, 10)), t.size - 1}:
+            assert t[n] == euler_criterion(n, q), (q, n)
+
+
+def test_fill_route_takes_every_sign_of_2_and_3(monkeypatch):
+    # q = 1, 5, 7, 11 mod 24: (2|q), (3|q) = (+1, +1), (-1, -1), (+1, -1),
+    # (-1, +1), so a sign taken from the wrong closed form shows
+    qs = {}
+    q = 2**20 + 1
+    while len(qs) < 4:
+        if q % 24 in (1, 5, 7, 11) and q % 24 not in qs and is_prime(q):
+            qs[q % 24] = q
+        q += 2
+    for q in qs.values():
+        t = _table_by_route(monkeypatch, q, fill=True)
+        assert np.array_equal(t, _table_by_route(monkeypatch, q, fill=False)), q
+        assert t.tolist() == jacobi_array(np.arange(t.size, dtype=np.int64), q).tolist(), q
+        for n in (2, 3, 6, t.size - 1):
+            assert t[n] == euler_criterion(n, q), (q, n)
+
+
+def test_fill_route_marks_only_squares_prime_to_6(monkeypatch):
+    # with the fill left out, the multiples of 2 and 3 keep their -1 and the
+    # rest is already final: the scatter wrote no square that 2 or 3 divides
+    monkeypatch.setattr(windows, "_fill_multiples_of_2_and_3", lambda t, q: None)
+    for q in (1009, 1048583, 1048601):
+        t = _table_by_route(monkeypatch, q, fill=True)
+        n = np.arange(t.size)
+        multiple = (n >= 2) & ((n % 2 == 0) | (n % 3 == 0))
+        assert (t[multiple] == -1).all(), q
+        plain = _table_by_route(monkeypatch, q, fill=False)
+        assert np.array_equal(t[~multiple], plain[~multiple]), q
+
+
+def test_route_is_chosen_by_table_size(monkeypatch):
+    # at the default threshold the largest prime whose half table holds at
+    # most _FILL_ABOVE entries is marked square by square and the next prime
+    # takes the fill route; that one matches the plain marking, and
+    # jacobi_array at 2**16 sampled n
+    below, above = 2 * windows._FILL_ABOVE - 1, 2 * windows._FILL_ABOVE + 1
+    while not is_prime(below):
+        below -= 2
+    while not is_prime(above):
+        above += 2
+    fills = _spy(monkeypatch, "_fill_multiples_of_2_and_3")
+    for q in (below, above):
+        windows._cached_table.cache_clear()
+        chi_table(q)
+    assert fills == [above]
+    t = _table_by_route(monkeypatch, above, fill=True)
+    assert np.array_equal(t, _table_by_route(monkeypatch, above, fill=False))
+    n = np.random.default_rng(20).integers(0, t.size, 2**16)
+    assert t[n].tolist() == jacobi_array(n, above).tolist()
 
 
 def test_chi_table_is_read_only():
