@@ -42,15 +42,15 @@ CHI_TABLE_MAX = 1 << 27
 # working set within it: symbol blocks and tiles with their window sums (12
 # bytes per symbol while every h < 2**7, 15 while h < 2**15, 21 above; see
 # window_histograms) and 8 * (2h+1) bytes of counts per row, the chunks of
-# squares in chi_table (16 bytes per square for x and its quotient, 29 on
-# the fill route above _FILL_ABOVE, which adds the uint32 test of 3, the bool
-# keep mask and the kept int64 slots), and the chunks of _chi_range,
-# incomplete_poly_sum and polya_vinogradov_check.  chi_block refuses a block
-# whose spf sieve, symbols and reciprocity tables (no more entries than the
-# symbols) would pass 2 * BLOCK_BYTES, so its callers keep the symbols
-# within half of that.  Above CHI_TABLE_MAX, a call reads at most
-# MAX_SEGMENT symbols from jacobi_array.  arith.fit_budget checks and
-# refuses every one of these caps.
+# squares in chi_table (20 bytes per square: the uint32 squares, their steps
+# and the clipped squares, and the intp slots; 29 on the fill route above
+# _FILL_ABOVE, which adds the bool keep mask and the kept slots), and the
+# chunks of _chi_range, incomplete_poly_sum and polya_vinogradov_check.
+# chi_block refuses a block whose spf sieve, symbols and reciprocity tables
+# (no more entries than the symbols) would pass 2 * BLOCK_BYTES, so its
+# callers keep the symbols within half of that.  Above CHI_TABLE_MAX, a
+# call reads at most MAX_SEGMENT symbols from jacobi_array.
+# arith.fit_budget checks and refuses every one of these caps.
 BLOCK_BYTES = 1 << 24
 # The passes that read the character table, whose per-call cost is small,
 # work on min(BLOCK_BYTES, _PASS_BYTES) at a time so that each numpy pass
@@ -72,34 +72,33 @@ _PASS_BYTES = 1 << 20
 _FILL_ABOVE = 1 << 22
 
 
-def _square_slots(x: np.ndarray, q, half, quotient=None) -> np.ndarray:
+def _square_slots(x: np.ndarray, q, half) -> np.ndarray:
     """x**2 mod q clipped at half, in place in x: the entry of a half table
     of (r|q) that the square of x marks, slot half being a spare past it.
 
     Over x = 1..(q-1)/2 these are all the nonzero squares mod q, each once.
-    x**2 mod q is x**2 - (x**2 // q) * q; q and half broadcast against x.
+    x**2 mod q is x**2 - (x**2 // q) * q; q and half broadcast against x, so
+    the divisors form an array and chi_table's recurrence does not apply.
     """
-    quotient = np.floor_divide(np.square(x, out=x), q, out=quotient)
+    quotient = np.floor_divide(np.square(x, out=x), q)
     quotient *= q
     x -= quotient
     return np.minimum(x, half, out=x)
 
 
-def _coprime_to_6(slots: np.ndarray, thirds: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Mark in keep the slots that are odd and not divisible by 3, by way of
-    thirds, a uint32 buffer of the same size.
+def _coprime_to_6(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Mark in keep the uint32 slots that are odd and not divisible by 3,
+    overwriting slots.
 
-    The slots lie below 2**26, so uint32 holds them exactly.  0xAAAAAAAB is
-    the inverse of 3 mod 2**32: s * 0xAAAAAAAB mod 2**32 is s / 3 <=
-    0x55555555 when 3 divides s and lies above that otherwise, and as an
-    odd factor it keeps the parity of s.  np.remainder costs several times
-    as much.
+    0xAAAAAAAB is the inverse of 3 mod 2**32: s * 0xAAAAAAAB mod 2**32 is
+    s / 3 <= 0x55555555 when 3 divides s and lies above that otherwise, and
+    as an odd factor it keeps the parity of s.  np.remainder costs several
+    times as much.
     """
-    np.copyto(thirds, slots, casting="unsafe")
-    thirds *= 0xAAAAAAAB
-    np.greater(thirds, 0x55555555, out=keep)
-    thirds &= 1
-    return np.logical_and(keep, thirds, out=keep)
+    slots *= 0xAAAAAAAB
+    np.greater(slots, 0x55555555, out=keep)
+    slots &= 1
+    return np.logical_and(keep, slots, out=keep)
 
 
 def _fill_multiples_of_2_and_3(t: np.ndarray, q: int) -> None:
@@ -130,18 +129,23 @@ def chi_table(q: int) -> np.ndarray:
     That is (q+1)/2 bytes; the upper half follows by the mirror
     (q-r|q) = (-1|q) (r|q), which _chi_range applies.  Built by marking the
     (q-1)/2 nonzero squares mod q, an independent route from the
-    binary-reciprocity jacobi(); tests pin the two together.  x**2 mod q is
-    x**2 - (x**2 // q) * q, and every square at or above half is clipped onto
-    one extra slot half, past the returned table.  The squares are marked in
-    chunks that fit min(BLOCK_BYTES, _PASS_BYTES), a cache-sized pass, at 16
-    bytes per square: x and its quotient.
+    binary-reciprocity jacobi(); tests pin the two together.  The squares
+    are taken in chunks of L <= 2**15 values of x, in uint32: the first
+    chunk's x**2 mod q by one division, every later one from the last by
+    two additions mod q, since (x + L)**2 = x**2 + d with d = 2 L x + L**2,
+    and d itself grows by 2 L**2.  Every square at or above half is clipped
+    onto one extra slot half, past the returned table.  A chunk fits
+    min(BLOCK_BYTES, _PASS_BYTES), a cache-sized pass, at 20 bytes per
+    square: the squares, their steps d and the clipped squares, uint32, and
+    the slots, intp, which index the scatter faster than uint32.
 
     A table of more than _FILL_ABOVE entries, which outgrows the cache,
     takes a second route with the same result: only the squares prime to 6
-    are marked, at 29 bytes per square (x and its quotient, a uint32 test
-    of divisibility by 3, the bool keep mask and the kept slots), and the
-    multiples of 2 and 3 are filled by t[p k] = (p|q) t[k], with (2|q) = 1
-    exactly when q = +-1 mod 8 and (3|q) = 1 exactly when q = +-1 mod 12.
+    are marked, at 29 bytes per square (those of the plain route, the bool
+    keep mask and the kept slots; the test of divisibility by 3 overwrites
+    the clipped squares), and the multiples of 2 and 3 are filled by
+    t[p k] = (p|q) t[k], with (2|q) = 1 exactly when q = +-1 mod 8 and
+    (3|q) = 1 exactly when q = +-1 mod 12.
     Its spare slot is the first multiple of 6 at or above half, so the
     clipped squares are dropped with the rest.  That turns two thirds of the
     random writes into strided copies and saves the writes to the spare.
@@ -154,9 +158,12 @@ def _cached_table(q: int) -> np.ndarray:
     """chi_table's build and cache, for a q its caller has checked prime.
 
     _chi_range reads it directly: every caller of _chi_range has already
-    checked its modulus, so no table read tests primality again.  Up to
+    checked its modulus, so no table read tests primality again.  Both
+    routes take the uint32 squares of one kernel, 20 bytes per square: the
+    first chunk by _reduce, each later one by two _add_mod steps.  Up to
     _FILL_ABOVE entries every square is marked; above, only the squares
-    prime to 6 (_coprime_to_6), and _fill_multiples_of_2_and_3 sets the rest.
+    prime to 6 (_coprime_to_6, 29 bytes per square), and
+    _fill_multiples_of_2_and_3 sets the rest.
     """
     half = (q + 1) // 2
     fit_budget(f"character table for q={q}", half, 1, (CHI_TABLE_MAX + 1) // 2, "(CHI_TABLE_MAX + 1) // 2")
@@ -167,27 +174,62 @@ def _cached_table(q: int) -> np.ndarray:
     spare = -(-half // 6) * 6 if fill else half
     t = np.full(spare + 1, -1, dtype=np.int8)
     t[0] = 0
-    # a chunk of x and its quotients, 16 bytes per square, stays in cache;
-    # one quotient buffer serves every chunk, and each x takes the memory
-    # the last one freed, so neither costs page faults.  The fill route
-    # adds a uint32 and a bool buffer, reused too, and the kept slots, 8
-    # bytes for each at most: 29 bytes per square
-    step = min(BLOCK_BYTES, _PASS_BYTES) // (29 if fill else 16)
-    quotients = np.empty(min(step, half - 1), dtype=np.int64)
+    # every buffer is reused for every chunk, and the clipped squares u are
+    # also the scratch of each reduction mod q.  L <= 2**15 keeps x**2 and
+    # 2 L x + L**2 of the first chunk below 2**32
+    size = min(min(BLOCK_BYTES, _PASS_BYTES) // (29 if fill else 20), 1 << 15, half - 1)
+    u = np.empty(size, dtype=np.uint32)
+    slots = np.empty(size, dtype=np.intp)
     if fill:
-        thirds = np.empty(quotients.size, dtype=np.uint32)
-        keep = np.empty(quotients.size, dtype=bool)
-    for lo in range(1, half, step):
-        x = np.arange(lo, min(lo + step, half), dtype=np.int64)
-        slots = _square_slots(x, q, spare, quotients[: x.size])
+        keep = np.empty(size, dtype=bool)
+    s = np.arange(1, size + 1, dtype=np.uint32)
+    if size < half - 1:
+        d = np.multiply(s, 2 * size, dtype=np.uint32)
+        d += size * size
+        _reduce(d, q, u)
+    _reduce(np.square(s, out=s), q, u)
+    for lo in range(1, half, size):
+        if lo > 1:
+            # (x + L)**2 = x**2 + (2 L x + L**2), and 2 L (x + L) + L**2 =
+            # (2 L x + L**2) + 2 L**2: two additions mod q carry the last
+            # chunk to this one
+            _add_mod(s, d, q, u)
+            _add_mod(d, 2 * size * size % q, q, u)
+        n = min(size, half - lo)
+        # clipped in uint32 against an array of spares, then widened: a
+        # minimum against a scalar, or one that casts as it writes, is a
+        # slower pass, and the cast takes a buffer of its own
+        clipped = u[:n]
+        clipped.fill(spare)
+        np.minimum(s[:n], clipped, out=clipped)
+        chunk = slots[:n]
+        np.copyto(chunk, clipped)
         if fill:
-            slots = slots[_coprime_to_6(slots, thirds[: x.size], keep[: x.size])]
-        t[slots] = 1
-        del x, slots  # freed before the next chunk is allocated
+            # compress is quicker than indexing by the mask
+            chunk = np.compress(_coprime_to_6(clipped, keep[:n]), chunk)
+        t[chunk] = 1
     if fill:
         _fill_multiples_of_2_and_3(t[:half], q)
     t.setflags(write=False)
     return t[:half]
+
+
+def _reduce(v: np.ndarray, q: int, scratch: np.ndarray) -> None:
+    """v mod q in place, for uint32 v: v - (v // q) * q, the quotients in
+    scratch.  Dividing a uint32 array by a scalar takes numpy's fast integer
+    division, several times quicker than int64's."""
+    quotient = np.floor_divide(v, q, out=scratch)
+    quotient *= q
+    v -= quotient
+
+
+def _add_mod(v: np.ndarray, w, q: int, scratch: np.ndarray) -> None:
+    """v = (v + w) mod q in place, for uint32 v and w below q < 2**31.
+
+    The sum lies below 2 q, and v - q wraps past it exactly when v < q, so
+    the smaller of v and v - q is the residue, with no branch."""
+    v += w
+    np.minimum(v, np.subtract(v, q, out=scratch), out=v)
 
 
 def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
@@ -245,8 +287,7 @@ def _half_tables(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half tables (r|l), r = 0..(l-1)/2, of the odd primes ells, laid end to
     end in one int8 array, each followed by its spare slot, so (l+3)/2
     entries per l; with the offset of each table.  One _square_slots call
-    marks the squares x = 1..(l-1)/2 of every table, as in chi_table, in
-    ells.dtype.
+    marks the squares x = 1..(l-1)/2 of every table in ells.dtype.
     """
     halves = (ells + 1) // 2
     ends = np.cumsum(halves + 1, dtype=ells.dtype)
@@ -688,10 +729,18 @@ def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
     Symbols are multiplied term-wise; the polynomial product of the shifted
     arguments is never formed.  Offsets must be distinct mod q.  Above
     CHI_TABLE_MAX, more than MAX_SEGMENT symbols y * len(gamma) are refused.
-    The sum runs in chunks of n that fit min(BLOCK_BYTES, _PASS_BYTES) at 9
-    bytes each.
+    The sum runs in chunks of n that fit min(BLOCK_BYTES, _PASS_BYTES) at
+    k + 2 bytes each for k offsets: the symbols read, at most k per n, the
+    int8 products and one bool mask.  A chunk reads one span of symbols
+    when the offsets' ranges, (max gamma - min gamma) + n symbols, hold no
+    more than k n, each offset a view of it; otherwise one range per
+    offset, so no chunk reads more than k n symbols.
     """
-    q = prime_modulus(q)
+    return _incomplete_poly_sum(prime_modulus(q), gamma, x, y)
+
+
+def _incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
+    """incomplete_poly_sum for a q its caller has checked prime."""
     gamma = tuple(int(c) for c in gamma)
     if not gamma:
         raise ValueError("need at least one offset")
@@ -699,24 +748,37 @@ def incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
         raise ValueError(f"offsets must be distinct mod q={q}: {gamma}")
     if not 0 < y <= q:
         raise ValueError(f"need 0 < y <= q, got y={y}")
+    k = len(gamma)
     if q > CHI_TABLE_MAX:
-        fit_budget(f"incomplete sum of {len(gamma)} offsets over y={y} at q={q}", y * len(gamma), 1,
-                   MAX_SEGMENT, "MAX_SEGMENT", "symbols")
+        fit_budget(f"incomplete sum of {k} offsets over y={y} at q={q}", y * k, 1, MAX_SEGMENT, "MAX_SEGMENT",
+                   "symbols")
+    first, spread = min(gamma), max(gamma) - min(gamma)
     total = 0
-    step = min(BLOCK_BYTES, _PASS_BYTES) // 9
+    step = min(BLOCK_BYTES, _PASS_BYTES) // (k + 2)
     for lo in range(x + 1, x + y + 1, step):
-        hi = min(lo + step, x + y + 1) - 1
-        acc = _chi_range(q, lo + gamma[0], hi + gamma[0])
-        for c in gamma[1:]:
-            acc = acc * _chi_range(q, lo + c, hi + c)
-        # int64: a chunk's sum reaches its length, far past a wrapping int16
-        total += int(acc.sum(dtype=np.int64))
+        n = min(step, x + y + 1 - lo)
+        if spread + n <= k * n:
+            span = _chi_range(q, lo + first, lo + first + spread + n - 1)
+            reads = (span[c - first : c - first + n] for c in gamma)
+        else:
+            reads = (_chi_range(q, lo + c, lo + c + n - 1) for c in gamma)
+        acc = next(reads)
+        for i, chi in enumerate(reads):
+            # the first product is a new array; acc may be a view of the table
+            acc = np.multiply(acc, chi, out=acc if i else None)
+        total += int(np.count_nonzero(acc > 0)) - int(np.count_nonzero(acc < 0))
     return total
 
 
 def weil_bound_check(q: int, gamma, x: int, y: int) -> dict:
     """Incomplete sum against the 9 * k * sqrt(q) * log(q) bound."""
-    value = incomplete_poly_sum(q, gamma, x, y)
+    return _weil_record(prime_modulus(q), gamma, x, y)
+
+
+def _weil_record(q: int, gamma, x: int, y: int) -> dict:
+    """weil_bound_check for a q its caller has checked prime, as the sieve
+    of random_weil_instances does for weil-check."""
+    value = _incomplete_poly_sum(q, gamma, x, y)
     k = len(tuple(gamma))
     bound = 9.0 * k * math.sqrt(q) * math.log(q)
     return {

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charwin import arith, cli
+from charwin import arith, cli, windows
+from charwin.windows import random_weil_instances
 
 
 def _run(argv, capsys):
@@ -136,14 +137,24 @@ def test_rmf_compare_tests_no_modulus_for_primality(monkeypatch, capsys):
     assert calls == []
 
 
-def test_weil_check_tests_each_modulus_for_primality_once(monkeypatch, capsys):
-    # incomplete_poly_sum checks its q; the table it then reads does not
+def test_weil_check_builds_each_table_once_and_tests_no_modulus(monkeypatch, capsys):
+    # the moduli come from the sieve, which proves them prime, and the trials
+    # run in order of modulus, so the 4-entry table cache misses once per
+    # distinct q; the checks keep the order the trials were drawn in
     calls = []
     real = arith.is_prime
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    windows._cached_table.cache_clear()
     rc, env = _envelope(["weil-check", "--trials", "2000", "--seed", "1"], capsys)
+    misses = windows._cached_table.cache_info().misses
+    windows._cached_table.cache_clear()
     assert rc == 0 and env["results"]["trials"] == 2000
-    assert len(calls) == 2000
+    assert calls == []
+    drawn = random_weil_instances(2000, 1000, 100000, 4, seed=1)
+    checks = env["results"]["checks"]
+    assert [(c["q"], c["x"], c["y"], tuple(c["gamma"])) for c in checks] == [
+        (d["q"], d["x"], d["y"], d["gamma"]) for d in drawn]
+    assert misses == len({d["q"] for d in drawn}) == 1790
 
 
 def test_config_file_fills_required_and_flags_win(tmp_path, capsys):

@@ -181,6 +181,77 @@ def test_route_is_chosen_by_table_size(monkeypatch):
     assert t[n].tolist() == jacobi_array(n, above).tolist()
 
 
+def _check_both_routes(monkeypatch, q, n=None):
+    """chi_table(q) on both routes against jacobi_array, at every n or at
+    the given ones, and Euler's criterion at both ends of the half."""
+    t = _table_by_route(monkeypatch, q, fill=True)
+    assert np.array_equal(t, _table_by_route(monkeypatch, q, fill=False)), q
+    n = np.arange(t.size, dtype=np.int64) if n is None else n
+    assert t[n].tolist() == jacobi_array(n, q).tolist(), q
+    for r in (1, t.size - 1):
+        assert t[r] == euler_criterion(r, q), (q, r)
+
+
+def test_squares_kernel_on_the_smallest_primes(monkeypatch):
+    # one chunk of one to five squares, shorter than any step the recurrence
+    # would take
+    for q in (3, 5, 7, 11):
+        _check_both_routes(monkeypatch, q)
+        assert _table_by_route(monkeypatch, q, fill=False).tolist() == [
+            euler_criterion(r, q) for r in range((q + 1) // 2)]
+
+
+def test_squares_kernel_where_the_half_meets_a_chunk_boundary(monkeypatch):
+    # chunks of L = 2**15 squares: q = 65537 has exactly L squares, one
+    # chunk and no step; 65539 and 65543 step once into a chunk of one and
+    # of three; 131063, 131071 and 131101 end a square before, on and past
+    # the second chunk's end
+    assert min(windows.BLOCK_BYTES, windows._PASS_BYTES) // 29 >= 1 << 15
+    for q in (65537, 65539, 65543, 131063, 131071, 131101):
+        _check_both_routes(monkeypatch, q)
+
+
+def test_squares_kernel_under_a_small_budget(monkeypatch):
+    # a 4 KB pass takes chunks of 204 squares (141 on the fill route), so
+    # the recurrence takes thousands of steps and its increment 2 L**2 mod q
+    # wraps the smaller moduli
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 1 << 12)
+    for q in (40009, 1000003, 1000033):
+        _check_both_routes(monkeypatch, q)
+
+
+def test_squares_kernel_either_side_of_the_fill_threshold(monkeypatch):
+    # the primes either side of 2 * _FILL_ABOVE, on both routes, against
+    # jacobi_array at 2**16 sampled n and at the last 2**12 entries
+    q = 2 * windows._FILL_ABOVE
+    below, above = q - 1, q + 1
+    while not is_prime(below):
+        below -= 2
+    while not is_prime(above):
+        above += 2
+    for q in (below, above):
+        n = np.random.default_rng(q).integers(0, (q + 1) // 2, 2**16)
+        _check_both_routes(monkeypatch, q, np.concatenate([n, np.arange((q + 1) // 2 - 2**12, (q + 1) // 2)]))
+
+
+def test_squares_kernel_at_the_largest_table(monkeypatch):
+    # 134217689 is the largest prime below CHI_TABLE_MAX: its 2**26 squares
+    # reach 2q < 2**28 in uint32.  The oracle marks them by the direct
+    # formula x**2 mod q in int64, a chunk at a time
+    q = 134217689
+    assert q < windows.CHI_TABLE_MAX and not any(is_prime(p) for p in range(q + 2, windows.CHI_TABLE_MAX, 2))
+    half = (q + 1) // 2
+    direct = np.full(half, -1, dtype=np.int8)
+    direct[0] = 0
+    for lo in range(1, half, 1 << 20):
+        x = np.arange(lo, min(lo + (1 << 20), half), dtype=np.int64)
+        squares = x * x % q
+        direct[squares[squares < half]] = 1
+        del x, squares
+    for fill in (True, False):
+        assert np.array_equal(_table_by_route(monkeypatch, q, fill), direct), fill
+
+
 def test_chi_table_is_read_only():
     t = chi_table(7)
     with pytest.raises(ValueError):
@@ -1015,6 +1086,37 @@ def test_incomplete_poly_sum_matches_jacobi_products(args):
         math.prod(jacobi(n + c, q) for c in gamma) for n in range(x + 1, x + y + 1)
     )
     assert incomplete_poly_sum(q, gamma, x, y) == direct
+
+
+def test_incomplete_poly_sum_reads_one_span_up_to_k_n_symbols(monkeypatch):
+    # a chunk of n reads one span when (max - min offset) + n <= k n, else
+    # one range per offset; a 96-byte pass makes chunks of 96 // (k + 2)
+    # symbols, 24 at k = 2 and 16 at k = 4, with a shorter last chunk
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 96)
+    reads = []
+    real = windows._chi_range
+    monkeypatch.setattr(windows, "_chi_range", lambda q, lo, hi: reads.append(hi - lo + 1) or real(q, lo, hi))
+    q = 1009
+    for gamma, y, expect in [
+        ((0, 24), 48, [48, 48]),  # spread = n: one span of 2n per chunk
+        ((0, 25), 48, [24] * 4),  # one past: two ranges per chunk
+        ((0, 24), 40, [48, 16, 16]),  # the last chunk of 16 no longer fits
+        ((5, 1, 40, 30), 32, [55, 55]),  # spread 39 <= 3 n at n = 16
+        ((5, 1, 56, 30), 32, [16] * 8),  # spread 55 > 3 n
+    ]:
+        reads.clear()
+        for x in (0, 500, 1000):  # a view, a mirrored range, a wrap
+            direct = sum(math.prod(jacobi(n + c, q) for c in gamma) for n in range(x + 1, x + y + 1))
+            assert incomplete_poly_sum(q, gamma, x, y) == direct, (gamma, y, x)
+        assert reads == expect * 3, (gamma, y)
+    # above CHI_TABLE_MAX the same reads go to jacobi_array, never more
+    # than y * k symbols in all
+    monkeypatch.setattr(windows, "CHI_TABLE_MAX", q - 1)
+    for gamma, y in [((0, 24), 48), ((0, 25), 48), ((5, 1, 40, 30), 32)]:
+        reads.clear()
+        direct = sum(math.prod(jacobi(n + c, q) for c in gamma) for n in range(501, 501 + y))
+        assert incomplete_poly_sum(q, gamma, 500, y) == direct, gamma
+        assert sum(reads) <= y * len(gamma), gamma
 
 
 def test_incomplete_poly_sum_validation():
