@@ -44,8 +44,10 @@ CHI_TABLE_MAX = 1 << 27
 # window_histograms) and 8 * (2h+1) bytes of counts per row, the chunks of
 # squares in chi_table (20 bytes per square: the uint32 squares, their steps
 # and the clipped squares, and the intp slots; 29 on the fill route above
-# _FILL_ABOVE, which adds the bool keep mask and the kept slots), and the
-# chunks of _chi_range, incomplete_poly_sum and polya_vinogradov_check.
+# _FILL_ABOVE, which adds the bool keep mask and the indices of the kept
+# squares, while its batch of kept squares, at most BLOCK_BYTES, lives in
+# the table's own bytes), and the chunks of _chi_range, incomplete_poly_sum
+# and polya_vinogradov_check.
 # chi_block refuses a block whose spf sieve, symbols and reciprocity tables
 # (no more entries than the symbols) would pass 2 * BLOCK_BYTES, so its
 # callers keep the symbols within half of that.  Above CHI_TABLE_MAX, a
@@ -55,20 +57,23 @@ BLOCK_BYTES = 1 << 24
 # The passes that read the character table, whose per-call cost is small,
 # work on min(BLOCK_BYTES, _PASS_BYTES) at a time so that each numpy pass
 # stays in a core's L2 cache: the chunks of squares in chi_table and the
-# blocks of its fill, the single-row tiles of window_histograms below
-# CHI_TABLE_MAX and the chunks of incomplete_poly_sum and
-# polya_vinogradov_check.  Chosen by a measured sweep from 256 KB to 4 MB
+# blocks of its expansion and fill, the single-row tiles of
+# window_histograms below CHI_TABLE_MAX and the chunks of
+# incomplete_poly_sum and polya_vinogradov_check.  Chosen by a measured sweep from 256 KB to 4 MB
 # (BENCH_cache_resident_passes.json).  Row blocks, the jacobi_array tiles
 # and the refusals keep BLOCK_BYTES.
 _PASS_BYTES = 1 << 20
 # A character table of more than _FILL_ABOVE entries (bytes) outgrows the
 # cache, and marking its squares is random writes that miss it.  Above this
-# size chi_table marks only the squares prime to 6 and fills the multiples of
-# 2 and 3 by multiplicativity, in cache-local strided copies.  On a table
-# that fits the cache the extra passes cost more than the misses they save:
-# a measured sweep of table sizes from 1 to 62 MiB found the plain marking
+# size chi_table marks only the squares prime to 6, sorted in batches so
+# that each batch sweeps its marks once, and fills the multiples of 2 and 3
+# by multiplicativity, in cache-local strided copies.  On a table that fits
+# the cache the extra passes cost more than the misses they save: a
+# measured sweep of table sizes from 1 to 62 MiB found the plain marking
 # faster up to about 2.5 MiB on a 2 MB L2, and 4 MiB leaves room for larger
-# caches (BENCH_multiplicative_fill.json).
+# caches (BENCH_multiplicative_fill.json).  There a sort costs more than
+# the random writes, so the plain marking sorts nothing
+# (BENCH_sorted_marks.json).
 _FILL_ABOVE = 1 << 22
 
 
@@ -141,14 +146,23 @@ def chi_table(q: int) -> np.ndarray:
 
     A table of more than _FILL_ABOVE entries, which outgrows the cache,
     takes a second route with the same result: only the squares prime to 6
-    are marked, at 29 bytes per square (those of the plain route, the bool
-    keep mask and the kept slots; the test of divisibility by 3 overwrites
-    the clipped squares), and the multiples of 2 and 3 are filled by
+    are marked, and the multiples of 2 and 3 are filled by
     t[p k] = (p|q) t[k], with (2|q) = 1 exactly when q = +-1 mod 8 and
     (3|q) = 1 exactly when q = +-1 mod 12.
     Its spare slot is the first multiple of 6 at or above half, so the
-    clipped squares are dropped with the rest.  That turns two thirds of the
-    random writes into strided copies and saves the writes to the spare.
+    clipped squares are dropped with the rest.  A kept square s marks
+    c[s // 3], one byte per n prime to 6, where c is the top third of the
+    table's bytes.  The kept squares of the chunks, divided by 3, gather in
+    a batch of uint32 in the table's low bytes, which are not final yet;
+    each full batch, up to BLOCK_BYTES, is sorted in place and marks c in
+    one ordered sweep instead of random writes that miss the cache.  Then
+    the marks are spread over the table, upwards and below the marks not
+    yet read, and the fill runs.  A chunk holds 29 bytes per square: those
+    of the plain route, the bool keep mask and the indices of the kept
+    squares; the test of divisibility by 3 overwrites the clipped squares.
+    The batch and the marks cost no byte beyond the table.  The speed of
+    the sort comes from numpy's SIMD sort kernels (numpy 2.0 and later);
+    the table is exact on any numpy.
     """
     return _cached_table(prime_modulus(q))
 
@@ -159,29 +173,42 @@ def _cached_table(q: int) -> np.ndarray:
 
     _chi_range reads it directly: every caller of _chi_range has already
     checked its modulus, so no table read tests primality again.  Both
-    routes take the uint32 squares of one kernel, 20 bytes per square: the
-    first chunk by _reduce, each later one by two _add_mod steps.  Up to
-    _FILL_ABOVE entries every square is marked; above, only the squares
-    prime to 6 (_coprime_to_6, 29 bytes per square), and
+    routes take the uint32 squares of one kernel: the first chunk by
+    _reduce, each later one by two _add_mod steps.  Up to _FILL_ABOVE
+    entries every square is marked, 20 bytes per square.  Above, only the
+    squares prime to 6 (_coprime_to_6), 29 bytes per square.  Each kept
+    square s goes, divided by 3, into a batch of uint32 held in the table's
+    low bytes, which are not final yet; a full batch is sorted in place and
+    marks c[s // 3] in one sweep (_mark_sorted), c being the top spare // 3
+    bytes of the table.  _expand_marks spreads c over the table, and
     _fill_multiples_of_2_and_3 sets the rest.
     """
     half = (q + 1) // 2
     fit_budget(f"character table for q={q}", half, 1, (CHI_TABLE_MAX + 1) // 2, "(CHI_TABLE_MAX + 1) // 2")
     fill = half > _FILL_ABOVE
-    # the squares at or above half land on one spare slot past the table; on
-    # the fill route it is a multiple of 6, which _coprime_to_6 drops, so
-    # about half the squares cost no write at all
-    spare = -(-half // 6) * 6 if fill else half
-    t = np.full(spare + 1, -1, dtype=np.int8)
-    t[0] = 0
     # every buffer is reused for every chunk, and the clipped squares u are
     # also the scratch of each reduction mod q.  L <= 2**15 keeps x**2 and
     # 2 L x + L**2 of the first chunk below 2**32
     size = min(min(BLOCK_BYTES, _PASS_BYTES) // (29 if fill else 20), 1 << 15, half - 1)
+    if fill:
+        # the squares at or above half land on one spare slot, a multiple of
+        # 6, which _coprime_to_6 drops.  The top spare // 3 bytes c take one
+        # mark per n prime to 6 below spare, c[n // 3]; the bytes below c
+        # hold the batch until _expand_marks writes them
+        spare = -(-half // 6) * 6
+        t = np.empty(spare + 1, dtype=np.int8)
+        base = t.size - spare // 3
+        c = t[base:]
+        c.fill(-1)
+        batch = t[: 4 * min(base // 4, BLOCK_BYTES // 4)].view(np.uint32)
+        keep = np.empty(size, dtype=bool)
+        count = 0
+    else:
+        spare = half
+        t = np.full(spare + 1, -1, dtype=np.int8)
+        t[0] = 0
     u = np.empty(size, dtype=np.uint32)
     slots = np.empty(size, dtype=np.intp)
-    if fill:
-        keep = np.empty(size, dtype=bool)
     s = np.arange(1, size + 1, dtype=np.uint32)
     if size < half - 1:
         d = np.multiply(s, 2 * size, dtype=np.uint32)
@@ -196,22 +223,77 @@ def _cached_table(q: int) -> np.ndarray:
             _add_mod(s, d, q, u)
             _add_mod(d, 2 * size * size % q, q, u)
         n = min(size, half - lo)
-        # clipped in uint32 against an array of spares, then widened: a
-        # minimum against a scalar, or one that casts as it writes, is a
-        # slower pass, and the cast takes a buffer of its own
+        # clipped in uint32 against an array of spares: a minimum against a
+        # scalar, or one that casts as it writes, is a slower pass, and the
+        # cast takes a buffer of its own
         clipped = u[:n]
         clipped.fill(spare)
         np.minimum(s[:n], clipped, out=clipped)
-        chunk = slots[:n]
-        np.copyto(chunk, clipped)
         if fill:
-            # compress is quicker than indexing by the mask
-            chunk = np.compress(_coprime_to_6(clipped, keep[:n]), chunk)
-        t[chunk] = 1
+            # a kept square is below half, so it equals its clipped value.
+            # np.compress would take the same indices and buffer its output
+            kept = np.flatnonzero(_coprime_to_6(clipped, keep[:n]))
+            while kept.size:
+                if count == batch.size:
+                    _mark_sorted(batch, c, slots)
+                    count = 0
+                squares = batch[count : count + kept.size]
+                np.take(s[:n], kept[: squares.size], out=squares, mode="clip")
+                np.floor_divide(squares, 3, out=squares)
+                count += squares.size
+                kept = kept[squares.size :]
+        else:
+            # widened, because an intp index scatters faster than uint32
+            chunk = slots[:n]
+            np.copyto(chunk, clipped)
+            t[chunk] = 1
     if fill:
+        _mark_sorted(batch[:count], c, slots)
+        _expand_marks(t, base, half)
         _fill_multiples_of_2_and_3(t[:half], q)
     t.setflags(write=False)
     return t[:half]
+
+
+def _mark_sorted(batch: np.ndarray, c: np.ndarray, slots: np.ndarray) -> None:
+    """c[i] = 1 for every i in the uint32 batch, sorted in place first.
+
+    Sorted, the marks sweep c once, in order, where the same writes at
+    random miss the cache on a table that outgrows it.  The batch is
+    widened piece by piece through the intp slots, which marks twice as
+    fast as an index of uint32 and takes no buffer of numpy's beyond the
+    pass.  numpy 2.0 and later sort uint32 with SIMD kernels; older numpy
+    gives the same marks, more slowly.
+    """
+    batch.sort()
+    for lo in range(0, batch.size, slots.size):
+        piece = slots[: min(slots.size, batch.size - lo)]
+        np.copyto(piece, batch[lo : lo + piece.size])
+        c[piece] = 1
+
+
+def _expand_marks(t: np.ndarray, base: int, half: int) -> None:
+    """Spread the marks c = t[base:] over the table t[:half], in place, and
+    set t[0] = 0.
+
+    c[i] holds the symbol of the one n prime to 6 among 3 i + 1 and 3 i + 2,
+    so t[n] = c[n // 3] for n = 1 and 5 mod 6, every other n >= 1 being set
+    to -1 for _fill_multiples_of_2_and_3.  The blocks lo <= n < hi run
+    upwards, each within a pass of min(BLOCK_BYTES, _PASS_BYTES) and below
+    base + (lo - 1) // 3, the first byte of c it may still have to read.
+    So no block overwrites a mark before it is read, and near the top the
+    blocks shrink to a third of the gap that is left.
+    """
+    t[0] = 0
+    c = t[base:]
+    lo = 1
+    while lo < half:
+        hi = min(lo + min(BLOCK_BYTES, _PASS_BYTES), half, base + (lo - 1) // 3)
+        t[lo:hi] = -1
+        for n0 in (lo + (1 - lo) % 6, lo + (5 - lo) % 6):
+            k = len(range(n0, hi, 6))
+            t[n0:hi:6] = c[n0 // 3 : n0 // 3 + 2 * k : 2]
+        lo = hi
 
 
 def _reduce(v: np.ndarray, q: int, scratch: np.ndarray) -> None:

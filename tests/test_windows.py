@@ -64,18 +64,21 @@ def test_chi_table_three_routes_agree():
 
 
 def test_chi_table_build_stays_within_block_bytes(monkeypatch):
-    # beyond its (q+1)/2-byte table the build holds one chunk of squares and
-    # their quotients, within one pass of min(BLOCK_BYTES, _PASS_BYTES).  At
-    # the default budget that is the 1 MB pass, not the 16 MB cap; at
-    # 1 << 18, q > 2 * BLOCK_BYTES, so a full-period table, or a copied or
-    # negated upper half, would exceed the budget as well.  A few hundred
-    # bytes of array headers and the cache entry come on top.
-    # On the fill route (_FILL_ABOVE = 0) a chunk holds x and its quotients
-    # (8 + 8 bytes per square), the uint32 test of divisibility by 3 (4),
-    # the bool keep mask (1) and the kept int64 slots (8 at most), as many
-    # squares as fit the same pass; the fill copies between views, and the
-    # spare slot, at most 5 bytes further out, is within the headers' room.
-    fill_square = 8 + 8 + 4 + 1 + 8
+    # beyond its (q+1)/2-byte table the build holds the buffers of one chunk
+    # of squares, within one pass of min(BLOCK_BYTES, _PASS_BYTES): the
+    # uint32 squares, their steps and the clipped squares (4 + 4 + 4 bytes
+    # per square) and the intp slots (8).  At the default budget that is the
+    # 1 MB pass, not the 16 MB cap; at 1 << 18, q > 2 * BLOCK_BYTES, so a
+    # full-period table, or a copied or negated upper half, would exceed the
+    # budget as well.  A few hundred bytes of array headers and the cache
+    # entry come on top.
+    # On the fill route (_FILL_ABOVE = 0) a chunk adds the bool keep mask
+    # (1) and the intp indices of the kept squares (8 at most), as many
+    # squares as fit the same pass.  The kept squares go into a batch in the
+    # table's own bytes, sorted in place; the expansion and the fill copy
+    # between views, and the spare slot, at most 5 bytes further out, is
+    # within the headers' room.
+    fill_square = 4 + 4 + 4 + 8 + 1 + 8
     default = windows._FILL_ABOVE
     fills = _spy(monkeypatch, "_fill_multiples_of_2_and_3")
     for budget in (windows.BLOCK_BYTES, 1 << 18):
@@ -100,11 +103,12 @@ def test_chi_table_build_stays_within_block_bytes(monkeypatch):
     windows._cached_table.cache_clear()
 
 
-def _spy(monkeypatch, name):
-    """The moduli that each call of windows.<name>(t, q) is given."""
+def _spy(monkeypatch, name, record=lambda t, q: q):
+    """record(*args) of each call of windows.<name>: by default the modulus
+    q of a call (t, q)."""
     calls = []
     real = getattr(windows, name)
-    monkeypatch.setattr(windows, name, lambda t, q: calls.append(q) or real(t, q))
+    monkeypatch.setattr(windows, name, lambda *args: calls.append(record(*args)) or real(*args))
     return calls
 
 
@@ -179,6 +183,79 @@ def test_route_is_chosen_by_table_size(monkeypatch):
     assert np.array_equal(t, _table_by_route(monkeypatch, above, fill=False))
     n = np.random.default_rng(20).integers(0, t.size, 2**16)
     assert t[n].tolist() == jacobi_array(n, above).tolist()
+
+
+def test_sorted_marks_batch_lives_in_the_table(monkeypatch):
+    # the fill route of a prime near 2**25 keeps about 2.8M squares.  At the
+    # default budget its batch holds over 11 MB, at 1 << 18 a whole pass.
+    # Kept in the table's own bytes and widened through the slots a piece
+    # at a time, it costs nothing beyond the plain route's bound.  A batch
+    # of its own would not fit, nor at 1 << 18 the batch used directly as
+    # an index, which numpy casts through a 64 KB buffer of its own
+    q = 33554467
+    batches = _spy(monkeypatch, "_mark_sorted", lambda batch, c, slots: batch.size)
+    for budget in (windows.BLOCK_BYTES, 1 << 18):
+        monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+        chunk = min(budget, windows._PASS_BYTES)
+        batches.clear()
+        windows._cached_table.cache_clear()
+        tracemalloc.start()
+        try:
+            t = chi_table(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            windows._cached_table.cache_clear()
+        assert 4 * max(batches) >= chunk and sum(batches) > 2_700_000, budget
+        assert peak <= (q + 1) // 2 + chunk + 2048, budget
+        n = np.random.default_rng(q).integers(0, t.size, 2**16)
+        assert t[n].tolist() == jacobi_array(n, q).tolist(), budget
+
+
+def test_fill_route_sorts_many_batches_and_expands_many_blocks(monkeypatch):
+    # a 4 KB pass gives batches of 1024 squares and expansion blocks of 4096
+    # entries.  About q / 12 squares are kept, so q near 10**6 sorts about 80
+    # batches, and its table expands in 120 blocks before they shrink near
+    # the top
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 1 << 12)
+    batches = _spy(monkeypatch, "_mark_sorted", lambda batch, c, slots: batch.size)
+    for q in (40009, 1000003, 1000033):
+        batches.clear()
+        _check_both_routes(monkeypatch, q)
+        assert len(batches) > q // 13000 and max(batches) == 1024, q
+
+
+def test_fill_route_in_every_class_mod_24(monkeypatch):
+    # a prime q > 3 lies in one of 8 classes mod 24, which fix (2|q), (3|q)
+    # and (-1|q), and half = (q+1)/2 is 0, 1, 3 or 4 mod 6 (2 only at q = 3,
+    # 5 never), which sets where the top of the table meets the marks c and
+    # the spare.  Each, at the default budget and at a 4 KB pass
+    qs = [3, 131101, 131111, 131113, 131129, 131143, 131171, 131203, 131213]
+    assert {q % 24 for q in qs[1:]} == {1, 5, 7, 11, 13, 17, 19, 23}
+    assert {(q + 1) // 2 % 6 for q in qs} == {0, 1, 2, 3, 4}
+    for budget in (windows.BLOCK_BYTES, 1 << 12):
+        monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+        for q in qs:
+            _check_both_routes(monkeypatch, q)
+
+
+def test_expand_marks_reads_each_mark_before_overwriting_it(monkeypatch):
+    # marks c of random sign under a table of random bytes: every n prime to
+    # 6 takes its mark c[n // 3], every other n >= 1 is -1, for every half up
+    # to 400 and passes of 5 and 64 bytes as well as the default
+    rng = np.random.default_rng(22)
+    for budget in (5, 64, windows.BLOCK_BYTES):
+        monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+        for half in range(2, 400):
+            spare = -(-half // 6) * 6
+            t = rng.integers(-128, 128, spare + 1).astype(np.int8)
+            base = t.size - spare // 3
+            c = rng.choice(np.array([-1, 1], dtype=np.int8), spare // 3)
+            t[base:] = c
+            windows._expand_marks(t, base, half)
+            n = np.arange(1, half)
+            expected = np.where((n % 6 == 1) | (n % 6 == 5), c[n // 3], -1)
+            assert t[0] == 0 and np.array_equal(t[1:half], expected), (budget, half)
 
 
 def _check_both_routes(monkeypatch, q, n=None):
