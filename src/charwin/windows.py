@@ -41,13 +41,14 @@ CHI_TABLE_MAX = 1 << 27
 # BLOCK_BYTES is a memory cap, not a pass size.  Every bulk loop keeps its
 # working set within it: symbol blocks and tiles with their window sums (12
 # bytes per symbol while every h < 2**7, 15 while h < 2**15, 21 above; see
-# window_histograms) and 8 * (2h+1) bytes of counts per row, the chunks of
-# squares in chi_table (20 bytes per square: the uint32 squares, their steps
-# and the clipped squares, and the intp slots; 29 on the fill route above
-# _FILL_ABOVE, which adds the bool keep mask and the indices of the kept
-# squares, while its batch of kept squares, at most BLOCK_BYTES, lives in
-# the table's own bytes), and the chunks of _chi_range, incomplete_poly_sum
-# and polya_vinogradov_check.
+# window_histograms), of which 8 bytes per start count them (the intp sums,
+# or a lone row's intp pair codes and bins, 4 + 4), and 8 * (2h+1) bytes of
+# counts per row, the chunks of squares in chi_table (20 bytes per square:
+# the uint32 squares, their steps and the clipped squares, and the intp
+# slots; 29 on the fill route above _FILL_ABOVE, which adds the bool keep
+# mask and the indices of the kept squares, while its batch of kept squares,
+# at most BLOCK_BYTES, lives in the table's own bytes), and the chunks of
+# _chi_range, incomplete_poly_sum and polya_vinogradov_check.
 # chi_block refuses a block whose spf sieve, symbols and reciprocity tables
 # (no more entries than the symbols) would pass 2 * BLOCK_BYTES, so its
 # callers keep the symbols within half of that.  Above CHI_TABLE_MAX, a
@@ -611,11 +612,33 @@ def _doubling_sums(symbols: np.ndarray, h: int, g: int) -> np.ndarray:
         k *= 2
 
 
+def _pair_counts(row: np.ndarray, low: int, r: int) -> np.ndarray:
+    """counts[i] = #{m : row[m] = low + i} for a row of values low..low+r-1, r <= 256.
+
+    v = row - low fits a byte, so it is exact when formed mod 2**8, and each
+    bincount element is the uint16 code of two consecutive v, one per byte:
+    the 256 * r bins of the codes hold the pairs (code // 256, code % 256).
+    The count of value low + i is the i-th column sum plus the i-th row sum
+    of those bins, whichever byte order the codes have.  The last value of
+    an odd row is added on its own.
+    """
+    v = np.subtract(row, low, out=np.empty(row.size, dtype=np.uint8), casting="unsafe")
+    pairs = np.bincount(v[: row.size // 2 * 2].view(np.uint16), minlength=256 * r).reshape(r, 256)
+    counts = pairs[:, :r].sum(axis=0) + pairs.sum(axis=1)
+    if row.size % 2:
+        counts[v[-1]] += 1
+    return counts
+
+
 def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
     """Value histograms of a block's rows (column c is n = c), one config per row.
 
-    Consecutive rows with one config share one bincount of their window sums
-    from _doubling_sums, each offset to its row's 2h+1 bins.
+    A config's rows take their window sums from _doubling_sums.  A lone row
+    whose sums span r <= 256 values with 512 * r <= g counts them in pairs
+    (_pair_counts): g / 2 intp codes and 256 * r int64 bins, at most 4g bytes
+    each, in place of the 8g bytes of intp sums.  Other runs of rows with one
+    config share one bincount of their intp sums, each row offset to its own
+    2h+1 bins.
     """
     counts: list = []
     lo = 0
@@ -623,10 +646,17 @@ def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
         k = sum(1 for _ in run)
         h, g, m0 = config.h, config.g, config.m_start
         width = 2 * h + 1
-        offsets = h + width * np.arange(k, dtype=np.intp)[:, None]
-        sums = _doubling_sums(block[lo : lo + k, m0 + 1 :], h, g) + offsets
-        counts.extend(np.bincount(sums.ravel(), minlength=width * k).reshape(k, width))
+        sums = _doubling_sums(block[lo : lo + k, m0 + 1 :], h, g)
         lo += k
+        if k == 1:
+            low, high = int(sums.min()), int(sums.max())
+            if high - low < 256 and 512 * (high - low + 1) <= g:
+                hist = np.zeros(width, dtype=np.int64)
+                hist[low + h : high + h + 1] = _pair_counts(sums[0], low, high - low + 1)
+                counts.append(hist)
+                continue
+        offsets = h + width * np.arange(k, dtype=np.intp)[:, None]
+        counts.extend(np.bincount((sums + offsets).ravel(), minlength=width * k).reshape(k, width))
     return counts
 
 
@@ -637,8 +667,11 @@ def window_histograms(qs, configs) -> list[list[int]]:
     sums and each row's 2h+1 int64 counts stay within BLOCK_BYTES.  Per
     symbol that is 9 + 3 * itemsize bytes, itemsize that of _sum_dtype(h):
     the int8 symbol, the two doubling levels alive and the running sum of
-    _doubling_sums, and the intp window sum bincount reads; 12 bytes while
-    every h < 2**7, 15 while every h < 2**15, and 21 above.  A row that does
+    _doubling_sums, and 8 bytes per start to count the sums, either the intp
+    window sum that bincount reads or, for a lone row counted in pairs, the
+    intp copy of half a pair code and at most 4 bytes of bins (see
+    _histograms); 12 bytes while every h < 2**7, 15 while every h < 2**15,
+    and 21 above.  A row that does
     not fit in one block is read from _chi_range in tiles of at most
     (BLOCK_BYTES - 16 * (2h+1)) // 12 (or // 15, // 21) symbols, each a block
     whose column 0 is its first start m; the running counts and the tile's

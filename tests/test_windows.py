@@ -745,6 +745,117 @@ def test_histograms_exact_where_prefix_sums_wrap(h):
         assert window_histograms([q], [config]) == [expected]
 
 
+def _pair_route(monkeypatch):
+    """(g, low, r) of each lone row that _histograms counts in pairs."""
+    return _spy(monkeypatch, "_pair_counts", lambda row, low, r: (row.size, low, r))
+
+
+def _designed_row(head, tail, n, m0, seed):
+    """n int8 symbols drawn from tail, with head from n = m0 + 1 on, the
+    first symbol that the window of start m0 reads."""
+    rng = np.random.default_rng(seed)
+    row = rng.choice(np.array(tail, dtype=np.int8), n)
+    row[m0 + 1 : m0 + 1 + len(head)] = head
+    return row
+
+
+@pytest.mark.parametrize("h, head, tail, low, r", [
+    (1, [1, 0, -1], [1, 0, -1], -1, 3),
+    (7, [], [1], 7, 1),  # an all-ones row: one value
+    (127, [1] * 127 + [-1] * 127, [1, -1], -127, 255),  # row - low reaches 254 > 127 in int8
+    (255, [1] * 255 + [0] * 255, [0, 1], 0, 256),  # int16 sums
+    (200, [-1] * 200 + [0] * 200, [0, 0, 0, -1], -200, 201),  # int16 sums below zero
+])
+@pytest.mark.parametrize("m0", [0, 1])
+def test_pair_counts_match_int64_histogram(monkeypatch, h, head, tail, low, r, m0):
+    # A lone row counts its window sums in pairs exactly when they span
+    # r <= 256 values and 512 * r <= g: g = 512 r - 1 takes the shared
+    # bincount, 512 r and the odd 512 r + 1 take the pairs.
+    pairs = _pair_route(monkeypatch)
+    for g in (512 * r - 1, 512 * r, 512 * r + 1, 512 * r + 2 * h + 7):
+        row = _designed_row(head, tail, m0 + g + h, m0, seed=g)
+        config = WindowConfig(h=h, g=g, m_start=m0)
+        pairs.clear()
+        (got,) = windows._histograms(row[None, :], [config])
+        assert got.tolist() == _int64_histogram(row, config).tolist()
+        assert np.flatnonzero(got)[[0, -1]].tolist() == [low + h, low + r - 1 + h]
+        assert pairs == ([] if g < 512 * r else [(g, low, r)])
+
+
+def test_pair_counts_refuse_more_than_256_values(monkeypatch):
+    # 255 ones, 255 zeros and a -1: the sums span -1..255, 257 values, which
+    # do not fit a byte whatever g
+    pairs = _pair_route(monkeypatch)
+    h, g = 255, 512 * 300
+    row = _designed_row([1] * h + [0] * h + [-1], [0, 0, 1], g + h, 0, seed=1)
+    config = WindowConfig(h=h, g=g, m_start=0)
+    (got,) = windows._histograms(row[None, :], [config])
+    assert got.tolist() == _int64_histogram(row, config).tolist()
+    assert got[h - 1] and got[2 * h] and pairs == []
+
+
+@pytest.mark.parametrize("q", [1000003, 1000033])  # 3 and 1 mod 4
+def test_pair_counts_on_one_row_blocks_and_folded_tiles(monkeypatch, q):
+    # One row in one block, then a full period and two periods in column
+    # tiles of a 1 MB budget, whose mirrored runs add each tile's counts
+    # twice, reversed when q = 3 mod 4.  Every tile of 512 (2h+1) starts or
+    # more spans at most 2h+1 values, so it must take the pairs; the full
+    # tiles hold an odd number of starts, 87303.
+    h = 21
+    pairs = _pair_route(monkeypatch)
+    config = WindowConfig(h=h, g=3 * 10**5 + 1, m_start=1)
+    assert window_histograms([q], [config]) == _slow_histograms([q], [config])
+    assert [g for g, _, _ in pairs] == [config.g]
+    tiles = []
+    real_chi_range = windows._chi_range
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 1 << 20)
+    monkeypatch.setattr(windows, "_chi_range", lambda *a: tiles.append(a[2] - a[1] + 1 - h) or real_chi_range(*a))
+    for g in (q - h, 2 * q):
+        config = WindowConfig(h=h, g=g, m_start=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExperimentWarning)
+            expected = _slow_histograms([q], [config])
+            pairs.clear()
+            tiles.clear()
+            assert window_histograms([q], [config]) == expected
+        long_tiles = [t for t in tiles if t >= 512 * (2 * h + 1)]
+        assert len(long_tiles) >= 5 and [g for g, _, _ in pairs if g in long_tiles] == long_tiles
+        assert any(g % 2 for g, _, _ in pairs)
+
+
+def test_single_row_tiles_count_two_starts_per_bincount_element(monkeypatch):
+    # The clt-single --g full tiles of a table, h = 100 and
+    # _PASS_BYTES // 12 - h = 87281 starts each, make one bincount of g // 2
+    # pair codes over 256 r bins, r the values their sums span, with
+    # 256 r * 8 <= 4 g bytes.  Rows that share a config in one block still
+    # make one shared bincount of all their intp sums, even where each row
+    # alone would take the pairs.
+    q, h = 2000003, 100
+    config = WindowConfig(h=h, g=q - h, m_start=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        expected = _slow_histograms([q], [config])
+    qs = primes_in_interval(10**6, 10**6 + 1000)
+    shared = WindowConfig(h=5, g=6000, m_start=1)
+    expected_rows = _slow_histograms(qs, [shared] * len(qs))
+    calls = []
+    real_bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, minlength=0: calls.append((x.size, minlength))
+                        or real_bincount(x, minlength=minlength))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        assert window_histograms([q], [config]) == expected
+    step = windows._PASS_BYTES // 12 - h
+    assert step == 87281 and [size for size, _ in calls].count(step // 2) >= 10
+    assert all(size <= step // 2 and 512 * (bins // 256) <= 2 * size for size, bins in calls)
+    calls.clear()
+    assert window_histograms(qs, [shared] * len(qs)) == expected_rows
+    assert calls == [(len(qs) * shared.g, len(qs) * (2 * shared.h + 1))]
+    calls.clear()
+    assert window_histograms(qs[:1], [shared]) == expected_rows[:1]
+    assert len(calls) == 1 and calls[0][0] == shared.g // 2
+
+
 @pytest.mark.parametrize("g_periods", [1, 2])
 def test_streamed_histogram_stays_within_block_bytes(monkeypatch, g_periods):
     # The column-tile route over a full period of q ~ 10^6 holds at most
