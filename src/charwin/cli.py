@@ -54,11 +54,12 @@ from .windows import (
     CHI_TABLE_MAX,
     WindowConfig,
     _chi_range,
+    _counts_matrix,
     _histograms,
+    _power_sums,
     _weil_record,
     cdf_vs_gaussian,
     empirical_summary,
-    power_sum,
     random_weil_instances,
     window_histograms,
 )
@@ -255,7 +256,7 @@ def _check_full_period(q: int, config: WindowConfig, counts: list[int]) -> None:
     h, end = config.h, config.m_start + config.g
     (tail,) = _histograms(_chi_range(q, end, end + 2 * h - 1)[None, :], [WindowConfig(h=h, g=h, m_start=0)])
     period = [a + b for a, b in zip(counts, tail.tolist())]
-    sums = power_sum(period, h, 1), power_sum(period, h, 2)
+    sums = tuple(_power_sums(_counts_matrix(period, sum(period)), h, (1, 2))[0].tolist())
     if sums != (0, h * q - h * h):
         raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
                              f"(sum S, sum S^2) = {sums}, expected (0, {h * q - h * h})")

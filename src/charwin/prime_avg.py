@@ -4,9 +4,10 @@ moment deviations with their exceptional sets.
 Two experiment families live here.  The first averages |sum a_n (n|q)|^2
 over primes q in [Q, Q+delta] and compares against the random-multiplicative
 model bound.  The second takes every prime's value histogram from
-window_histograms, reads its moment deviations from the one reducer
-windows.empirical_summary, flags primes whose deviation exceeds g^(-1/8) (a
-Chebyshev-style exceptional set), and reports the exceptional fractions.
+window_histograms, reads its moment deviations from exact integer power
+sums, one matrix product for all the primes that share a window length,
+flags primes whose deviation exceeds g^(-1/8) (a Chebyshev-style
+exceptional set), and reports the exceptional fractions.
 """
 
 from __future__ import annotations
@@ -21,12 +22,8 @@ import numpy as np
 from . import windows
 from .arith import ExperimentWarning, fit_budget, primes_in_interval
 from .rmf import _coeffs, rmf_variance_rhs
-from .windows import (
-    WindowConfig,
-    chi_block,
-    empirical_summary,
-    window_histograms,
-)
+from .squares import paired_count_exact
+from .windows import WindowConfig, _power_sums, _window_histograms, chi_block
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,20 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int]) ->
             inner = np.zeros(block.shape[0])
             for n, c in sup:
                 inner = inner + c * block[:, n]
-            per_vector[i].extend(abs(x) ** 2 for x in inner.tolist())
+            per_vector[i].extend(_squared_magnitudes(inner))
     scale = math.log(spec.q_start) / spec.delta
     return [scale * math.fsum(terms) for terms in per_vector]
+
+
+def _squared_magnitudes(x: np.ndarray) -> list[float]:
+    """[abs(v) ** 2 for v in x.tolist()], bit for bit: libm hypot for a
+    complex abs, as Python's, where np.abs differs in the last bit, and libm
+    pow for the square, as Python's float ** takes it.  A finite value whose
+    magnitude or square overflows raises, as there, though as
+    FloatingPointError."""
+    with np.errstate(over="raise"):
+        magnitude = np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
+        return np.float_power(magnitude, 2.0).tolist()
 
 
 def variance_ratio(spec: IntervalSpec, a) -> dict:
@@ -123,6 +131,25 @@ def random_sparse_vectors(count: int, length: int, seed: int, support: int = 8) 
             vec[pos] = rng.choice((-1.0, 1.0))
         battery.append(tuple(vec))
     return battery
+
+
+def _deviation_rows(counts: np.ndarray, h: int, j_max: int) -> list[list[float]]:
+    """EmpiricalSummary.deviation(j), j = 1..j_max <= 2h, of every row of a
+    histogram matrix, from one _power_sums product.
+
+    The exact differences total - g K(j/2, h) (odd j: total) are divided by
+    g in float64 where all of them and g lie below 2**53: converted exactly,
+    the quotient is correctly rounded, as Python's int division rounds it.
+    Elsewhere they are divided as Python ints.
+    """
+    sums = _power_sums(counts, h, range(j_max + 1))
+    g = sums[:, :1]
+    targets = np.array([0 if j % 2 else paired_count_exact(j // 2, h) for j in range(1, j_max + 1)],
+                       dtype=sums.dtype)
+    diffs = sums[:, 1:] - g * targets
+    if diffs.dtype == object or not ((np.abs(diffs) < 2**53).all() and (g < 2**53).all()):
+        diffs, g = diffs.astype(object), g.astype(object)
+    return (diffs / g).tolist()
 
 
 @dataclass(frozen=True)
@@ -177,6 +204,10 @@ def exceptional_sets(
     (odd) of its empirical_summary.  Strict mode enforces the narrow-window
     hypothesis h <= g(q)^(1/(2500 r^2)) and fails loudly; relaxed mode
     accepts any h <= g(q)^(1/4) and warns beyond that.
+
+    The moduli come from the sieve, so none is tested prime again.  The
+    primes that share an h share one exact reduction, _deviation_rows, bit
+    for bit those deviations.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
@@ -216,21 +247,27 @@ def exceptional_sets(
         configs.append(WindowConfig(h=h_q, g=max(g_inner, 1), m_start=m_start))
         thresholds_g.append(g_q)
 
-    histograms = window_histograms(primes, configs)
+    histograms = _window_histograms(primes, configs, stacklevel=2)
     for note in notes:
         warnings.warn(note, ExperimentWarning, stacklevel=2)
+    deviations: list = [None] * len(primes)
+    rows_of: dict[int, list[int]] = {}
+    for i, config in enumerate(configs):
+        rows_of.setdefault(config.h, []).append(i)
+    for h, rows in rows_of.items():
+        counts = np.stack([histograms[i] for i in rows])
+        for i, devs in zip(rows, _deviation_rows(counts, h, 2 * min(r_max, h))):
+            deviations[i] = devs
     records: list[DeviationRecord] = []
     exceptional_primes = {"even": set(), "odd": set()}
     sq_sums: dict[str, list[float]] = {}
     sq_sums_norm: dict[str, list[float]] = {}
-    for q, config, g_q, counts in zip(primes, configs, thresholds_g, histograms):
+    for q, config, g_q, devs in zip(primes, configs, thresholds_g, deviations):
         h_q = config.h
         threshold = threshold_scale * g_q ** (-1.0 / 8.0)
-        # no moments: deviation builds only the power sums it reads
-        summary = empirical_summary(counts, max_moment=0)
         for r in range(1, min(r_max, h_q) + 1):
             for parity, order in (("even", 2 * r), ("odd", 2 * r - 1)):
-                dev = summary.deviation(order)
+                dev = devs[order - 1]
                 rec = DeviationRecord(q, r, parity, dev, threshold, abs(dev) >= threshold)
                 records.append(rec)
                 if rec.exceptional:

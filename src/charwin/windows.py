@@ -42,7 +42,8 @@ CHI_TABLE_MAX = 1 << 27
 # working set within it: symbol blocks and tiles with their window sums (12
 # bytes per symbol while every h < 2**7, 15 while h < 2**15, 21 above; see
 # window_histograms), of which 8 bytes per start count them (the intp sums,
-# or a lone row's intp pair codes and bins, 4 + 4), and 8 * (2h+1) bytes of
+# or a lone row's intp pair codes and bins, 4 + 4; rows that share a config
+# hold their intp sums a pass of rows at a time), and 8 * (2h+1) bytes of
 # counts per row, the chunks of squares in chi_table (20 bytes per square:
 # the uint32 squares, their steps and the clipped squares, and the intp
 # slots; 29 on the fill route above _FILL_ABOVE, which adds the bool keep
@@ -51,7 +52,8 @@ CHI_TABLE_MAX = 1 << 27
 # _chi_range, incomplete_poly_sum and polya_vinogradov_check.
 # chi_block refuses a block whose spf sieve, symbols and reciprocity tables
 # (no more entries than the symbols) would pass 2 * BLOCK_BYTES, so its
-# callers keep the symbols within half of that.  Above CHI_TABLE_MAX, a
+# callers keep the symbols within half of that; the tables of its last small
+# primes stay cached, read-only, for the next block.  Above CHI_TABLE_MAX, a
 # call reads at most MAX_SEGMENT symbols from jacobi_array.
 # arith.fit_budget checks and refuses every one of these caps.
 BLOCK_BYTES = 1 << 24
@@ -59,10 +61,13 @@ BLOCK_BYTES = 1 << 24
 # work on min(BLOCK_BYTES, _PASS_BYTES) at a time so that each numpy pass
 # stays in a core's L2 cache: the chunks of squares in chi_table and the
 # blocks of its expansion and fill, the single-row tiles of
-# window_histograms below CHI_TABLE_MAX and the chunks of
+# window_histograms below CHI_TABLE_MAX, the intp sums of the rows of a block
+# that _histograms counts in one bincount, and the chunks of
 # incomplete_poly_sum and polya_vinogradov_check.  Chosen by a measured sweep from 256 KB to 4 MB
 # (BENCH_cache_resident_passes.json).  Row blocks, the jacobi_array tiles
-# and the refusals keep BLOCK_BYTES.
+# and the refusals keep BLOCK_BYTES.  The row passes also keep glibc from
+# serving one block-sized intp array per call from its heap, which raised
+# peak RSS (BENCH_interval_reduction.json).
 _PASS_BYTES = 1 << 20
 # A character table of more than _FILL_ABOVE entries (bytes) outgrows the
 # cache, and marking its squares is random writes that miss it.  Above this
@@ -366,12 +371,17 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
     return out
 
 
-def _half_tables(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=1)
+def _half_tables(ells: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Half tables (r|l), r = 0..(l-1)/2, of the odd primes ells, laid end to
     end in one int8 array, each followed by its spare slot, so (l+3)/2
     entries per l; with the offset of each table.  One _square_slots call
-    marks the squares x = 1..(l-1)/2 of every table in ells.dtype.
+    marks the squares x = 1..(l-1)/2 of every table in int32.
+
+    Cached for the last ells, read-only: the consecutive blocks of an
+    interval, and the row chunks of one, mostly share their small primes.
     """
+    ells = np.array(ells, dtype=np.int32)
     halves = (ells + 1) // 2
     ends = np.cumsum(halves + 1, dtype=ells.dtype)
     starts = ends - halves - 1
@@ -383,6 +393,8 @@ def _half_tables(ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slots = _square_slots(x, np.repeat(ells, counts), np.repeat(halves, counts))
     slots += np.repeat(starts, counts)
     t[slots] = 1
+    t.setflags(write=False)
+    starts.setflags(write=False)
     return t, starts
 
 
@@ -406,13 +418,17 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     every composite n in the slice.  A prime n reads itself times column 1,
     which is 1.  The block is exact for n_max >= q as well.
 
-    Before any allocation, the int32 spf sieve, the block and the tables,
-    which hold no more entries than the block, are checked against
-    2 * BLOCK_BYTES.  Transient on top: 6 bytes per cell of the
-    reciprocity columns (q mod l as int32, its mirror flag and the symbols
-    read), 4 * 4 bytes per square marked in the tables, and jacobi_array's
-    working set on the larger prime columns: at most 83 bytes per cell, a
-    bound with margin (tracemalloc reads about 66 at q = 10**9 + 7).
+    The half tables are built once for each tuple of small primes and kept,
+    read-only, for the next call (_half_tables): the blocks of an interval
+    mostly read the same ones.  Before any allocation, the int32 spf sieve,
+    the block and the tables, which hold no more entries than the block,
+    are checked against 2 * BLOCK_BYTES.  Transient on top: 6 bytes per
+    cell of the reciprocity columns (q mod l as int32, its mirror flag and
+    the symbols read), 4 * 4 bytes per square marked when the tables are
+    built, and jacobi_array's working set on the larger prime columns: at
+    most 83 bytes per cell, a bound with margin (tracemalloc reads about 66
+    at q = 10**9 + 7).  The tables of the last call stay alive until a call
+    with other small primes replaces them.
     """
     qs = [operator.index(q) for q in qs]
     for q in qs:
@@ -436,7 +452,7 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     # the squares x**2 < l**2 / 4 that mark them fit int32
     small, large = ells[:split].astype(np.int32), ells[split:]
     if small.size:
-        t, starts = _half_tables(small)
+        t, starts = _half_tables(tuple(small.tolist()))
         r = np.remainder(qs[:, None], small, out=np.empty((qs.size, small.size), np.int32), casting="unsafe")
         mirrored = r > small // 2
         np.subtract(small, r, out=r, where=mirrored)
@@ -521,7 +537,7 @@ class EmpiricalSummary:
     """Exact statistics of one value histogram, value_counts[v + h] = #{m : S(m) = v}.
 
     power_sums[j] is the exact integer sum of S(m)^j over the g =
-    sample_count starts, built through power_sum: the orders of moments by
+    sample_count starts, built by _power_sums: the orders of moments by
     empirical_summary, any other when deviation first reads it.  moments[j]
     is the j-th moment of S/sqrt(h), deviation(j) the j-th power sum's
     distance from its pairing target, and cdf the lattice CDF of S/sqrt(h).
@@ -573,7 +589,8 @@ class EmpiricalSummary:
             raise ValueError(f"need 1 <= j <= 2h = {2 * h}, got j={j}")
         total = self.power_sums.get(j)
         if total is None:
-            total = self.power_sums[j] = power_sum(self.value_counts, h, j)
+            (total,) = _power_sums(_counts_matrix(self.value_counts, g), h, [j])[0].tolist()
+            self.power_sums[j] = total
         target = 0 if j % 2 else paired_count_exact(j // 2, h)
         return (total - g * target) / g
 
@@ -637,8 +654,10 @@ def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
     whose sums span r <= 256 values with 512 * r <= g counts them in pairs
     (_pair_counts): g / 2 intp codes and 256 * r int64 bins, at most 4g bytes
     each, in place of the 8g bytes of intp sums.  Other runs of rows with one
-    config share one bincount of their intp sums, each row offset to its own
-    2h+1 bins.
+    config count their intp sums, each row offset to its own 2h+1 bins, one
+    bincount per slice of rows whose codes fit min(BLOCK_BYTES, _PASS_BYTES),
+    a cache-sized pass, in one buffer reused by every slice; a row of more
+    than a pass of starts is a slice of its own.
     """
     counts: list = []
     lo = 0
@@ -655,8 +674,13 @@ def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
                 hist[low + h : high + h + 1] = _pair_counts(sums[0], low, high - low + 1)
                 counts.append(hist)
                 continue
-        offsets = h + width * np.arange(k, dtype=np.intp)[:, None]
-        counts.extend(np.bincount((sums + offsets).ravel(), minlength=width * k).reshape(k, width))
+        step = min(k, max(1, min(BLOCK_BYTES, _PASS_BYTES) // (8 * g)))
+        codes = np.empty((step, g), dtype=np.intp)
+        offsets = h + width * np.arange(step, dtype=np.intp)[:, None]
+        for a in range(0, k, step):
+            n = min(step, k - a)
+            np.add(sums[a : a + n], offsets[:n], out=codes[:n])
+            counts.extend(np.bincount(codes[:n].ravel(), minlength=width * n).reshape(n, width))
     return counts
 
 
@@ -671,10 +695,11 @@ def window_histograms(qs, configs) -> list[list[int]]:
     window sum that bincount reads or, for a lone row counted in pairs, the
     intp copy of half a pair code and at most 4 bytes of bins (see
     _histograms); 12 bytes while every h < 2**7, 15 while every h < 2**15,
-    and 21 above.  A row that does
-    not fit in one block is read from _chi_range in tiles of at most
-    (BLOCK_BYTES - 16 * (2h+1)) // 12 (or // 15, // 21) symbols, each a block
-    whose column 0 is its first start m; the running counts and the tile's
+    and 21 above.  Rows that share a config hold their intp sums only a
+    cache-sized pass of rows at a time, so a block's count takes less.  A
+    row that does not fit in one block is read from _chi_range in tiles of
+    at most (BLOCK_BYTES - 16 * (2h+1)) // 12 (or // 15, // 21) symbols,
+    each a block whose column 0 is its first start m; the running counts and the tile's
     own are the 16 * (2h+1).  A tile that cannot hold one start, from
     h = 316551 at the default budget, is refused, as is a row above
     CHI_TABLE_MAX whose jacobi_array tiles would read more than MAX_SEGMENT
@@ -689,33 +714,40 @@ def window_histograms(qs, configs) -> list[list[int]]:
     after c-a are read directly, so a full period reads about (q-h)/2 starts.
     A tiled row of g >= q starts folds whole periods, S(m + q) = S(m): it adds
     g // q times the counts of one period from m_start to those of its first g % q.
-    Warns in the order of qs.
+    Warns in the order of qs.  Each modulus is tested prime.
+    """
+    qs = [prime_modulus(q) for q in qs]
+    return [counts.tolist() for counts in _window_histograms(qs, configs, stacklevel=3)]
+
+
+def _window_histograms(qs, configs, stacklevel: int) -> list[np.ndarray]:
+    """window_histograms for moduli its caller has checked prime, as the
+    sieve of exceptional_sets does, each histogram an int64 array (object
+    when g >= 2**63).  Wrap warnings take stacklevel as warnings.warn
+    would here.
     """
     qs, configs = list(qs), list(configs)
     if len(qs) != len(configs):
         raise ValueError(f"{len(qs)} moduli but {len(configs)} window configs")
-    moduli, spans = [], []
+    spans = []
     for q, config in zip(qs, configs):
-        q = prime_modulus(q)
         if config.h >= q:
             raise ValueError(f"window length h={config.h} must be < q={q}")
-        _warn_if_wraps(q, config, stacklevel=2)
-        moduli.append(q)
+        _warn_if_wraps(q, config, stacklevel)
         spans.append(config.m_start + config.g + config.h - 1)
     h_max = max((c.h for c in configs), default=1)
     per_symbol = 9 + 3 * _sum_dtype(h_max).itemsize
     per_count_row = 8 * (2 * h_max + 1)
     rows = max(1, BLOCK_BYTES // (per_symbol * (max(spans, default=0) + 1) + per_count_row))
-    out: list[list[int]] = []
+    out: list[np.ndarray] = []
     for lo in range(0, len(qs), rows):
         n_max = max(spans[lo : lo + rows])
         # a row goes to tiles when it does not fit in one: a tile holds its
         # symbols beside the running counts and its own
         if per_symbol * (n_max + 1) + 2 * per_count_row <= BLOCK_BYTES:
-            block = chi_block(moduli[lo : lo + rows], n_max)
-            out.extend(row.tolist() for row in _histograms(block, configs[lo : lo + rows]))
+            out.extend(_histograms(chi_block(qs[lo : lo + rows], n_max), configs[lo : lo + rows]))
             continue
-        q, h, g, m0 = moduli[lo], configs[lo].h, configs[lo].g, configs[lo].m_start
+        q, h, g, m0 = qs[lo], configs[lo].h, configs[lo].g, configs[lo].m_start
         step = fit_budget(f"tile of one start at h={h}", h + 1, per_symbol, BLOCK_BYTES - 2 * per_count_row,
                           f"BLOCK_BYTES less {2 * per_count_row} of counts") - h
         if q <= CHI_TABLE_MAX:
@@ -754,13 +786,38 @@ def window_histograms(qs, configs) -> list[list[int]]:
                 if mirrored:
                     hist += counts[::-1] if q % 4 == 3 else counts
                 del counts  # dropped before the next tile is read
-        out.append(hist.tolist())
+        out.append(hist)
     return out
 
 
 def power_sum(counts, h: int, j: int) -> int:
-    """Exact integer sum of S^j over the series, from its value histogram."""
+    """Exact integer sum of S^j over the series, from its value histogram,
+    bin by bin.  Small-case reference of _power_sums."""
     return sum(c * (v - h) ** j for v, c in enumerate(counts) if c)
+
+
+def _counts_matrix(counts, g: int) -> np.ndarray:
+    """One histogram of sample count g as a row for _power_sums: int64
+    while g < 2**63, Python ints past it."""
+    return np.array([counts], dtype=np.int64 if g < 2**63 else object)
+
+
+def _power_sums(counts: np.ndarray, h: int, orders) -> np.ndarray:
+    """Exact integer power sums of the rows of a histogram matrix,
+    out[i, k] = sum over v of counts[i, v] * (v - h)**orders[k].
+
+    One matrix product of the counts with the powers (v - h)**j: in int64
+    while g * h**j < 2**63 for the largest row sum g and order j, which
+    bounds every partial sum, and in Python ints (object) otherwise.  The
+    counts are non-negative, int64 with each row summing below 2**63, or
+    object.
+    """
+    orders = list(orders)
+    j_max = max(orders, default=0)
+    if counts.dtype != object and int(counts.sum(axis=1).max(initial=0)) * h**j_max < 2**63:
+        return counts @ (np.arange(-h, h + 1, dtype=np.int64)[:, None] ** np.array(orders, dtype=np.int64))
+    powers = np.array([[v**j for j in orders] for v in range(-h, h + 1)], dtype=object)
+    return counts.astype(object) @ powers
 
 
 def empirical_summary(counts, max_moment: int = 4) -> EmpiricalSummary:
@@ -773,9 +830,10 @@ def empirical_summary(counts, max_moment: int = 4) -> EmpiricalSummary:
     if not 0 <= max_moment <= 12:
         raise ValueError(f"moment order capped at 12, got {max_moment}")
     h, g = len(counts) // 2, sum(counts)
-    if len(counts) != 2 * h + 1 or h < 1 or g < 1:
-        raise ValueError(f"need a nonempty histogram of odd length >= 3, got {len(counts)} bins")
-    sums = {0: g} | {j: power_sum(counts, h, j) for j in range(1, max_moment + 1)}
+    if len(counts) != 2 * h + 1 or h < 1 or g < 1 or min(counts) < 0:
+        raise ValueError(f"need a nonempty histogram of odd length >= 3 and counts >= 0, got {len(counts)} bins")
+    orders = range(1, max_moment + 1)
+    sums = {0: g} | dict(zip(orders, _power_sums(_counts_matrix(counts, g), h, orders)[0].tolist()))
     moments = {j: total / (g * h ** (j / 2)) for j, total in sums.items()}
     return EmpiricalSummary(h=h, sample_count=g, value_counts=tuple(counts), moments=moments, power_sums=sums)
 

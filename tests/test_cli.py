@@ -137,6 +137,31 @@ def test_rmf_compare_tests_no_modulus_for_primality(monkeypatch, capsys):
     assert calls == []
 
 
+def test_clt_interval_tests_no_modulus_for_primality(monkeypatch, capsys):
+    # the interval's moduli come from the sieve, which proves them prime;
+    # the public window_histograms still tests each of its own
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    argv = ["clt-interval", "--interval", "1000000:2000", "--g", "log_power:3", "--h", "const:5", "--rmax", "2"]
+    rc, env = _envelope(argv, capsys)
+    assert rc == 0 and env["results"]["prime_count"] == 152
+    assert calls == []
+    with pytest.raises(ValueError, match="odd prime, got 15"):
+        windows.window_histograms([15], [windows.WindowConfig(h=2, g=5)])
+    assert calls == [15]
+
+
+def test_consecutive_interval_blocks_build_the_half_tables_once(capsys):
+    # Q = 10^6..10^6+10^4 in five calls of 2000: every block reads the
+    # reciprocity tables of the same small primes, so only the first builds
+    windows._half_tables.cache_clear()
+    for start in range(1_000_000, 1_010_000, 2000):
+        argv = ["clt-interval", "--interval", f"{start}:2000", "--g", "log_power:3", "--h", "const:5", "--rmax", "2"]
+        assert _envelope(argv, capsys)[0] == 0
+    assert windows._half_tables.cache_info()[:2] == (4, 1)  # hits, misses
+
+
 def test_weil_check_builds_each_table_once_and_tests_no_modulus(monkeypatch, capsys):
     # the moduli come from the sieve, which proves them prime, and the trials
     # run in order of modulus, so the 4-entry table cache misses once per

@@ -1,9 +1,11 @@
 """Prime-interval averages, moment deviations, and growth schedules."""
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +32,9 @@ from charwin import (
     window_histograms,
     window_series,
 )
-from charwin.prime_avg import _battery_lhs
+from charwin.prime_avg import _battery_lhs, _deviation_rows, _squared_magnitudes
 from charwin.rmf import _coeffs
+from charwin.windows import power_sum
 
 
 def test_interval_spec_validation():
@@ -318,6 +321,85 @@ def test_battery_lhs_random_sparse_battery_bit_identical():
     battery = [tuple(0.37 * c + 1.1 * (i % 3) * c for i, c in enumerate(vec))
                for vec in random_sparse_vectors(12, 150, seed=5, support=30)]
     assert _battery_lhs(spec, battery, primes) == _slow_battery_lhs(spec, battery, primes)
+
+
+def _python_squares(values) -> list:
+    """abs(v) ** 2 of each value, or None where Python raises on it."""
+    out = []
+    for v in values:
+        try:
+            out.append(abs(v) ** 2)
+        except OverflowError:
+            out.append(None)
+    return out
+
+
+def test_squared_magnitudes_bit_identical_to_python():
+    # magnitudes from 1e-300 to 1e300 of both signs, zeros, subnormals and
+    # the edge of overflow, real and complex
+    rng = random.Random(25)
+    reals = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1e-300, 1e-160, 1.3407807929942596e154, 1.35e154, 1e300]
+    reals += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300) for _ in range(20000)]
+    reals += [rng.uniform(-2.2250738585072014e-308, 2.2250738585072014e-308) for _ in range(2000)]
+    complexes = [complex(rng.choice(reals), rng.choice(reals)) for _ in range(20000)] + [complex(0.0, -0.0)]
+    for values in (reals, complexes):
+        expected = _python_squares(values)
+        finite = [v for v, e in zip(values, expected) if e is not None]
+        assert 1000 < len(finite) < len(values)
+        got = _squared_magnitudes(np.array(finite))
+        assert [x.hex() for x in got] == [e.hex() for e in expected if e is not None]
+        # a finite value whose square overflows raises, as abs(v) ** 2 does
+        for v, e in list(zip(values, expected))[:200]:
+            if e is None:
+                with pytest.raises(FloatingPointError):
+                    _squared_magnitudes(np.array([v]))
+
+
+def _histogram_matrix(rows) -> np.ndarray:
+    """Rows stacked as exceptional_sets stacks them: int64, object once a
+    row's sum reaches 2**63, as window_histograms gives such a row."""
+    return np.stack([np.array(row, dtype=np.int64 if sum(row) < 2**63 else object) for row in rows])
+
+
+def _assert_rows_match_summaries(rows, h, r_max):
+    # against each row's empirical_summary, and against the bin-by-bin
+    # power_sum in Python ints, which shares no kernel with either
+    j_max = 2 * min(r_max, h)
+    got = _deviation_rows(_histogram_matrix(rows), h, j_max)
+    expected = [[empirical_summary(row, max_moment=0).deviation(j) for j in range(1, j_max + 1)] for row in rows]
+    oracle = [[(power_sum(row, h, j) - sum(row) * (0 if j % 2 else paired_count_exact(j // 2, h))) / sum(row)
+               for j in range(1, j_max + 1)] for row in rows]
+    assert [[x.hex() for x in devs] for devs in got] == [[x.hex() for x in devs] for devs in expected]
+    assert [[x.hex() for x in devs] for devs in got] == [[x.hex() for x in devs] for devs in oracle]
+
+
+@pytest.mark.parametrize("h, r_max, rows", [
+    # int64 and every difference below 2**53: numpy's division
+    (5, 2, [[3, 0, 7, 1, 0, 2, 9, 4, 0, 1, 5], [1] * 11]),
+    # int64 with g h**12 <= 10 * 30**12 < 2**63, the differences past 2**53;
+    # at j = 11 the second row's float64 numerator would round once too often
+    (30, 6, [[5] + [0] * 59 + [5], [1, 1, 1] + [0] * 54 + [2, 2, 1, 1], [4] + [0] * 29 + [1] + [0] * 29 + [5]]),
+    # g h**12 = 100 * 30**12 >= 2**63: int64 would wrap
+    (30, 6, [[50] + [0] * 59 + [50], [1] * 61]),
+    # g >= 2**63
+    (1, 1, [[2**62, 2**62, 2**62], [1, 0, 1]]),
+    (2, 3, [[2**63 - 1, 0, 0, 0, 1], [0, 0, 2**64, 0, 0]]),
+])
+def test_deviation_rows_match_empirical_summary(h, r_max, rows):
+    _assert_rows_match_summaries(rows, h, r_max)
+
+
+@given(st.integers(1, 40).flatmap(lambda h: st.tuples(
+    st.just(h),
+    st.integers(1, 7),
+    st.sampled_from([1, 2**10, 2**30, 2**50, 2**62]).flatmap(lambda big: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(0, big)), min_size=2 * h + 1, max_size=2 * h + 1).filter(any),
+        min_size=1, max_size=4)),
+)))
+@settings(max_examples=150, deadline=None)
+def test_deviation_rows_match_empirical_summary_hypothesis(case):
+    h, r_max, rows = case
+    _assert_rows_match_summaries(rows, h, r_max)
 
 
 def test_exceptional_sets_per_prime_inner():

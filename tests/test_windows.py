@@ -39,6 +39,7 @@ from charwin import (
     windows,
 )
 from charwin.arith import prime_modulus
+from charwin.windows import power_sum
 
 PRIMES_TO_300 = primes_in_interval(3, 300)
 
@@ -528,11 +529,12 @@ def test_chi_block_reads_interval_columns_by_reciprocity(jacobi_cells):
 
 
 def test_chi_block_leaves_nothing_allocated():
-    # the fill holds its spf sieve and tables for one call only: once the
-    # block is dropped, traced memory is back where it started, and the
-    # call's peak is well inside two symbol budgets: at 10**6 a 4 MB int32
-    # sieve, the 1 MB block and the Jacobi columns; with many rows the
-    # tables and residues
+    # the fill holds its spf sieve for one call only, and keeps only the
+    # half tables of the last call's small primes, about 220 KB at l <= 2633:
+    # once the block is dropped, traced memory is within 1 MB of where it
+    # started, and the call's peak is well inside two symbol budgets: at
+    # 10**6 a 4 MB int32 sieve, the 1 MB block and the Jacobi columns; with
+    # many rows the tables and residues
     shapes = [
         ([1000000007], 10**6),
         (primes_in_interval(10**6, 10**6 + 10**5), 100),
@@ -549,6 +551,25 @@ def test_chi_block_leaves_nothing_allocated():
             tracemalloc.stop()
         assert current - start < 1 << 20, (len(qs), n_max)
         assert peak < 2 * windows.BLOCK_BYTES, (len(qs), n_max)
+
+
+def test_half_tables_are_cached_read_only_and_shared_across_row_counts(jacobi_cells):
+    # 150 and 100 rows to 2637 read the same small primes, l <= 2633, so the
+    # second block reads the first block's tables; 10 rows keep fewer
+    qs = primes_in_interval(10**6, 10**6 + 2000)
+    n = np.arange(2638)
+    windows._half_tables.cache_clear()
+    chi_block(qs[:150], 2637)
+    shared = chi_block(qs[:100], 2637)
+    assert windows._half_tables.cache_info()[:2] == (1, 1)  # hits, misses
+    assert np.array_equal(shared, jacobi_array(n[None, :], np.array(qs[:100])[:, None]))
+    t, starts = windows._half_tables(tuple(primes_in_interval(3, 2637)))
+    assert windows._half_tables.cache_info()[:2] == (2, 1) and sum(jacobi_cells) == 0
+    for table in (t, starts):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    chi_block(qs[:10], 2637)
+    assert windows._half_tables.cache_info()[:2] == (2, 2)
 
 
 def test_chi_block_over_budget_raises_before_allocating():
@@ -828,8 +849,9 @@ def test_single_row_tiles_count_two_starts_per_bincount_element(monkeypatch):
     # _PASS_BYTES // 12 - h = 87281 starts each, make one bincount of g // 2
     # pair codes over 256 r bins, r the values their sums span, with
     # 256 r * 8 <= 4 g bytes.  Rows that share a config in one block still
-    # make one shared bincount of all their intp sums, even where each row
-    # alone would take the pairs.
+    # count their intp sums, even where each row alone would take the pairs:
+    # in bincounts of at most one pass of codes each, whole rows, covering
+    # every row once.
     q, h = 2000003, 100
     config = WindowConfig(h=h, g=q - h, m_start=1)
     with warnings.catch_warnings():
@@ -850,10 +872,40 @@ def test_single_row_tiles_count_two_starts_per_bincount_element(monkeypatch):
     assert all(size <= step // 2 and 512 * (bins // 256) <= 2 * size for size, bins in calls)
     calls.clear()
     assert window_histograms(qs, [shared] * len(qs)) == expected_rows
-    assert calls == [(len(qs) * shared.g, len(qs) * (2 * shared.h + 1))]
+    pass_codes = min(windows.BLOCK_BYTES, windows._PASS_BYTES) // 8
+    assert len(calls) > 1 and all(size <= pass_codes for size, _ in calls)
+    assert [divmod(size, shared.g) for size, _ in calls] == [(bins // (2 * shared.h + 1), 0) for _, bins in calls]
+    assert sum(size for size, _ in calls) == len(qs) * shared.g
     calls.clear()
     assert window_histograms(qs[:1], [shared]) == expected_rows[:1]
     assert len(calls) == 1 and calls[0][0] == shared.g // 2
+
+
+def test_shared_config_rows_count_one_pass_of_codes_at_a_time(monkeypatch):
+    # The clt-interval block of 150 rows, h = 5 and g = 2635, has 3.2 MB of
+    # intp codes.  They are counted in slices of whole rows that fit one
+    # 1 MB pass, so at each bincount the traced memory holds the int8 sums
+    # and one pass of codes, not all of them.
+    qs = primes_in_interval(10**6, 10**6 + 2000)[:150]
+    config = WindowConfig(h=5, g=2635, m_start=1)
+    block = chi_block(qs, config.g + config.h)
+    expected = _slow_histograms(qs, [config] * len(qs))
+    live = []
+    real_bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, minlength=0: live.append(tracemalloc.get_traced_memory()[0])
+                        or real_bincount(x, minlength=minlength))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        counts = windows._histograms(block, [config] * len(qs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.tolist() for row in counts] == expected
+    one_pass = min(windows.BLOCK_BYTES, windows._PASS_BYTES)
+    assert len(live) == -(-len(qs) // (one_pass // (8 * config.g)))
+    assert max(live) - start <= len(qs) * config.g + one_pass + (1 << 16)
+    assert peak - start <= 3 * block.nbytes + one_pass
 
 
 @pytest.mark.parametrize("g_periods", [1, 2])
@@ -1021,6 +1073,27 @@ def test_full_period_reflection_invariance():
         assert counts == counts[::-1]
 
 
+@pytest.mark.parametrize("h, rows", [
+    (3, [[1, 0, 2, 5, 0, 0, 1], [0, 0, 0, 7, 0, 0, 0]]),
+    (40, [[1] * 81, [9] + [0] * 79 + [2]]),  # 40**12 * 11 >= 2**63: Python ints
+    (1, [[2**62, 2**62, 2**62]]),  # g >= 2**63
+])
+def test_power_sums_match_power_sum(h, rows):
+    # the one production kernel against the bin-by-bin reference
+    orders = list(range(13))
+    for dtype in (np.int64, object):
+        if dtype is np.int64 and max(map(sum, rows)) >= 2**63:
+            continue
+        got = windows._power_sums(np.array(rows, dtype=dtype), h, orders)
+        assert got.tolist() == [[power_sum(row, h, j) for j in orders] for row in rows]
+    assert windows._power_sums(np.array(rows, dtype=object), h, []).shape == (len(rows), 0)
+
+
+def test_empirical_summary_rejects_negative_counts():
+    with pytest.raises(ValueError, match="counts >= 0"):
+        empirical_summary([2, -1, 3])
+
+
 def test_value_histogram_and_power_sum():
     sums = window_series(11, WindowConfig(h=3, g=5, m_start=1))
     counts = value_histogram(sums, 3)
@@ -1028,8 +1101,6 @@ def test_value_histogram_and_power_sum():
     assert len(counts) == 2 * 3 + 1
     direct = sums.tolist()
     for j in range(5):
-        from charwin.windows import power_sum
-
         assert power_sum(counts, 3, j) == sum(s**j for s in direct)
 
 
