@@ -234,17 +234,29 @@ def _resolve(command: str, args: argparse.Namespace):
 
 # ---------------------------------------------------------------------------
 # runners: cfg -> (results payload, all-guarantees-hold flag, CSV table)
-# where the CSV table is the (header, rows) pair --format csv prints
+# where the CSV table is a function giving the (header, rows) pair that
+# --format csv prints, called for that format only
 
-Table = tuple[list[str], list[list]]
+Table = Callable[[], tuple]
 
 
 def _frac(value: Fraction) -> dict:
     return {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
 
 
-def _columns(records: list[dict], header: list[str]) -> Table:
+def _columns(records: list[dict], header: list[str]) -> tuple[list[str], list[list]]:
     return header, [[rec[key] for key in header] for rec in records]
+
+
+class _RecordColumns:
+    """Flat records held as ExceptionalReport.columns holds them: name ->
+    list, one entry per record, each list of one type."""
+
+    def __init__(self, columns: dict[str, list]) -> None:
+        self.columns = columns
+
+    def dicts(self) -> list[dict]:
+        return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())]
 
 
 def _check_full_period(q: int, config: WindowConfig, counts: list[int]) -> None:
@@ -302,11 +314,10 @@ def _run_clt_single(cfg) -> tuple[dict, bool, Table]:
     }
     header = ["lam", "empirical", "gaussian", "abs_diff",
               "gaussian_corrected", "abs_diff_corrected"]
-    rows = [
+    return results, True, lambda: (header, [
         [p["lam"], p["empirical"], p["gaussian"], p["abs_diff"], c["gaussian"], c["abs_diff"]]
         for p, c in zip(plain["rows"], corrected["rows"])
-    ]
-    return results, True, (header, rows)
+    ])
 
 
 def _run_clt_interval(cfg) -> tuple[dict, bool, Table]:
@@ -330,11 +341,9 @@ def _run_clt_interval(cfg) -> tuple[dict, bool, Table]:
         threshold_scale=cfg["threshold_scale"],
         m_start=cfg["m_start"],
     )
-    # the report's fields, as dataclasses.asdict gives them but without its
-    # deep copy of every leaf: 5.7 ms of a ~42 ms call at 608 records
-    results = vars(report) | {"records": [dict(vars(rec)) for rec in report.records]}
-    header = ["q", "r", "parity", "deviation", "threshold", "exceptional"]
-    return results, True, _columns(results["records"], header)
+    results = vars(report) | {"records": _RecordColumns(report.columns)}
+    del results["columns"]
+    return results, True, lambda: (list(report.columns), zip(*report.columns.values()))
 
 
 def _run_rmf_compare(cfg) -> tuple[dict, bool, Table]:
@@ -350,7 +359,7 @@ def _run_rmf_compare(cfg) -> tuple[dict, bool, Table]:
         "rows": rows,
         "max_ratio": max(r["ratio"] for r in rows),
     }
-    return results, True, _columns(rows, ["index", "lhs", "rhs", "ratio"])
+    return results, True, lambda: _columns(rows, ["index", "lhs", "rhs", "ratio"])
 
 
 def _run_sieve_verify(cfg) -> tuple[dict, bool, Table]:
@@ -383,8 +392,8 @@ def _run_sieve_verify(cfg) -> tuple[dict, bool, Table]:
             "ratio": sums["ratio"],
             "odd_only": sums["odd_only"],
         }
-    rows = [[r["e"], r["exact"], r["float"]] for r in results["rho"]]
-    return results, True, (["e", "rho", "rho_float"], rows)
+    return results, True, lambda: (["e", "rho", "rho_float"],
+                                   [[r["e"], r["exact"], r["float"]] for r in results["rho"]])
 
 
 def _run_weil_check(cfg) -> tuple[dict, bool, Table]:
@@ -414,7 +423,7 @@ def _run_weil_check(cfg) -> tuple[dict, bool, Table]:
         "failures": failures,
     }
     header = ["q", "k", "x", "y", "gamma", "value", "bound", "ratio", "holds"]
-    return results, not failures, _columns(checks, header)
+    return results, not failures, lambda: _columns(checks, header)
 
 
 def _run_ktheta(cfg) -> tuple[dict, bool, Table]:
@@ -433,13 +442,13 @@ def _run_ktheta(cfg) -> tuple[dict, bool, Table]:
         "theta_max": max(row["theta"] for row in rows),
     }
     # paired_count_theta itself fails (exit 1) on a theta outside [0, 1], and clamps into it
-    return results, True, _columns(rows, ["r", "h", "K", "theta"])
+    return results, True, lambda: _columns(rows, ["r", "h", "K", "theta"])
 
 
 def _run_prime_density(cfg) -> tuple[dict, bool, Table]:
     record = prime_density_check(cfg["x"], cfg["eta"])
     header = ["x", "eta", "length", "count", "comparator", "ratio"]
-    return record, record["count"] > 0, _columns([record], header)
+    return record, record["count"] > 0, lambda: _columns([record], header)
 
 
 _COMMANDS: dict[str, tuple[str, Callable[[dict], tuple], tuple[_Opt, ...]]] = {
@@ -548,6 +557,38 @@ def _c_encoder(inner: str, encoders: dict, key_separator: str = ": "):
     return encoders[inner, key_separator]
 
 
+_LITERAL = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float.__repr__,
+            str: json.encoder.encode_basestring_ascii}
+
+
+def _records_text(columns: dict[str, list], outer: str) -> str | None:
+    """The records of columns as _json_text writes their list of dicts, one
+    %-template per record: the stdlib's layout, keys sorted, ints and floats
+    by repr, bools as true and false, strings escaped as the C encoder
+    escapes them, each distinct value of a column written once.  None for a
+    non-finite float, or a column of another type, which the template does
+    not write."""
+    inner, deeper, keys = outer + "  ", outer + "    ", sorted(columns)
+    if not keys or not columns[keys[0]]:
+        return "[]"
+    texts = []
+    for key in keys:
+        column, write = columns[key], _LITERAL.get(type(columns[key][0]))
+        if write is None:
+            return None
+        distinct = dict.fromkeys(column)
+        if write is float.__repr__:
+            if not all(map(math.isfinite, distinct)):
+                return None
+            if 0.0 in distinct:  # a dict merges 0.0 and -0.0: write value by value
+                texts.append(map(write, column))
+                continue
+        texts.append(map(dict(zip(distinct, map(write, distinct))).__getitem__, column))
+    keys_text = (_LITERAL[str](k).replace("%", "%%") for k in keys)
+    template = "{\n" + ",\n".join(f"{deeper}{k}: %s" for k in keys_text) + f"\n{inner}}}"
+    return f"[\n{inner}" + f",\n{inner}".join(map(template.__mod__, zip(*texts))) + f"\n{outer}]"
+
+
 def _json_text(obj, outer: str, encoders: dict) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, byte for
     byte, nested where its own closing bracket sits at indent outer.
@@ -563,8 +604,13 @@ def _json_text(obj, outer: str, encoders: dict) -> str:
     containers recurse.  Without the C encoder, or for a dict with a key
     that is not a str, the stdlib's own text stands in, re-indented.
     Containers of exact builtin types take the one-call routes; subclasses
-    recurse, which is slower and gives the same bytes.
+    recurse, which is slower and gives the same bytes.  Records held as
+    columns are written by _records_text, or, where it declines, as their
+    list of dicts.
     """
+    if type(obj) is _RecordColumns:
+        text = _records_text(obj.columns, outer)
+        return _json_text(obj.dicts(), outer, encoders) if text is None else text
     inner, deeper, scalar = outer + "  ", outer + "    ", {str, int, float, bool, type(None)}
     encode, is_dict = _c_encoder(inner, encoders), isinstance(obj, dict)
     values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
@@ -572,7 +618,7 @@ def _json_text(obj, outer: str, encoders: dict) -> str:
         text = "".join(encode(obj, 0))
         return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}" if values else text
     if not encode or is_dict and not set(map(type, obj)) <= {str}:
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + outer)
+        return json.dumps(obj, indent=2, sort_keys=True, default=_RecordColumns.dicts).replace("\n", "\n" + outer)
     if is_dict:
         parts = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(obj[k], inner, encoders)}"
                  for k in sorted(obj)]
@@ -595,7 +641,7 @@ def _json_text(obj, outer: str, encoders: dict) -> str:
 def _render(envelope: dict, table: Table | None, fmt: str) -> str:
     if fmt == "json" or table is None:
         return _json_text(envelope, "", {}) + "\n"
-    header, rows = table
+    header, rows = table()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

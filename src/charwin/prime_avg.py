@@ -12,6 +12,7 @@ exceptional set), and reports the exceptional fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -133,9 +134,10 @@ def random_sparse_vectors(count: int, length: int, seed: int, support: int = 8) 
     return battery
 
 
-def _deviation_rows(counts: np.ndarray, h: int, j_max: int) -> list[list[float]]:
+def _deviation_rows(counts: np.ndarray, h: int, j_max: int) -> np.ndarray:
     """EmpiricalSummary.deviation(j), j = 1..j_max <= 2h, of every row of a
-    histogram matrix, from one _power_sums product.
+    histogram matrix, from one _power_sums product: float64, column j - 1
+    holding order j.
 
     The exact differences total - g K(j/2, h) (odd j: total) are divided by
     g in float64 where all of them and g lie below 2**53: converted exactly,
@@ -149,7 +151,7 @@ def _deviation_rows(counts: np.ndarray, h: int, j_max: int) -> list[list[float]]
     diffs = sums[:, 1:] - g * targets
     if diffs.dtype == object or not ((np.abs(diffs) < 2**53).all() and (g < 2**53).all()):
         diffs, g = diffs.astype(object), g.astype(object)
-    return (diffs / g).tolist()
+    return (diffs / g).astype(float)
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,10 @@ class DeviationRecord:
 class ExceptionalReport:
     """All deviation records over a prime interval plus exceptional fractions.
 
+    columns holds the records column by column: one list per DeviationRecord
+    field, in field order, each entry one record, the records in prime order
+    and within a prime by r, even before odd.  records builds the
+    DeviationRecord list from them on first read.
     A prime counts as exceptional for a parity if any order r <= r_max trips
     the threshold there; fraction_union merges both parities.
     mean_sq_deviation averages the raw deviation squared per (r, parity);
@@ -175,13 +181,17 @@ class ExceptionalReport:
     moment order), putting it on the scale of the moments of S/sqrt(h).
     """
 
-    records: list[DeviationRecord]
+    columns: dict[str, list]
     prime_count: int
     fraction_even: float
     fraction_odd: float
     fraction_union: float
     mean_sq_deviation: dict[str, float]
     mean_sq_deviation_normalized: dict[str, float]
+
+    @functools.cached_property
+    def records(self) -> list[DeviationRecord]:
+        return list(map(DeviationRecord, *self.columns.values()))
 
 
 def exceptional_sets(
@@ -198,8 +208,8 @@ def exceptional_sets(
 
     The inner moment average runs over m <= g(q_start) by default (the
     interval-wide sample count); per_prime_inner=True uses g(q) instead.
-    Thresholds always use the per-prime g(q), scaled by threshold_scale,
-    which must be finite and positive.  Each prime's record of order r and
+    Thresholds always use the per-prime g(q), which must be positive,
+    scaled by threshold_scale, which must be finite and positive.  Each prime's record of order r and
     parity holds summary.deviation(2r) (even) or summary.deviation(2r - 1)
     (odd) of its empirical_summary.  Strict mode enforces the narrow-window
     hypothesis h <= g(q)^(1/(2500 r^2)) and fails loudly; relaxed mode
@@ -207,7 +217,11 @@ def exceptional_sets(
 
     The moduli come from the sieve, so none is tested prime again.  The
     primes that share an h share one exact reduction, _deviation_rows, bit
-    for bit those deviations.
+    for bit those deviations, and from there the flags, the fractions and
+    the mean squares are taken on that group's deviation matrix: the
+    thresholds by np.float_power, which is libm pow as Python's float **
+    is, and each mean square as math.fsum of the squares, whose order does
+    not change the correctly rounded sum.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
@@ -228,6 +242,8 @@ def exceptional_sets(
         h_q = int(math.floor(h_schedule(q)))
         if h_q < 1 or h_q >= q:
             raise ValueError(f"window length {h_q} invalid for q={q}")
+        if not g_q > 0:
+            raise ValueError(f"sample count {g_q} invalid for q={q}")
         if mode == "strict":
             for r in range(1, r_max + 1):
                 cap = g_q ** (1.0 / (2500.0 * r * r))
@@ -250,41 +266,52 @@ def exceptional_sets(
     histograms = _window_histograms(primes, configs, stacklevel=2)
     for note in notes:
         warnings.warn(note, ExperimentWarning, stacklevel=2)
-    deviations: list = [None] * len(primes)
     rows_of: dict[int, list[int]] = {}
     for i, config in enumerate(configs):
         rows_of.setdefault(config.h, []).append(i)
-    for h, rows in rows_of.items():
-        counts = np.stack([histograms[i] for i in rows])
-        for i, devs in zip(rows, _deviation_rows(counts, h, 2 * min(r_max, h))):
-            deviations[i] = devs
-    records: list[DeviationRecord] = []
-    exceptional_primes = {"even": set(), "odd": set()}
-    sq_sums: dict[str, list[float]] = {}
-    sq_sums_norm: dict[str, list[float]] = {}
-    for q, config, g_q, devs in zip(primes, configs, thresholds_g, deviations):
-        h_q = config.h
-        threshold = threshold_scale * g_q ** (-1.0 / 8.0)
-        for r in range(1, min(r_max, h_q) + 1):
-            for parity, order in (("even", 2 * r), ("odd", 2 * r - 1)):
-                dev = devs[order - 1]
-                rec = DeviationRecord(q, r, parity, dev, threshold, abs(dev) >= threshold)
-                records.append(rec)
-                if rec.exceptional:
-                    exceptional_primes[parity].add(q)
-                key = f"r{r}_{parity}"
-                sq_sums.setdefault(key, []).append(dev**2)
-                sq_sums_norm.setdefault(key, []).append((dev / h_q ** (order / 2)) ** 2)
     n = len(primes)
-    union = exceptional_primes["even"] | exceptional_primes["odd"]
+    # a prime's records in one run: r = 1..min(r_max, h), even before odd
+    per = np.array([2 * min(r_max, config.h) for config in configs])
+    starts = np.cumsum(per) - per
+    with np.errstate(over="ignore"):  # an infinite threshold, as Python's product gives it
+        threshold = threshold_scale * np.float_power(thresholds_g, -1.0 / 8.0)
+    deviation = np.empty(starts[-1] + per[-1])
+    exceptional = np.empty(deviation.size, dtype=bool)
+    hit = {"even": np.empty(n, dtype=bool), "odd": np.empty(n, dtype=bool)}
+    squares: dict[str, list[float]] = {}
+    squares_norm: dict[str, list[float]] = {}
+    for h, rows in rows_of.items():
+        k = min(r_max, h)
+        # column t is record t of each prime: r = t // 2 + 1, and order 2r
+        # (even) for an even t, 2r - 1 (odd) for an odd t
+        orders = (np.arange(2 * k) ^ 1) + 1
+        devs = _deviation_rows(np.stack([histograms[i] for i in rows]), h, 2 * k)[:, orders - 1]
+        flags = np.abs(devs) >= threshold[rows, None]
+        at = starts[rows, None] + np.arange(2 * k)
+        deviation[at], exceptional[at] = devs, flags
+        hit["even"][rows], hit["odd"][rows] = flags[:, 0::2].any(axis=1), flags[:, 1::2].any(axis=1)
+        divisors = np.array([h ** (order / 2) for order in orders.tolist()])
+        raw, normalized = _squared_magnitudes(devs.T), _squared_magnitudes((devs / divisors).T)
+        for t in range(2 * k):
+            key = f"r{t // 2 + 1}_{('even', 'odd')[t % 2]}"
+            squares.setdefault(key, []).extend(raw[t])
+            squares_norm.setdefault(key, []).extend(normalized[t])
+    size = deviation.size
     return ExceptionalReport(
-        records=records,
+        columns={
+            "q": np.repeat(primes, per).tolist(),
+            "r": (np.arange(size) // 2 - np.repeat(starts // 2, per) + 1).tolist(),
+            "parity": ["even", "odd"] * (size // 2),
+            "deviation": deviation.tolist(),
+            "threshold": np.repeat(threshold, per).tolist(),
+            "exceptional": exceptional.tolist(),
+        },
         prime_count=n,
-        fraction_even=len(exceptional_primes["even"]) / n,
-        fraction_odd=len(exceptional_primes["odd"]) / n,
-        fraction_union=len(union) / n,
-        mean_sq_deviation={k: math.fsum(v) / len(v) for k, v in sorted(sq_sums.items())},
-        mean_sq_deviation_normalized={k: math.fsum(v) / len(v) for k, v in sorted(sq_sums_norm.items())},
+        fraction_even=np.count_nonzero(hit["even"]) / n,
+        fraction_odd=np.count_nonzero(hit["odd"]) / n,
+        fraction_union=np.count_nonzero(hit["even"] | hit["odd"]) / n,
+        mean_sq_deviation={k: math.fsum(v) / len(v) for k, v in sorted(squares.items())},
+        mean_sq_deviation_normalized={k: math.fsum(v) / len(v) for k, v in sorted(squares_norm.items())},
     )
 
 

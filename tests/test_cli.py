@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charwin import arith, cli, windows
+from charwin import arith, cli, prime_avg, windows
 from charwin.windows import random_weil_instances
 
 
@@ -394,6 +394,29 @@ def test_unwritable_out_exits_2_naming_the_path(target, tmp_path, capsys):
     assert err.startswith(f"charwin: cannot write --out {path}: ") and "Traceback" not in err
 
 
+def test_json_output_builds_no_records_and_no_csv_table(monkeypatch, capsys):
+    # a JSON run renders the interval records from their columns, so it
+    # constructs no DeviationRecord, and builds no CSV table; --format csv
+    # builds the table of each of these commands once
+    built = []
+    real_columns, real_record = cli._columns, prime_avg.DeviationRecord
+    monkeypatch.setattr(cli, "_columns", lambda *a: built.append("_columns") or real_columns(*a))
+    monkeypatch.setattr(prime_avg, "DeviationRecord", lambda *a: built.append("DeviationRecord") or real_record(*a))
+    argvs = [["clt-interval", "--interval", "1000:300", "--g", "const:64", "--h", "const:3", "--rmax", "2"],
+             ["ktheta"], ["rmf-compare", "--interval", "1000:1000", "--battery", "3:20:4"],
+             ["weil-check", "--trials", "5"], ["prime-density", "--x", "1000"]]
+    for argv in argvs:
+        assert _envelope(argv, capsys)[0] == 0
+    assert built == []
+    for argv in argvs[1:]:
+        assert _run(argv + ["--format", "csv"], capsys)[0] == 0
+    assert built == ["_columns"] * 4
+    # the spy sees a report's records built on first read
+    report = prime_avg.exceptional_sets(prime_avg.IntervalSpec(1000, 300), prime_avg.growth_schedule("const", 64.0),
+                                        prime_avg.growth_schedule("const", 3.0), r_max=1)
+    assert len(report.records) == built.count("DeviationRecord") == 2 * report.prime_count
+
+
 def test_csv_interval_schema(capsys):
     rc, out, err = _run(
         ["clt-interval", "--interval", "1000:200", "--g", "const:64",
@@ -512,12 +535,38 @@ _VALUES = st.recursive(
 )
 
 
-@given(_VALUES)
-@example([{"k": ["a]b", 1], "v": "}, {"}, {"k": [], "w": ":\x00 ["}])
-@example([{"a": {"b": [1, 2]}}, {"a": 1}])
+# records held as columns, one type to a column, as clt-interval hands them
+# to the renderer, at the top and where the envelope nests them; each case
+# is (what the renderer gets, the plain list of dicts the stdlib gets)
+_COLUMN_KINDS = st.sampled_from([st.floats(), st.floats(allow_nan=False, allow_infinity=False),
+                                 st.integers(-(2**70), 2**70), st.booleans(), _TEXT, st.none()])
+
+
+@st.composite
+def _column_cases(draw):
+    n = draw(st.integers(0, 5))
+    columns = {key: draw(st.lists(draw(_COLUMN_KINDS), min_size=n, max_size=n))
+               for key in draw(st.lists(_TEXT, min_size=1, max_size=6, unique=True))}
+    plain = [{key: column[i] for key, column in columns.items()} for i in range(n)]
+    if draw(st.booleans()):
+        return cli._RecordColumns(columns), plain
+    return {"results": {"records": cli._RecordColumns(columns), "n": n}}, {"results": {"records": plain, "n": n}}
+
+
+@given(_VALUES.map(lambda obj: (obj, obj)) | _column_cases())
+@example(([{"k": ["a]b", 1], "v": "}, {"}, {"k": [], "w": ":\x00 ["}],) * 2)
+@example(([{"a": {"b": [1, 2]}}, {"a": 1}],) * 2)
+@example((cli._RecordColumns({"q": [3, 3], "d": [0.0, -0.0], "t": [0.25, 0.25], "p": ["even", "odd"],
+                              "x": [True, False]}),
+          [{"q": 3, "d": 0.0, "t": 0.25, "p": "even", "x": True},
+           {"q": 3, "d": -0.0, "t": 0.25, "p": "odd", "x": False}]))
+@example(({"r": {"records": cli._RecordColumns({"t": [1.0, math.inf]})}},
+          {"r": {"records": [{"t": 1.0}, {"t": math.inf}]}}))
+@example((cli._RecordColumns({"%s%%": [1], "%(a)d": ["%"]}), [{"%s%%": 1, "%(a)d": "%"}]))
 @settings(max_examples=300, deadline=None)
-def test_json_text_matches_the_stdlib(obj):
-    assert cli._json_text(obj, "", {}) == _stdlib(obj)
+def test_json_text_matches_the_stdlib(case):
+    obj, plain = case
+    assert cli._json_text(obj, "", {}) == _stdlib(plain)
 
 
 @pytest.mark.parametrize("obj", [

@@ -1,5 +1,6 @@
 """Prime-interval averages, moment deviations, and growth schedules."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -274,6 +275,85 @@ def test_exceptional_sets_warn_like_window_series():
         if q <= 67
     ]
     assert len(wraps) == 15
+
+
+def _h_by_residue(q):
+    """h = 1..4 from q: the h-groups interleave across an interval."""
+    return 1 + (q // 2) % 4
+
+
+def _summary_oracle(records, h_sched):
+    """Fractions and mean squares from the records one by one, each square
+    as Python's float ** takes it and each mean as math.fsum in record order."""
+    n = len({rec.q for rec in records})
+    hits = {p: {rec.q for rec in records if rec.parity == p and rec.exceptional} for p in ("even", "odd")}
+    raw, normalized = {}, {}
+    for rec in records:
+        order = 2 * rec.r - (rec.parity == "odd")
+        key = f"r{rec.r}_{rec.parity}"
+        raw.setdefault(key, []).append(rec.deviation**2)
+        normalized.setdefault(key, []).append((rec.deviation / int(math.floor(h_sched(rec.q))) ** (order / 2)) ** 2)
+    means = [{k: math.fsum(v) / len(v) for k, v in sorted(d.items())} for d in (raw, normalized)]
+    return [len(hits["even"]) / n, len(hits["odd"]) / n, len(hits["even"] | hits["odd"]) / n, *means]
+
+
+def _bits(values):
+    return [(k, v.hex()) for k, v in values.items()] if isinstance(values, dict) else values.hex()
+
+
+@given(
+    q_start=st.integers(11, 4000),
+    delta=st.integers(20, 300),
+    g_sched=st.sampled_from([growth_schedule("log_power", 2.0), growth_schedule("small_power", 0.5),
+                             growth_schedule("const", 30.0)]),
+    # constant, stepping up past r_max, and interleaved
+    h_sched=st.sampled_from([growth_schedule("const", 3.0),
+                             growth_schedule("table", (11, 1.0), (1500, 2.0), (3000, 6.0)), _h_by_residue]),
+    r_max=st.integers(1, 5),
+    per_prime_inner=st.booleans(),
+    threshold_scale=st.floats(0.05, 20.0),
+    m_start=st.sampled_from([0, 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_exceptional_sets_columns_match_per_record_oracle(q_start, delta, g_sched, h_sched, r_max, per_prime_inner,
+                                                           threshold_scale, m_start):
+    spec = IntervalSpec(q_start, delta)
+    kwargs = {"per_prime_inner": per_prime_inner, "threshold_scale": threshold_scale, "m_start": m_start}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        report = exceptional_sets(spec, g_sched, h_sched, r_max, **kwargs)
+        slow = _slow_records(spec, g_sched, h_sched, r_max, **kwargs)
+    assert list(report.columns) == [f.name for f in dataclasses.fields(DeviationRecord)]
+    assert report.records == slow
+    assert report.records is report.records
+    summary = [report.fraction_even, report.fraction_odd, report.fraction_union, report.mean_sq_deviation,
+               report.mean_sq_deviation_normalized]
+    assert list(map(_bits, summary)) == list(map(_bits, _summary_oracle(slow, h_sched)))
+
+
+_THRESHOLD_SCHEDULES = [
+    *(growth_schedule("log_power", a) for a in (0.5, 1.0, 3.0, 7.3)),
+    *(growth_schedule("small_power", e) for e in (0.05, 0.5, 1.0)),
+    *(growth_schedule("const", c) for c in (1.0, 64.0, 1e6 + 0.5)),
+    growth_schedule("table", *((3 + 97 * i, 1.0 + 17.3 * i**1.5) for i in range(60))),
+]
+
+
+@pytest.mark.parametrize("schedule", _THRESHOLD_SCHEDULES, ids=lambda s: f"{s.kind}{s.params[:1]}")
+def test_float_power_thresholds_match_python_pow(schedule):
+    # the thresholds exceptional_sets takes with np.float_power, against
+    # Python's float ** on each g; np.power is not libm pow and differs
+    qs = list(range(3, 3003)) + [10**12 + 39 * k for k in range(3000)]
+    gs = [float(schedule(q)) for q in qs]
+    for scale in (1.0, 0.37, 10.0):
+        got = (scale * np.float_power(gs, -1.0 / 8.0)).tolist()
+        assert [x.hex() for x in got] == [(scale * g ** (-1.0 / 8.0)).hex() for g in gs]
+
+
+@pytest.mark.parametrize("g", [0.0, -2.0, math.nan])
+def test_exceptional_sets_rejects_non_positive_sample_counts(g):
+    with pytest.raises(ValueError, match="sample count"):
+        exceptional_sets(IntervalSpec(20000, 2000), lambda q: g, growth_schedule("const", 3.0), r_max=1)
 
 
 def _slow_battery_lhs(spec, vectors, primes):
