@@ -153,19 +153,6 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def _spf_sieve(limit: int) -> np.ndarray:
-    """Smallest prime factor of each n <= limit < 2**31, as int32; 0 and 1 map to themselves."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    untouched = np.nonzero(spf == 0)[0]
-    spf[untouched] = untouched  # primes, plus sentinels at 0 and 1
-    spf[1] = 1
-    return spf
-
-
 def _factorization(n: int) -> list[tuple[int, int]]:
     """Ascending (prime, exponent) pairs of n >= 1, exact for every n.
 
@@ -236,24 +223,31 @@ def fit_budget(what: str, units: int, per_unit: int, cap: int, cap_name: str, un
 
 
 def primes_in_interval(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], by a segmented sieve of Eratosthenes.
-
-    Its sieving primes up to sqrt(hi) come from this same function
-    (Crandall and Pomerance, Prime Numbers, 3.2).  Before any allocation it
-    checks hi < 2**63 and that the segment and the base [2, sqrt(hi)] each
-    fit MAX_SEGMENT entries.
-    """
+    """All primes in [lo, hi], read off _prime_mask."""
     if not 2 <= lo <= hi < MAX_MODULUS:
         raise ValueError(f"need 2 <= lo <= hi < 2**63, got [{lo}, {hi}]")
-    fit_budget(f"segment length {hi - lo + 1}", hi - lo + 1, 1, MAX_SEGMENT, "MAX_SEGMENT", "entries")
+    return (np.flatnonzero(_prime_mask(lo, hi)) + lo).tolist()
+
+
+def _prime_mask(lo: int, hi: int) -> np.ndarray:
+    """Bool mask of [lo, hi], for 2 <= lo and hi < 2**63: entry i is True
+    exactly when lo + i is prime.  Empty when hi < lo.
+
+    The one sieve of the package, a segmented sieve of Eratosthenes whose
+    sieving primes up to sqrt(hi) come from primes_in_interval (Crandall and
+    Pomerance, Prime Numbers, 3.2).  Before any allocation it checks that
+    the segment and the base [2, sqrt(hi)] each fit MAX_SEGMENT entries.
+    """
+    length = max(0, hi - lo + 1)
+    fit_budget(f"segment length {length}", length, 1, MAX_SEGMENT, "MAX_SEGMENT", "entries")
     root = math.isqrt(hi)
     fit_budget(f"base sieve to sqrt(hi) = {root}", root - 1, 1, MAX_SEGMENT, "MAX_SEGMENT", "entries")
-    seg = np.ones(hi - lo + 1, dtype=bool)
+    seg = np.ones(length, dtype=bool)
     for p in primes_in_interval(2, root) if root >= 2 else ():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start <= hi:
             seg[start - lo :: p] = False
-    return (np.flatnonzero(seg) + lo).tolist()
+    return seg
 
 
 def prime_density_check(x: int, eta: float) -> dict:

@@ -26,7 +26,7 @@ from .arith import (
     MAX_MODULUS,
     MAX_SEGMENT,
     ExperimentWarning,
-    _spf_sieve,
+    _prime_mask,
     fit_budget,
     jacobi,
     jacobi_array,
@@ -50,7 +50,7 @@ CHI_TABLE_MAX = 1 << 27
 # mask and the indices of the kept squares, while its batch of kept squares,
 # at most BLOCK_BYTES, lives in the table's own bytes), and the chunks of
 # _chi_range, incomplete_poly_sum and polya_vinogradov_check.
-# chi_block refuses a block whose spf sieve, symbols and reciprocity tables
+# chi_block refuses a block whose primes, symbols and reciprocity tables
 # (no more entries than the symbols) would pass 2 * BLOCK_BYTES, so its
 # callers keep the symbols within half of that; the tables of its last small
 # primes stay cached, read-only, for the next block.  Above CHI_TABLE_MAX, a
@@ -112,25 +112,28 @@ def _coprime_to_6(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.logical_and(keep, slots, out=keep)
 
 
-def _fill_multiples_of_2_and_3(t: np.ndarray, q: int) -> None:
-    """Set t[n] = (n|q) for every n >= 2 of the table t that 2 or 3 divides,
-    in place, given t[k] for every k prime to 6.
+def _multiplicative_fill(t: np.ndarray, primes) -> None:
+    """Set t[..., n] = t[..., p] t[..., n / p] along the last axis of a table
+    or block t, in place, for every n >= 2 that a p in primes divides.
 
-    (n|q) is completely multiplicative, so t[p k] = (p|q) t[k] for p = 2, 3,
-    one strided copy per p and block.  The blocks lo <= n < hi grow in
+    primes holds the primes up to some bound, ascending, and t must already
+    hold their own entries and those of every n that none of them divides.
+    (n|q) is completely multiplicative in n, so each p fills its multiples
+    by one strided copy per block.  The blocks lo <= n < hi grow in
     increasing order with hi <= 2 lo, so every k = n / p lies below lo,
     already final, and each block spans at most a pass of
-    min(BLOCK_BYTES, _PASS_BYTES).  The signs come from closed forms, not
-    from jacobi(), so the table stays an independent route: (2|q) = 1
-    exactly when q = +-1 mod 8, and (3|q) = 1 exactly when q = +-1 mod 12.
+    min(BLOCK_BYTES, _PASS_BYTES) bytes over the rows.  A block needs only
+    the p with p**2 < hi: the smallest prime factor p of a composite n < hi
+    has p**2 <= n.
     """
-    signs = ((2, 1 if q % 8 in (1, 7) else -1), (3, 1 if q % 12 in (1, 11) else -1))
+    rows = math.prod(t.shape[:-1])
+    step = max(1, min(BLOCK_BYTES, _PASS_BYTES) // max(1, rows))
     lo = 2
-    while lo < t.size:
-        hi = min(2 * lo, lo + min(BLOCK_BYTES, _PASS_BYTES), t.size)
-        for p, sign in signs:
+    while lo < t.shape[-1]:
+        hi = min(2 * lo, lo + step, t.shape[-1])
+        for p in itertools.takewhile(lambda p: p * p < hi, primes):
             k = -(-lo // p)
-            np.multiply(t[k : -(-hi // p)], sign, out=t[p * k : hi : p])
+            np.multiply(t[..., k : -(-hi // p)], t[..., p, None], out=t[..., p * k : hi : p])
         lo = hi
 
 
@@ -153,8 +156,9 @@ def chi_table(q: int) -> np.ndarray:
     A table of more than _FILL_ABOVE entries, which outgrows the cache,
     takes a second route with the same result: only the squares prime to 6
     are marked, and the multiples of 2 and 3 are filled by
-    t[p k] = (p|q) t[k], with (2|q) = 1 exactly when q = +-1 mod 8 and
-    (3|q) = 1 exactly when q = +-1 mod 12.
+    t[p k] = t[p] t[k], the one multiplicative fill that chi_block uses too,
+    from t[2] and t[3] in closed form: (2|q) = 1 exactly when q = +-1 mod 8
+    and (3|q) = 1 exactly when q = +-1 mod 12.
     Its spare slot is the first multiple of 6 at or above half, so the
     clipped squares are dropped with the rest.  A kept square s marks
     c[s // 3], one byte per n prime to 6, where c is the top third of the
@@ -163,9 +167,10 @@ def chi_table(q: int) -> np.ndarray:
     each full batch, up to BLOCK_BYTES, is sorted in place and marks c in
     one ordered sweep instead of random writes that miss the cache.  Then
     the marks are spread over the table, upwards and below the marks not
-    yet read, and the fill runs.  A chunk holds 29 bytes per square: those
-    of the plain route, the bool keep mask and the indices of the kept
-    squares; the test of divisibility by 3 overwrites the clipped squares.
+    yet read, and the fill overwrites every other entry.  A chunk holds 29
+    bytes per square: those of the plain route, the bool keep mask and the
+    indices of the kept squares; the test of divisibility by 3 overwrites
+    the clipped squares.
     The batch and the marks cost no byte beyond the table.  The speed of
     the sort comes from numpy's SIMD sort kernels (numpy 2.0 and later);
     the table is exact on any numpy.
@@ -173,12 +178,14 @@ def chi_table(q: int) -> np.ndarray:
     return _cached_table(prime_modulus(q))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _cached_table(q: int) -> np.ndarray:
     """chi_table's build and cache, for a q its caller has checked prime.
 
     _chi_range reads it directly: every caller of _chi_range has already
-    checked its modulus, so no table read tests primality again.  Both
+    checked its modulus, so no table read tests primality again.  The cache
+    keeps the last table only: production reads the tables in order of q,
+    so a run holds one table, two while the next one is built.  Both
     routes take the uint32 squares of one kernel: the first chunk by
     _reduce, each later one by two _add_mod steps.  Up to _FILL_ABOVE
     entries every square is marked, 20 bytes per square.  Above, only the
@@ -186,8 +193,9 @@ def _cached_table(q: int) -> np.ndarray:
     square s goes, divided by 3, into a batch of uint32 held in the table's
     low bytes, which are not final yet; a full batch is sorted in place and
     marks c[s // 3] in one sweep (_mark_sorted), c being the top spare // 3
-    bytes of the table.  _expand_marks spreads c over the table, and
-    _fill_multiples_of_2_and_3 sets the rest.
+    bytes of the table.  _expand_marks spreads c over the entries prime to
+    6, t[2] and t[3] come from their closed forms, and _multiplicative_fill
+    sets the multiples of 2 and 3.
     """
     half = (q + 1) // 2
     fit_budget(f"character table for q={q}", half, 1, (CHI_TABLE_MAX + 1) // 2, "(CHI_TABLE_MAX + 1) // 2")
@@ -256,7 +264,9 @@ def _cached_table(q: int) -> np.ndarray:
     if fill:
         _mark_sorted(batch[:count], c, slots)
         _expand_marks(t, base, half)
-        _fill_multiples_of_2_and_3(t[:half], q)
+        # past half on the smallest tables, where they land on spent marks
+        t[2:4] = (1 if q % 8 in (1, 7) else -1), (1 if q % 12 in (1, 11) else -1)
+        _multiplicative_fill(t[:half], (2, 3))
     t.setflags(write=False)
     return t[:half]
 
@@ -283,9 +293,9 @@ def _expand_marks(t: np.ndarray, base: int, half: int) -> None:
     set t[0] = 0.
 
     c[i] holds the symbol of the one n prime to 6 among 3 i + 1 and 3 i + 2,
-    so t[n] = c[n // 3] for n = 1 and 5 mod 6, every other n >= 1 being set
-    to -1 for _fill_multiples_of_2_and_3.  The blocks lo <= n < hi run
-    upwards, each within a pass of min(BLOCK_BYTES, _PASS_BYTES) and below
+    so t[n] = c[n // 3] for n = 1 and 5 mod 6; _multiplicative_fill
+    overwrites the rest.  The blocks lo <= n < hi run upwards, each within
+    a pass of min(BLOCK_BYTES, _PASS_BYTES) and below
     base + (lo - 1) // 3, the first byte of c it may still have to read.
     So no block overwrites a mark before it is read, and near the top the
     blocks shrink to a third of the gap that is left.
@@ -295,7 +305,6 @@ def _expand_marks(t: np.ndarray, base: int, half: int) -> None:
     lo = 1
     while lo < half:
         hi = min(lo + min(BLOCK_BYTES, _PASS_BYTES), half, base + (lo - 1) // 3)
-        t[lo:hi] = -1
         for n0 in (lo + (1 - lo) % 6, lo + (5 - lo) % 6):
             k = len(range(n0, hi, 6))
             t[n0:hi:6] = c[n0 // 3 : n0 // 3 + 2 * k : 2]
@@ -412,22 +421,21 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     read from the half table of l, through the mirror (l-r|l) = (-1|l) (r|l)
     when q mod l > l/2.  So a block of few rows keeps few tables: one row
     reads only l = 2, 3 this way.  The other prime columns come from one
-    jacobi_array call.  The rest is filled in dyadic slices lo <= n < 2 lo,
-    lo = 4, 8, 16, ...: (n|q) is completely multiplicative in n, so column n
-    is column spf[n] times column n // spf[n], and both lie below lo for
-    every composite n in the slice.  A prime n reads itself times column 1,
-    which is 1.  The block is exact for n_max >= q as well.
+    jacobi_array call.  The prime columns are read off the package's one
+    sieve (arith._prime_mask), and _multiplicative_fill, the fill of the
+    large character tables too, sets every composite column n = p k to
+    column p times column k.  The block is exact for n_max >= q as well.
 
     The half tables are built once for each tuple of small primes and kept,
     read-only, for the next call (_half_tables): the blocks of an interval
-    mostly read the same ones.  Before any allocation, the int32 spf sieve,
-    the block and the tables, which hold no more entries than the block,
-    are checked against 2 * BLOCK_BYTES.  Transient on top: 6 bytes per
-    cell of the reciprocity columns (q mod l as int32, its mirror flag and
-    the symbols read), 4 * 4 bytes per square marked when the tables are
-    built, and jacobi_array's working set on the larger prime columns: at
-    most 83 bytes per cell, a bound with margin (tracemalloc reads about 66
-    at q = 10**9 + 7).  The tables of the last call stay alive until a call
+    mostly read the same ones.  Before any allocation, the bool prime mask
+    and the array of primes, 4 bytes per column, the block and the tables,
+    which hold no more entries than the block, are checked against
+    2 * BLOCK_BYTES.  Transient on top: 6 bytes per cell of the reciprocity
+    columns (q mod l as int32, its mirror flag and the symbols read), 4 * 4
+    bytes per square marked when the tables are built, and jacobi_array's
+    working set on the larger prime columns: at most 83 bytes per cell, a
+    bound with margin (tracemalloc reads about 66 at q = 10**9 + 7).  The tables of the last call stay alive until a call
     with other small primes replaces them.
     """
     qs = [operator.index(q) for q in qs]
@@ -438,9 +446,8 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     fit_budget(f"symbol block of {qs.size} moduli to n_max={n_max}", n_max + 1, 4 + 2 * qs.size,
-               2 * BLOCK_BYTES, "2 * BLOCK_BYTES", parts="its spf sieve, block and tables")
-    spf = _spf_sieve(max(n_max, 2))[: n_max + 1]
-    primes = np.flatnonzero(spf == np.arange(n_max + 1, dtype=spf.dtype))[2:]
+               2 * BLOCK_BYTES, "2 * BLOCK_BYTES", parts="its prime mask and array, block and tables")
+    primes = np.flatnonzero(_prime_mask(2, n_max)) + 2
     block = np.empty((qs.size, n_max + 1), dtype=np.int8)
     block[:, :2] = [0, 1][: n_max + 1]
     if n_max >= 2:
@@ -464,11 +471,7 @@ def chi_block(qs, n_max: int) -> np.ndarray:
         symbols = t[r]
         block[:, small] = np.negative(symbols, out=symbols, where=mirrored)
     block[:, large] = jacobi_array(large[None, :], qs[:, None])
-    lo = 4
-    while lo <= n_max:
-        p = spf[lo : 2 * lo]
-        block[:, lo : lo + p.size] = block[:, p] * block[:, np.arange(lo, lo + p.size, dtype=p.dtype) // p]
-        lo *= 2
+    _multiplicative_fill(block, primes[primes <= math.isqrt(n_max)].tolist())
     return block
 
 

@@ -24,7 +24,7 @@ from charwin import (
 from charwin import arith
 from charwin.arith import (
     _factorization,
-    _spf_sieve,
+    _prime_mask,
     odd_exponent_primes,
     prime_modulus,
 )
@@ -294,13 +294,15 @@ def test_factorization_beyond_limit_falls_back():
 
 
 def test_table_primes_match_sieve():
-    # windows.chi_block reads its prime columns off the same sieve
-    spf = _spf_sieve(20000)
-    primes = np.flatnonzero(spf == np.arange(spf.size))[2:].tolist()
+    # windows.chi_block reads its prime columns off the mask that
+    # primes_in_interval reads, as an array; below 2 it holds no prime
+    primes = (np.flatnonzero(_prime_mask(2, 20000)) + 2).tolist()
     assert primes[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert primes == primes_in_interval(2, 20000)
-    spf = _spf_sieve(EDGE - 1)
-    assert np.flatnonzero(spf == np.arange(EDGE))[2:].tolist() == primes_in_interval(2, EDGE - 1)
+    assert primes == primes_in_interval(2, 20000) == [n for n in range(20001) if is_prime(n)]
+    assert (np.flatnonzero(_prime_mask(2, EDGE - 1)) + 2).tolist() == primes_in_interval(2, EDGE - 1)
+    mask = _prime_mask(EDGE - 2000, EDGE + 2000)
+    assert mask.tolist() == [is_prime(n) for n in range(EDGE - 2000, EDGE + 2001)]
+    assert _prime_mask(2, 1).size == _prime_mask(2, 0).size == 0
 
 
 @given(st.integers(min_value=1, max_value=10**5))

@@ -164,7 +164,7 @@ def test_consecutive_interval_blocks_build_the_half_tables_once(capsys):
 
 def test_weil_check_builds_each_table_once_and_tests_no_modulus(monkeypatch, capsys):
     # the moduli come from the sieve, which proves them prime, and the trials
-    # run in order of modulus, so the 4-entry table cache misses once per
+    # run in order of modulus, so the one-table cache misses once per
     # distinct q; the checks keep the order the trials were drawn in
     calls = []
     real = arith.is_prime

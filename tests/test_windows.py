@@ -81,7 +81,7 @@ def test_chi_table_build_stays_within_block_bytes(monkeypatch):
     # within the headers' room.
     fill_square = 4 + 4 + 4 + 8 + 1 + 8
     default = windows._FILL_ABOVE
-    fills = _spy(monkeypatch, "_fill_multiples_of_2_and_3")
+    fills = _spy(monkeypatch, "_multiplicative_fill")
     for budget in (windows.BLOCK_BYTES, 1 << 18):
         monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
         chunk = min(budget, windows._PASS_BYTES)
@@ -104,9 +104,9 @@ def test_chi_table_build_stays_within_block_bytes(monkeypatch):
     windows._cached_table.cache_clear()
 
 
-def _spy(monkeypatch, name, record=lambda t, q: q):
+def _spy(monkeypatch, name, record=lambda t, primes: 2 * t.size - 1):
     """record(*args) of each call of windows.<name>: by default the modulus
-    q of a call (t, q)."""
+    q of the half table t of a call (t, primes)."""
     calls = []
     real = getattr(windows, name)
     monkeypatch.setattr(windows, name, lambda *args: calls.append(record(*args)) or real(*args))
@@ -153,16 +153,18 @@ def test_fill_route_takes_every_sign_of_2_and_3(monkeypatch):
 
 
 def test_fill_route_marks_only_squares_prime_to_6(monkeypatch):
-    # with the fill left out, the multiples of 2 and 3 keep their -1 and the
-    # rest is already final: the scatter wrote no square that 2 or 3 divides
-    monkeypatch.setattr(windows, "_fill_multiples_of_2_and_3", lambda t, q: None)
+    # as the fill is entered, the entries prime to 6 are already final and
+    # t[2], t[3] hold their closed forms: the scatter wrote no square that 2
+    # or 3 divides over any of them
+    entered = _spy(monkeypatch, "_multiplicative_fill", lambda t, primes: t.copy())
     for q in (1009, 1048583, 1048601):
-        t = _table_by_route(monkeypatch, q, fill=True)
+        entered.clear()
+        _table_by_route(monkeypatch, q, fill=True)
+        (t,) = entered
         n = np.arange(t.size)
-        multiple = (n >= 2) & ((n % 2 == 0) | (n % 3 == 0))
-        assert (t[multiple] == -1).all(), q
+        final = (n < 4) | ((n % 2 != 0) & (n % 3 != 0))
         plain = _table_by_route(monkeypatch, q, fill=False)
-        assert np.array_equal(t[~multiple], plain[~multiple]), q
+        assert np.array_equal(t[final], plain[final]), q
 
 
 def test_route_is_chosen_by_table_size(monkeypatch):
@@ -175,7 +177,7 @@ def test_route_is_chosen_by_table_size(monkeypatch):
         below -= 2
     while not is_prime(above):
         above += 2
-    fills = _spy(monkeypatch, "_fill_multiples_of_2_and_3")
+    fills = _spy(monkeypatch, "_multiplicative_fill")
     for q in (below, above):
         windows._cached_table.cache_clear()
         chi_table(q)
@@ -213,6 +215,29 @@ def test_sorted_marks_batch_lives_in_the_table(monkeypatch):
         assert t[n].tolist() == jacobi_array(n, q).tolist(), budget
 
 
+def test_table_cache_holds_one_table_between_reads():
+    # production reads the tables in order of q, so the cache keeps the
+    # last one only: between reads of three primes near 2**26, traced
+    # memory holds one half table of 2**25 bytes, not three, and the build
+    # of the next one holds two at most, with one pass of squares
+    qs = [q for q in range(2**26 + 1, 2**26 + 1000, 2) if is_prime(q)][:3]
+    half = (qs[-1] + 1) // 2
+    windows._cached_table.cache_clear()
+    held = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for q in qs:
+            assert windows._chi_range(q, q - 3, q - 1).tolist() == [jacobi(n, q) for n in (q - 3, q - 2, q - 1)]
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+        windows._cached_table.cache_clear()
+    assert max(held) < half + (1 << 16), held
+    assert peak < 2 * half + windows._PASS_BYTES + (1 << 16)
+
+
 def test_fill_route_sorts_many_batches_and_expands_many_blocks(monkeypatch):
     # a 4 KB pass gives batches of 1024 squares and expansion blocks of 4096
     # entries.  About q / 12 squares are kept, so q near 10**6 sorts about 80
@@ -242,8 +267,9 @@ def test_fill_route_in_every_class_mod_24(monkeypatch):
 
 def test_expand_marks_reads_each_mark_before_overwriting_it(monkeypatch):
     # marks c of random sign under a table of random bytes: every n prime to
-    # 6 takes its mark c[n // 3], every other n >= 1 is -1, for every half up
-    # to 400 and passes of 5 and 64 bytes as well as the default
+    # 6 takes its mark c[n // 3], every other n >= 1 keeps its bytes for the
+    # fill, for every half up to 400 and passes of 5 and 64 bytes as well as
+    # the default
     rng = np.random.default_rng(22)
     for budget in (5, 64, windows.BLOCK_BYTES):
         monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
@@ -253,9 +279,10 @@ def test_expand_marks_reads_each_mark_before_overwriting_it(monkeypatch):
             base = t.size - spare // 3
             c = rng.choice(np.array([-1, 1], dtype=np.int8), spare // 3)
             t[base:] = c
+            before = t.copy()
             windows._expand_marks(t, base, half)
             n = np.arange(1, half)
-            expected = np.where((n % 6 == 1) | (n % 6 == 5), c[n // 3], -1)
+            expected = np.where((n % 6 == 1) | (n % 6 == 5), c[n // 3], before[n])
             assert t[0] == 0 and np.array_equal(t[1:half], expected), (budget, half)
 
 
@@ -529,12 +556,12 @@ def test_chi_block_reads_interval_columns_by_reciprocity(jacobi_cells):
 
 
 def test_chi_block_leaves_nothing_allocated():
-    # the fill holds its spf sieve for one call only, and keeps only the
-    # half tables of the last call's small primes, about 220 KB at l <= 2633:
-    # once the block is dropped, traced memory is within 1 MB of where it
-    # started, and the call's peak is well inside two symbol budgets: at
-    # 10**6 a 4 MB int32 sieve, the 1 MB block and the Jacobi columns; with
-    # many rows the tables and residues
+    # the call holds its prime mask and array for one call only, and keeps
+    # only the half tables of the last call's small primes, about 220 KB at
+    # l <= 2633: once the block is dropped, traced memory is within 1 MB of
+    # where it started, and the call's peak is well inside two symbol
+    # budgets: at 10**6 the 1 MB mask, the 1 MB block and the Jacobi
+    # columns; with many rows the tables and residues
     shapes = [
         ([1000000007], 10**6),
         (primes_in_interval(10**6, 10**6 + 10**5), 100),
@@ -573,7 +600,7 @@ def test_half_tables_are_cached_read_only_and_shared_across_row_counts(jacobi_ce
 
 
 def test_chi_block_over_budget_raises_before_allocating():
-    # n_max = 10**9 would first ask for a 4 GB int32 spf sieve
+    # n_max = 10**9 would first ask for a 1 GB prime mask
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -589,7 +616,7 @@ def test_chi_block_over_budget_raises_before_allocating():
 def test_chi_block_rejects_non_prime_moduli():
     # even, negative, below 3 and from 2**63 on; odd composites are valid
     # (test_chi_block_matches_jacobi_on_odd_moduli).  n_max = 10**6 would
-    # first allocate a 4 MB spf sieve
+    # first allocate a 1 MB prime mask
     for bad in ([16], [1], [2], [-7], [2**63 + 29], [3, 2**63 + 1], [9, 10]):
         tracemalloc.start()
         try:
@@ -612,7 +639,7 @@ def _odd_moduli() -> list[list[int]]:
     ]
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 100, 3000])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 63, 64, 65, 100, 3000, 4095, 4096, 4097])
 def test_chi_block_matches_jacobi_on_odd_moduli(n_max):
     # reciprocity, the q mod 8 column and the multiplicative fill hold for
     # Jacobi symbols, so composite rows need no other route
@@ -624,6 +651,37 @@ def test_chi_block_matches_jacobi_on_odd_moduli(n_max):
             assert np.array_equal(block[lo : lo + 100], jacobi_array(n[None, :], rows))
         for i in range(0, len(qs), 37):
             assert block[i, ::97].tolist() == [jacobi(k, qs[i]) for k in range(0, n_max + 1, 97)]
+
+
+def test_multiplicative_fill_in_blocks_cut_by_the_pass(monkeypatch):
+    # a 300-byte pass cuts the fill's dyadic blocks to 300 columns of one
+    # row, 7 of 40 rows and a single column of 400 rows; the fill route's
+    # table fills in blocks of 300 entries.  Each against jacobi_array
+    monkeypatch.setattr(windows, "_PASS_BYTES", 300)
+    qs = primes_in_interval(10**6, 10**6 + 6000)
+    for rows, n_max in ((1, 5000), (40, 2000), (400, 300)):
+        n = np.arange(n_max + 1)
+        block = chi_block(qs[:rows], n_max)
+        assert np.array_equal(block, jacobi_array(n[None, :], np.array(qs[:rows])[:, None])), rows
+    q = 40009
+    t = _table_by_route(monkeypatch, q, fill=True)
+    assert t.tolist() == jacobi_array(np.arange(t.size), q).tolist()
+
+
+def test_one_row_chi_block_peak_is_its_block_primes_and_jacobi_columns():
+    # one row to 10**6: the block and its prime mask, one byte per column
+    # each, the intp primes, and jacobi_array's 83 bytes at most on each
+    # prime column but 2 and 3, within 256 KB
+    n_max = 10**6
+    columns = len(primes_in_interval(2, n_max))
+    chi_block([10**9 + 7], n_max)
+    tracemalloc.start()
+    try:
+        chi_block([10**9 + 7], n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (n_max + 1) + 8 * columns + 83 * (columns - 2) + (1 << 18)
 
 
 def _slow_histograms(qs, configs):
