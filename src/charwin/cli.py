@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -172,9 +173,12 @@ _EXEC_OPTS = (
 )
 
 
-def _build_parser(commands) -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _build_parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
     """The parser of the named subcommands.  main passes only the one its
-    argv names; that command's help and errors read as in the full parser."""
+    argv names; that command's help and errors read as in the full parser.
+    Built once per process for each tuple: parse_args keeps no state between
+    calls, and main asks for one tuple per command and the tuple of all."""
     parser = argparse.ArgumentParser(
         prog="charwin",
         description="experiments on sums of consecutive quadratic-residue symbols",
@@ -653,7 +657,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # one subparser instead of all of them when argv names its command;
     # --help, --version and an unknown command take the full parser
-    args = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS).parse_args(argv)
+    args = _build_parser(tuple(argv[:1]) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)).parse_args(argv)
     started = time.perf_counter()
     try:
         cfg, echo, exec_cfg = _resolve(args.command, args)

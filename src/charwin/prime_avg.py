@@ -69,7 +69,9 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int]) ->
                 stacklevel=3,
             )
     n_max = max((len(vec) for vec in vectors), default=0)
-    # half the budget per block: chi_block counts its tables as much again
+    # 2 bytes per cell within BLOCK_BYTES: chi_block counts 3 per cell for the
+    # block and its tables and 3 per column, within 2 * BLOCK_BYTES while a
+    # row holds at most BLOCK_BYTES / 6 columns
     rows = fit_budget(f"symbol row to n_max={n_max}", 1, 2 * (n_max + 1), windows.BLOCK_BYTES, "BLOCK_BYTES")
     per_vector = [[] for _ in vectors]
     for lo in range(0, len(primes), rows):

@@ -50,11 +50,12 @@ CHI_TABLE_MAX = 1 << 27
 # mask and the indices of the kept squares, while its batch of kept squares,
 # at most BLOCK_BYTES, lives in the table's own bytes), and the chunks of
 # _chi_range, incomplete_poly_sum and polya_vinogradov_check.
-# chi_block refuses a block whose primes, symbols and reciprocity tables
-# (no more entries than the symbols) would pass 2 * BLOCK_BYTES, so its
-# callers keep the symbols within half of that; the tables of its last small
-# primes stay cached, read-only, for the next block.  Above CHI_TABLE_MAX, a
-# call reads at most MAX_SEGMENT symbols from jacobi_array.
+# chi_block refuses a block whose prime mask and int32 primes (3 bytes per
+# column at most), symbols and reciprocity tables (at most 2 entries per
+# symbol), (n_max + 1)(3 + 3 rows) bytes, would pass 2 * BLOCK_BYTES, so its
+# callers keep the symbols within BLOCK_BYTES / 2; the tables of its last
+# small primes stay cached, read-only, for the next block.  Above
+# CHI_TABLE_MAX, a call reads at most MAX_SEGMENT symbols from jacobi_array.
 # arith.fit_budget checks and refuses every one of these caps.
 BLOCK_BYTES = 1 << 24
 # The passes that read the character table, whose per-call cost is small,
@@ -83,20 +84,6 @@ _PASS_BYTES = 1 << 20
 _FILL_ABOVE = 1 << 22
 
 
-def _square_slots(x: np.ndarray, q, half) -> np.ndarray:
-    """x**2 mod q clipped at half, in place in x: the entry of a half table
-    of (r|q) that the square of x marks, slot half being a spare past it.
-
-    Over x = 1..(q-1)/2 these are all the nonzero squares mod q, each once.
-    x**2 mod q is x**2 - (x**2 // q) * q; q and half broadcast against x, so
-    the divisors form an array and chi_table's recurrence does not apply.
-    """
-    quotient = np.floor_divide(np.square(x, out=x), q)
-    quotient *= q
-    x -= quotient
-    return np.minimum(x, half, out=x)
-
-
 def _coprime_to_6(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Mark in keep the uint32 slots that are odd and not divisible by 3,
     overwriting slots.
@@ -113,27 +100,31 @@ def _coprime_to_6(slots: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _multiplicative_fill(t: np.ndarray, primes) -> None:
-    """Set t[..., n] = t[..., p] t[..., n / p] along the last axis of a table
-    or block t, in place, for every n >= 2 that a p in primes divides.
+    """Set t[n] = t[p] t[n / p] along axis 0 of a table or an n-major block
+    t, in place, for every n >= 2 that a p in primes divides.
 
     primes holds the primes up to some bound, ascending, and t must already
     hold their own entries and those of every n that none of them divides.
     (n|q) is completely multiplicative in n, so each p fills its multiples
-    by one strided copy per block.  The blocks lo <= n < hi grow in
-    increasing order with hi <= 2 lo, so every k = n / p lies below lo,
-    already final, and each block spans at most a pass of
-    min(BLOCK_BYTES, _PASS_BYTES) bytes over the rows.  A block needs only
-    the p with p**2 < hi: the smallest prime factor p of a composite n < hi
-    has p**2 <= n.
+    by one strided copy per block, of whole rows t[n] on a block.  The blocks
+    lo <= n < hi grow in increasing order with hi <= 2 lo, so every k = n / p
+    lies below lo, already final, and each block spans at most a pass of
+    min(BLOCK_BYTES, _PASS_BYTES) bytes.  A block needs only the p with
+    p**2 < hi: the smallest prime factor p of a composite n < hi has
+    p**2 <= n.  numpy runs the copy with the moduli inner, contiguous, on a
+    block of 10 moduli or more; on fewer, each inner loop would be too short
+    to pay for itself, and the copy runs along n instead (order "C" on the
+    transposed views), which was 2 to 4 times faster at 2 to 4 moduli.
     """
-    rows = math.prod(t.shape[:-1])
+    rows = math.prod(t.shape[1:])
     step = max(1, min(BLOCK_BYTES, _PASS_BYTES) // max(1, rows))
+    order = "K" if rows >= 10 else "C"
     lo = 2
-    while lo < t.shape[-1]:
-        hi = min(2 * lo, lo + step, t.shape[-1])
+    while lo < len(t):
+        hi = min(2 * lo, lo + step, len(t))
         for p in itertools.takewhile(lambda p: p * p < hi, primes):
             k = -(-lo // p)
-            np.multiply(t[..., k : -(-hi // p)], t[..., p, None], out=t[..., p * k : hi : p])
+            np.multiply(t[k : -(-hi // p)].T, t[p, ..., None], out=t[p * k : hi : p].T, order=order)
         lo = hi
 
 
@@ -381,27 +372,28 @@ def _chi_range(q: int, n_lo: int, n_hi: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _half_tables(ells: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Half tables (r|l), r = 0..(l-1)/2, of the odd primes ells, laid end to
-    end in one int8 array, each followed by its spare slot, so (l+3)/2
-    entries per l; with the offset of each table.  One _square_slots call
-    marks the squares x = 1..(l-1)/2 of every table in int32.
+def _full_tables(ells: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Full-period tables (r|l), r = 0..l-1, of the odd primes ells, laid end
+    to end in one int8 array, l entries per l; with the offset of each table.
 
-    Cached for the last ells, read-only: the consecutive blocks of an
-    interval, and the row chunks of one, mostly share their small primes.
+    Each table is marked from its (l-1)/2 squares x**2 mod l, x = 1..(l-1)/2,
+    all in one pass, in int32: at BLOCK_BYTES = 2**24 the tables of a block
+    within chi_block's budget hold under 2**25 entries, so they stop below
+    l = 2**15.  Cached for the last ells, read-only: the consecutive blocks
+    of an interval, and the row chunks of one, mostly share their small
+    primes.
     """
     ells = np.array(ells, dtype=np.int32)
-    halves = (ells + 1) // 2
-    ends = np.cumsum(halves + 1, dtype=ells.dtype)
-    starts = ends - halves - 1
-    t = np.full(ends[-1], -1, dtype=np.int8)
+    starts = np.cumsum(ells, dtype=np.int32) - ells
+    t = np.full(int(starts[-1]) + int(ells[-1]), -1, dtype=np.int8)
     t[starts] = 0
-    counts = halves - 1
-    x = np.arange(1, counts.sum() + 1, dtype=ells.dtype)
-    x -= np.repeat(np.cumsum(counts, dtype=ells.dtype) - counts, counts)
-    slots = _square_slots(x, np.repeat(ells, counts), np.repeat(halves, counts))
-    slots += np.repeat(starts, counts)
-    t[slots] = 1
+    counts = (ells - 1) // 2
+    x = np.arange(1, int(counts.sum()) + 1, dtype=np.int32)
+    x -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+    x *= x
+    x %= np.repeat(ells, counts)
+    x += np.repeat(starts, counts)
+    t[x] = 1
     t.setflags(write=False)
     starts.setflags(write=False)
     return t, starts
@@ -414,28 +406,34 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     for prime q these are the Legendre symbols.  Each step below, reciprocity
     included, holds for Jacobi symbols too.
 
-    Prime columns l come by quadratic reciprocity, in increasing order, as
-    long as the half tables of the odd primes up to l hold no more entries
-    than the block's first l+1 columns: (2|q) = 1 exactly when q = +-1 mod 8,
-    and for odd l, (l|q) = (q mod l | l), negated when l = q = 3 mod 4, is
-    read from the half table of l, through the mirror (l-r|l) = (-1|l) (r|l)
-    when q mod l > l/2.  So a block of few rows keeps few tables: one row
-    reads only l = 2, 3 this way.  The other prime columns come from one
-    jacobi_array call.  The prime columns are read off the package's one
-    sieve (arith._prime_mask), and _multiplicative_fill, the fill of the
-    large character tables too, sets every composite column n = p k to
-    column p times column k.  The block is exact for n_max >= q as well.
+    The block is built n-major, one row per n with the moduli inner, and the
+    rows x columns result is its transpose, a view: every step below then
+    writes whole rows of the n-major array.  Prime columns l come by
+    quadratic reciprocity, in increasing order, as long as the full-period
+    tables of the odd primes up to l hold no more than 2 (l+1) entries per
+    modulus: (2|q) = 1 exactly when q = +-1 mod 8, and for odd l,
+    (l|q) = (s mod l | l) with s = q when q = 1 mod 4 and s = -q when
+    q = 3 mod 4, read from the table of l.  So a block of few rows keeps few
+    tables: one row reads only l = 2, 3, 5, 7 this way.  The other prime
+    columns come from one jacobi_array call.  The prime columns are read off
+    the package's one sieve (arith._prime_mask), and _multiplicative_fill,
+    the fill of the large character tables too, sets every composite
+    column n = p k to column p times column k.  The block is exact for
+    n_max >= q as well.
 
-    The half tables are built once for each tuple of small primes and kept,
-    read-only, for the next call (_half_tables): the blocks of an interval
-    mostly read the same ones.  Before any allocation, the bool prime mask
-    and the array of primes, 4 bytes per column, the block and the tables,
-    which hold no more entries than the block, are checked against
-    2 * BLOCK_BYTES.  Transient on top: 6 bytes per cell of the reciprocity
-    columns (q mod l as int32, its mirror flag and the symbols read), 4 * 4
-    bytes per square marked when the tables are built, and jacobi_array's
-    working set on the larger prime columns: at most 83 bytes per cell, a
-    bound with margin (tracemalloc reads about 66 at q = 10**9 + 7).  The tables of the last call stay alive until a call
+    The tables are built once for each tuple of small primes and kept,
+    read-only, for the next call (_full_tables): the blocks of an interval
+    mostly read the same ones.  Before any allocation, (n_max + 1)(3 + 3
+    rows) bytes are checked against 2 * BLOCK_BYTES: the bool prime mask and
+    the int32 primes, 3 bytes per column at most, the block, and the
+    tables, at most 2 entries per cell.  Transient on top: the sieve's intp
+    primes before they are narrowed, 5 bytes per cell of the reciprocity
+    columns (the int32 residues and the symbols read), at most 12 bytes per
+    square while the tables are built (the int32 squares, a repeat beside
+    them, and the intp index numpy takes for the scatter), and
+    jacobi_array's working set on the larger prime columns: at most 83
+    bytes per cell, a bound with margin (tracemalloc reads about 66 at
+    q = 10**9 + 7).  The tables of the last call stay alive until a call
     with other small primes replaces them.
     """
     qs = [operator.index(q) for q in qs]
@@ -445,34 +443,28 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     qs = np.array(qs, dtype=np.int64)
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    fit_budget(f"symbol block of {qs.size} moduli to n_max={n_max}", n_max + 1, 4 + 2 * qs.size,
-               2 * BLOCK_BYTES, "2 * BLOCK_BYTES", parts="its prime mask and array, block and tables")
-    primes = np.flatnonzero(_prime_mask(2, n_max)) + 2
-    block = np.empty((qs.size, n_max + 1), dtype=np.int8)
-    block[:, :2] = [0, 1][: n_max + 1]
+    fit_budget(f"symbol block of {qs.size} moduli to n_max={n_max}", n_max + 1, 3 + 3 * qs.size,
+               2 * BLOCK_BYTES, "2 * BLOCK_BYTES", parts="its prime mask and primes, block and tables")
+    primes = np.flatnonzero(_prime_mask(2, n_max)).astype(np.int32)
+    primes += 2
+    block = np.empty((n_max + 1, qs.size), dtype=np.int8)
+    block[:2] = np.array([[0], [1]], dtype=np.int8)[: n_max + 1]
     if n_max >= 2:
-        block[:, 2] = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)[qs & 7]
+        block[2] = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)[qs & 7]
     ells = primes[1:]
-    fits = np.cumsum((ells + 3) // 2) <= qs.size * (ells + 1)
+    fits = np.cumsum(ells, dtype=np.int64) <= 2 * qs.size * (ells + np.int64(1))
     split = fits.size if fits.all() else int(fits.argmin())
-    # tables of at most BLOCK_BYTES = 2**24 entries stop below l = 25457, so
-    # the squares x**2 < l**2 / 4 that mark them fit int32
-    small, large = ells[:split].astype(np.int32), ells[split:]
+    small, large = ells[:split], ells[split:]
     if small.size:
-        t, starts = _half_tables(tuple(small.tolist()))
-        r = np.remainder(qs[:, None], small, out=np.empty((qs.size, small.size), np.int32), casting="unsafe")
-        mirrored = r > small // 2
-        np.subtract(small, r, out=r, where=mirrored)
-        r += starts
-        # (-1|l) and the reciprocity sign are -1 only for l = 3 mod 4: there
-        # the symbol flips when one of mirrored and q = 3 mod 4 holds
-        mirrored ^= (qs[:, None] & 3) == 3
-        mirrored &= (small & 3) == 3
-        symbols = t[r]
-        block[:, small] = np.negative(symbols, out=symbols, where=mirrored)
-    block[:, large] = jacobi_array(large[None, :], qs[:, None])
+        t, starts = _full_tables(tuple(small.tolist()))
+        # (l|q) = (q|l) when q = 1 mod 4 and (-1|l) (q|l) = (-q|l) when q = 3 mod 4
+        signed = np.where((qs & 3) == 1, qs, -qs)
+        r = np.remainder(signed, small[:, None], out=np.empty((small.size, qs.size), np.int32), casting="unsafe")
+        r += starts[:, None]
+        block[small] = t[r]
+    block[large] = jacobi_array(large[:, None], qs)
     _multiplicative_fill(block, primes[primes <= math.isqrt(n_max)].tolist())
-    return block
+    return block.T
 
 
 def window_sum(q: int, x: int, h: int) -> int:
@@ -635,14 +627,18 @@ def _doubling_sums(symbols: np.ndarray, h: int, g: int) -> np.ndarray:
 def _pair_counts(row: np.ndarray, low: int, r: int) -> np.ndarray:
     """counts[i] = #{m : row[m] = low + i} for a row of values low..low+r-1, r <= 256.
 
-    v = row - low fits a byte, so it is exact when formed mod 2**8, and each
+    v = row - low fits a byte, so it is exact when formed mod 2**8: on int8
+    sums as the bytes of the row less low & 255, one uint8 pass.  Each
     bincount element is the uint16 code of two consecutive v, one per byte:
     the 256 * r bins of the codes hold the pairs (code // 256, code % 256).
     The count of value low + i is the i-th column sum plus the i-th row sum
     of those bins, whichever byte order the codes have.  The last value of
     an odd row is added on its own.
     """
-    v = np.subtract(row, low, out=np.empty(row.size, dtype=np.uint8), casting="unsafe")
+    if row.dtype == np.int8:
+        v = np.subtract(row.view(np.uint8), np.uint8(low & 255))
+    else:
+        v = np.subtract(row, low, out=np.empty(row.size, dtype=np.uint8), casting="unsafe")
     pairs = np.bincount(v[: row.size // 2 * 2].view(np.uint16), minlength=256 * r).reshape(r, 256)
     counts = pairs[:, :r].sum(axis=0) + pairs.sum(axis=1)
     if row.size % 2:
@@ -660,7 +656,9 @@ def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
     config count their intp sums, each row offset to its own 2h+1 bins, one
     bincount per slice of rows whose codes fit min(BLOCK_BYTES, _PASS_BYTES),
     a cache-sized pass, in one buffer reused by every slice; a row of more
-    than a pass of starts is a slice of its own.
+    than a pass of starts is a slice of its own.  The codes are written in
+    the memory order of the sums, which is that of the block: rows inner for
+    the transposed n-major blocks of chi_block, columns inner for a tile.
     """
     counts: list = []
     lo = 0
@@ -678,12 +676,14 @@ def _histograms(block: np.ndarray, configs) -> list[np.ndarray]:
                 counts.append(hist)
                 continue
         step = min(k, max(1, min(BLOCK_BYTES, _PASS_BYTES) // (8 * g)))
-        codes = np.empty((step, g), dtype=np.intp)
+        buffer = np.empty(step * g, dtype=np.intp)
         offsets = h + width * np.arange(step, dtype=np.intp)[:, None]
+        rows_inner = sums.strides[0] < sums.strides[1]
         for a in range(0, k, step):
             n = min(step, k - a)
-            np.add(sums[a : a + n], offsets[:n], out=codes[:n])
-            counts.extend(np.bincount(codes[:n].ravel(), minlength=width * n).reshape(n, width))
+            codes = buffer[: n * g]
+            np.add(sums[a : a + n], offsets[:n], out=codes.reshape(g, n).T if rows_inner else codes.reshape(n, g))
+            counts.extend(np.bincount(codes, minlength=width * n).reshape(n, width))
     return counts
 
 

@@ -122,8 +122,8 @@ def test_weil_check_refuses_the_whole_run_before_a_jacobi_read(monkeypatch, tmp_
 
 
 def test_battery_rows_refused_when_one_row_passes_the_budget(monkeypatch):
-    # a row of n_max + 1 symbols takes 2 * (n_max + 1) bytes with its share
-    # of chi_block's tables; past the budget the battery refuses at once
+    # a row of n_max + 1 symbols counts 2 * (n_max + 1) bytes against
+    # BLOCK_BYTES; past the budget the battery refuses at once
     spec = prime_avg.IntervalSpec(q_start=1000, delta=1000)
     expected = prime_avg.variance_ratio(spec, (1.0,) * 300)
     monkeypatch.setattr(windows, "BLOCK_BYTES", 1000)

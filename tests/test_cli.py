@@ -152,14 +152,14 @@ def test_clt_interval_tests_no_modulus_for_primality(monkeypatch, capsys):
     assert calls == [15]
 
 
-def test_consecutive_interval_blocks_build_the_half_tables_once(capsys):
+def test_consecutive_interval_blocks_build_the_full_tables_once(capsys):
     # Q = 10^6..10^6+10^4 in five calls of 2000: every block reads the
     # reciprocity tables of the same small primes, so only the first builds
-    windows._half_tables.cache_clear()
+    windows._full_tables.cache_clear()
     for start in range(1_000_000, 1_010_000, 2000):
         argv = ["clt-interval", "--interval", f"{start}:2000", "--g", "log_power:3", "--h", "const:5", "--rmax", "2"]
         assert _envelope(argv, capsys)[0] == 0
-    assert windows._half_tables.cache_info()[:2] == (4, 1)  # hits, misses
+    assert windows._full_tables.cache_info()[:2] == (4, 1)  # hits, misses
 
 
 def test_weil_check_builds_each_table_once_and_tests_no_modulus(monkeypatch, capsys):
@@ -304,15 +304,18 @@ def _parse_exit(parse, argv, capsys):
 @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["bogus"], ["--threads", "1", "ktheta"]]
                          + [[name, *rest] for name in cli._COMMANDS
                             for rest in (["--help"], ["--bogus", "1"], ["--format"], ["extra"])])
-def test_one_command_parser_reads_as_the_full_one(argv, monkeypatch, capsys):
-    # main builds only the subparser its argv names; help, usage, error text
-    # and exit code are those of the parser of every command
-    expected = _parse_exit(cli._build_parser(cli._COMMANDS).parse_args, argv, capsys)
-    built = []
-    real_build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda commands: built.append(list(commands)) or real_build(commands))
-    assert _parse_exit(cli.main, argv, capsys) == expected
-    assert built == [argv[:1] if argv and argv[0] in cli._COMMANDS else list(cli._COMMANDS)]
+def test_one_command_parser_reads_as_the_full_one(argv, capsys):
+    # main builds only the subparser its argv names, once per process; help,
+    # usage, error text and exit code are those of the parser of every
+    # command, on the first call and on the cached parser
+    expected = _parse_exit(cli._build_parser.__wrapped__(tuple(cli._COMMANDS)).parse_args, argv, capsys)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert _parse_exit(cli.main, argv, capsys) == expected
+    assert cli._build_parser.cache_info()[:3] == (1, 1, None)  # hits, misses, maxsize
+    key = tuple(argv[:1]) if argv and argv[0] in cli._COMMANDS else tuple(cli._COMMANDS)
+    assert cli._build_parser(key) is cli._build_parser(key)
+    assert cli._build_parser.cache_info()[:2] == (3, 1)
 
 
 def test_exit_two_on_missing_required(capsys):

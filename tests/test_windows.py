@@ -547,21 +547,22 @@ def test_chi_block_reciprocity_matches_jacobi_and_euler(rows, n_max, jacobi_colu
 
 def test_chi_block_reads_interval_columns_by_reciprocity(jacobi_cells):
     # the clt-interval block at Q = 10^6, g = (log Q)^3 sends no cell to
-    # jacobi_array; one row to 10^6, whose tables would outgrow it, still
-    # sends every prime column but 2 and 3
+    # jacobi_array; one row to 10^6, whose tables would outgrow it, reads
+    # l = 2 by q mod 8 and l = 3, 5, 7 from their tables, and sends every
+    # other prime column
     qs = primes_in_interval(10**6, 10**6 + 2000)[:150]
     assert chi_block(qs, 2637).shape == (150, 2638) and sum(jacobi_cells) == 0
     chi_block([1000000007], 10**6)
-    assert sum(jacobi_cells) == len(primes_in_interval(5, 10**6))
+    assert sum(jacobi_cells) == len(primes_in_interval(11, 10**6))
 
 
 def test_chi_block_leaves_nothing_allocated():
     # the call holds its prime mask and array for one call only, and keeps
-    # only the half tables of the last call's small primes, about 220 KB at
-    # l <= 2633: once the block is dropped, traced memory is within 1 MB of
-    # where it started, and the call's peak is well inside two symbol
-    # budgets: at 10**6 the 1 MB mask, the 1 MB block and the Jacobi
-    # columns; with many rows the tables and residues
+    # only the full-period tables of the last call's small primes, about
+    # 440 KB at l <= 2633: once the block is dropped, traced memory is
+    # within 1 MB of where it started, and the call's peak is well inside
+    # two symbol budgets: at 10**6 the 1 MB mask, the 1 MB block and the
+    # Jacobi columns; with many rows the tables and residues
     shapes = [
         ([1000000007], 10**6),
         (primes_in_interval(10**6, 10**6 + 10**5), 100),
@@ -580,23 +581,49 @@ def test_chi_block_leaves_nothing_allocated():
         assert peak < 2 * windows.BLOCK_BYTES, (len(qs), n_max)
 
 
-def test_half_tables_are_cached_read_only_and_shared_across_row_counts(jacobi_cells):
+def test_full_tables_are_cached_read_only_and_shared_across_row_counts(jacobi_cells):
     # 150 and 100 rows to 2637 read the same small primes, l <= 2633, so the
     # second block reads the first block's tables; 10 rows keep fewer
     qs = primes_in_interval(10**6, 10**6 + 2000)
     n = np.arange(2638)
-    windows._half_tables.cache_clear()
+    windows._full_tables.cache_clear()
     chi_block(qs[:150], 2637)
     shared = chi_block(qs[:100], 2637)
-    assert windows._half_tables.cache_info()[:2] == (1, 1)  # hits, misses
+    assert windows._full_tables.cache_info()[:2] == (1, 1)  # hits, misses
     assert np.array_equal(shared, jacobi_array(n[None, :], np.array(qs[:100])[:, None]))
-    t, starts = windows._half_tables(tuple(primes_in_interval(3, 2637)))
-    assert windows._half_tables.cache_info()[:2] == (2, 1) and sum(jacobi_cells) == 0
+    t, starts = windows._full_tables(tuple(primes_in_interval(3, 2637)))
+    assert windows._full_tables.cache_info()[:2] == (2, 1) and sum(jacobi_cells) == 0
     for table in (t, starts):
+        assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
     chi_block(qs[:10], 2637)
-    assert windows._half_tables.cache_info()[:2] == (2, 2)
+    assert windows._full_tables.cache_info()[:2] == (2, 2)
+
+
+def test_full_tables_match_scalar_jacobi():
+    # every r < l for every odd prime l <= 3000, each table at its offset
+    ells = primes_in_interval(3, 3000)
+    t, starts = windows._full_tables(tuple(ells))
+    assert t.dtype == np.int8 and t.size == sum(ells) and starts.tolist() == [sum(ells[:i]) for i in range(len(ells))]
+    for l, start in zip(ells, starts.tolist()):
+        assert t[start : start + l].tolist() == [jacobi(r, l) for r in range(l)], l
+
+
+def test_chi_block_reads_signed_tables_for_every_class_mod_8(jacobi_cells):
+    # primes in each class mod 8, small, mid-sized and within 2**30 of 2**63,
+    # odd composites and 2**63 - 1 in one block: (l|q) = (+-q mod l | l)
+    # with the sign of q mod 4 reads every prime column from a table
+    qs = _primes_in_each_class_mod_8(seed=8, per_class=3)
+    qs += [9, 15, 21, 25, 45, 3 * 5 * 7 * 11 * 13, 1001 * 1003, 2**63 - 1, 2**63 - 3]
+    n_max = 700
+    block = chi_block(qs, n_max)
+    assert sum(jacobi_cells) == 0
+    assert {q % 8 for q in qs} == {1, 3, 5, 7}
+    assert block.shape == (len(qs), n_max + 1) and block.dtype == np.int8
+    assert np.array_equal(block, jacobi_array(np.arange(n_max + 1)[None, :], np.array(qs)[:, None]))
+    for i, q in enumerate(qs):
+        assert block[i, ::7].tolist() == [jacobi(n, q) for n in range(0, n_max + 1, 7)], q
 
 
 def test_chi_block_over_budget_raises_before_allocating():
@@ -666,6 +693,32 @@ def test_multiplicative_fill_in_blocks_cut_by_the_pass(monkeypatch):
     q = 40009
     t = _table_by_route(monkeypatch, q, fill=True)
     assert t.tolist() == jacobi_array(np.arange(t.size), q).tolist()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4, 40, 7216])
+def test_multiplicative_fill_on_a_table_and_n_major_blocks(monkeypatch, rows):
+    # the fill acts on axis 0: a 1-D table, or an n-major block of rows
+    # moduli, whose entries at 0, 1 and the primes are given and every
+    # composite entry is garbage.  Under a 300-byte pass and at the default
+    # one, it leaves jacobi_array's symbols
+    qs = np.array(primes_in_interval(10**6, 10**6 + 10**5)[:rows], dtype=np.int64)
+    n_max = 5000 if rows <= 4 else 101
+    n = np.arange(n_max + 1)
+    expected = jacobi_array(n[:, None], qs[None, :])
+    primes = primes_in_interval(2, n_max)
+    composite = np.ones(n_max + 1, dtype=bool)
+    composite[[0, 1, *primes]] = False
+    for pass_bytes in (300, windows._PASS_BYTES):
+        monkeypatch.setattr(windows, "_PASS_BYTES", pass_bytes)
+        block = expected.copy()
+        block[composite] = 7
+        windows._multiplicative_fill(block, [p for p in primes if p * p <= n_max])
+        assert np.array_equal(block, expected), pass_bytes
+        if rows == 1:
+            table = expected[:, 0].copy()
+            table[composite] = 7
+            windows._multiplicative_fill(table, [p for p in primes if p * p <= n_max])
+            assert np.array_equal(table, expected[:, 0]), pass_bytes
 
 
 def test_one_row_chi_block_peak_is_its_block_primes_and_jacobi_columns():
@@ -871,6 +924,47 @@ def test_pair_counts_refuse_more_than_256_values(monkeypatch):
     (got,) = windows._histograms(row[None, :], [config])
     assert got.tolist() == _int64_histogram(row, config).tolist()
     assert got[h - 1] and got[2 * h] and pairs == []
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_pair_counts_match_bincount(dtype):
+    # int8 sums take the byte subtraction mod 2**8, int16 sums the cast;
+    # rows of odd and even length, with low below, at and above zero, and
+    # a strided row as a column-major block gives one
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3, 255, 1000, 1001, 4097):
+        for low, r in ((-128, 256), (-100, 37), (-5, 11), (0, 1), (3, 256), (120, 8)):
+            if dtype == np.int8 and low + r > 128:
+                continue
+            row = rng.integers(low, low + r, size=size).astype(dtype)
+            expected = np.bincount(row.astype(np.int64) - low, minlength=r)
+            assert windows._pair_counts(row, low, r).tolist() == expected.tolist(), (size, low, r)
+            strided = np.empty((3, size), dtype=dtype, order="F")
+            strided[1] = row
+            assert windows._pair_counts(strided[1], low, r).tolist() == expected.tolist(), (size, low, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    h=st.sampled_from([1, 2, 3, 5, 8, 127, 128, 300]),
+    g=st.integers(1, 3000),
+    m0=st.integers(0, 1),
+    split=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_histograms_read_column_major_views_as_c_copies(rows, h, g, m0, split, seed):
+    # the transposed n-major block of chi_block against the same block as a
+    # C copy: one config for the first rows and another for the rest, so
+    # runs of shared rows and lone rows both read strided views
+    block = np.random.default_rng(seed).choice(np.array([-1, 0, 1], dtype=np.int8), (m0 + g + h, rows)).T
+    assert block.flags.f_contiguous and not block.flags.c_contiguous or rows == 1
+    configs = [WindowConfig(h=h, g=g, m_start=m0)] * min(split, rows)
+    configs += [WindowConfig(h=1, g=g + h - 1, m_start=m0)] * (rows - len(configs))
+    got = windows._histograms(block, configs)
+    expected = windows._histograms(np.ascontiguousarray(block), configs)
+    assert [c.tolist() for c in got] == [c.tolist() for c in expected]
+    assert [c.tolist() for c in got] == [_int64_histogram(row, c).tolist() for row, c in zip(block, configs)]
 
 
 @pytest.mark.parametrize("q", [1000003, 1000033])  # 3 and 1 mod 4
