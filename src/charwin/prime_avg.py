@@ -69,10 +69,11 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int]) ->
                 stacklevel=3,
             )
     n_max = max((len(vec) for vec in vectors), default=0)
-    # 2 bytes per cell within BLOCK_BYTES: chi_block counts 3 per cell for the
-    # block and its tables and 3 per column, within 2 * BLOCK_BYTES while a
-    # row holds at most BLOCK_BYTES / 6 columns
+    # 2 bytes per cell within BLOCK_BYTES, and no more rows than chi_block's
+    # (n_max + 1)(3 + 3 rows) bytes fit in 2 * BLOCK_BYTES; a single row past
+    # that is left to chi_block to refuse
     rows = fit_budget(f"symbol row to n_max={n_max}", 1, 2 * (n_max + 1), windows.BLOCK_BYTES, "BLOCK_BYTES")
+    rows = max(1, min(rows, (2 * windows.BLOCK_BYTES // (n_max + 1) - 3) // 3))
     per_vector = [[] for _ in vectors]
     for lo in range(0, len(primes), rows):
         block = chi_block(primes[lo : lo + rows], n_max)

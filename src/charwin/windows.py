@@ -111,20 +111,16 @@ def _multiplicative_fill(t: np.ndarray, primes) -> None:
     lies below lo, already final, and each block spans at most a pass of
     min(BLOCK_BYTES, _PASS_BYTES) bytes.  A block needs only the p with
     p**2 < hi: the smallest prime factor p of a composite n < hi has
-    p**2 <= n.  numpy runs the copy with the moduli inner, contiguous, on a
-    block of 10 moduli or more; on fewer, each inner loop would be too short
-    to pay for itself, and the copy runs along n instead (order "C" on the
-    transposed views), which was 2 to 4 times faster at 2 to 4 moduli.
+    p**2 <= n.
     """
     rows = math.prod(t.shape[1:])
     step = max(1, min(BLOCK_BYTES, _PASS_BYTES) // max(1, rows))
-    order = "K" if rows >= 10 else "C"
     lo = 2
     while lo < len(t):
         hi = min(2 * lo, lo + step, len(t))
         for p in itertools.takewhile(lambda p: p * p < hi, primes):
             k = -(-lo // p)
-            np.multiply(t[k : -(-hi // p)].T, t[p, ..., None], out=t[p * k : hi : p].T, order=order)
+            np.multiply(t[k : -(-hi // p)].T, t[p, ..., None], out=t[p * k : hi : p].T)
         lo = hi
 
 
@@ -627,18 +623,14 @@ def _doubling_sums(symbols: np.ndarray, h: int, g: int) -> np.ndarray:
 def _pair_counts(row: np.ndarray, low: int, r: int) -> np.ndarray:
     """counts[i] = #{m : row[m] = low + i} for a row of values low..low+r-1, r <= 256.
 
-    v = row - low fits a byte, so it is exact when formed mod 2**8: on int8
-    sums as the bytes of the row less low & 255, one uint8 pass.  Each
+    v = row - low fits a byte, so it is exact when formed mod 2**8, and each
     bincount element is the uint16 code of two consecutive v, one per byte:
     the 256 * r bins of the codes hold the pairs (code // 256, code % 256).
     The count of value low + i is the i-th column sum plus the i-th row sum
     of those bins, whichever byte order the codes have.  The last value of
     an odd row is added on its own.
     """
-    if row.dtype == np.int8:
-        v = np.subtract(row.view(np.uint8), np.uint8(low & 255))
-    else:
-        v = np.subtract(row, low, out=np.empty(row.size, dtype=np.uint8), casting="unsafe")
+    v = np.subtract(row, low, out=np.empty(row.size, dtype=np.uint8), casting="unsafe")
     pairs = np.bincount(v[: row.size // 2 * 2].view(np.uint16), minlength=256 * r).reshape(r, 256)
     counts = pairs[:, :r].sum(axis=0) + pairs.sum(axis=1)
     if row.size % 2:

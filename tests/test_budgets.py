@@ -132,6 +132,17 @@ def test_battery_rows_refused_when_one_row_passes_the_budget(monkeypatch):
         prime_avg.variance_ratio(spec, (1.0,) * 500)
 
 
+def test_battery_rows_fit_chi_block_budget(monkeypatch):
+    # two rows of 241 symbols pass the battery's 2 bytes per cell, but
+    # chi_block counts 241 * (3 + 3 * 2) = 2169 bytes of 2000: the battery
+    # reads one row per block instead, and 241 * 6 = 1446 fits
+    spec = prime_avg.IntervalSpec(q_start=1000, delta=1000)
+    a = tuple(range(1, 241))
+    expected = prime_avg.variance_ratio(spec, a), prime_avg.avg_character_variance(spec, a)
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 1000)
+    assert (prime_avg.variance_ratio(spec, a), prime_avg.avg_character_variance(spec, a)) == expected
+
+
 def test_column_tile_of_one_start_is_the_edge(monkeypatch):
     # At 12 bytes per symbol (h < 2**7) and 16 * (2h+1) bytes of counts, a
     # tile of one start at h = 5 fits 248 bytes exactly, and h = 6 does not:

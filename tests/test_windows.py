@@ -928,8 +928,8 @@ def test_pair_counts_refuse_more_than_256_values(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16])
 def test_pair_counts_match_bincount(dtype):
-    # int8 sums take the byte subtraction mod 2**8, int16 sums the cast;
-    # rows of odd and even length, with low below, at and above zero, and
+    # the difference cast mod 2**8 on int8 and int16 sums; rows of odd and
+    # even length, with low below, at and above zero, and
     # a strided row as a column-major block gives one
     rng = np.random.default_rng(11)
     for size in (1, 2, 3, 255, 1000, 1001, 4097):
