@@ -52,9 +52,9 @@ CHI_TABLE_MAX = 1 << 27
 # _chi_range, incomplete_poly_sum and polya_vinogradov_check.
 # chi_block refuses a block whose prime mask and int32 primes (3 bytes per
 # column at most), symbols and reciprocity tables (at most 2 entries per
-# symbol), (n_max + 1)(3 + 3 rows) bytes, would pass 2 * BLOCK_BYTES, so its
-# callers keep the symbols within BLOCK_BYTES / 2; the tables of its last
-# small primes stay cached, read-only, for the next block.  Above
+# symbol), (n_max + 1)(3 + 3 rows) bytes, would pass 2 * BLOCK_BYTES, and its
+# callers size their row chunks within that; the tables of its last small
+# primes stay cached, read-only, for the next block.  Above
 # CHI_TABLE_MAX, a call reads at most MAX_SEGMENT symbols from jacobi_array.
 # arith.fit_budget checks and refuses every one of these caps.
 BLOCK_BYTES = 1 << 24
