@@ -108,10 +108,15 @@ def jacobi_array(a, b) -> np.ndarray:
     """Jacobi symbols (a|b) elementwise over broadcast int64 arrays, as int8.
 
     The binary algorithm of jacobi() run on whole arrays: each pass strips
-    the twos of every live numerator, applies the same two sign rules and
-    swaps by reciprocity; an entry leaves the pass once its numerator is 0.
-    Only shifts, masks and % touch the operands, so every denominator
-    below 2**63 is safe in int64.
+    the twos of every live numerator, applies the same two sign rules as
+    one bit pass on a 0/1 sign, and swaps by reciprocity; an entry leaves
+    once its numerator is 0, the live entries gathered by index, which
+    numpy does faster than by a boolean mask.  Only shifts, masks and %
+    touch the operands, so every denominator below 2**63 is safe in int64.
+    The numerator stays below the denominator, so once every live
+    denominator is below 2**31 the passes finish in int32, the lowest set
+    bits read as float32; for numerators below 2**31, as chi_block's prime
+    columns are, that is after the first swap.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
     if b.size and (b.min() <= 0 or not (b & 1).all()):
@@ -119,22 +124,35 @@ def jacobi_array(a, b) -> np.ndarray:
     shape = a.shape
     x = np.mod(a, b).ravel()
     y = b.ravel()
-    sign = np.ones(x.size, dtype=np.int8)
+    real = np.float64
+    sign = np.zeros(x.size, dtype=np.int8)  # 1 for a -1 symbol
     idx = np.arange(x.size)
     out = np.zeros(x.size, dtype=np.int8)
     while True:
-        done = x == 0
-        out[idx[done]] = np.where(y[done] == 1, sign[done], 0)
-        live = ~done
-        idx, x, y, sign = idx[live], x[live], y[live], sign[live]
-        if not idx.size:
+        # compact by index arrays, only on a pass where some entry finished
+        if np.count_nonzero(x) < x.size:
+            live = x != 0
+            done = np.flatnonzero(~live)
+            out[idx[done]] = (y[done] == 1) * (1 - 2 * sign[done])
+            live = np.flatnonzero(live)
+            idx, x, y, sign = idx[live], x[live], y[live], sign[live]
+        if not x.size:
             return out.reshape(shape)
-        tz = np.frexp((x & -x).astype(np.float64))[1] - 1
-        y8 = y & 7
-        flip = (tz & 1).astype(bool) & ((y8 == 3) | (y8 == 5))
-        x = x >> tz
-        flip ^= (x & 2).astype(bool) & (y & 2).astype(bool)
-        sign = np.where(flip, -sign, sign)
+        if real is np.float64 and y.max() < 2**31:
+            x, y, real = x.astype(np.int32), y.astype(np.int32), np.float32
+        tz = np.frexp((x & -x).astype(real))[1].astype(x.dtype, copy=False)
+        tz -= 1
+        x >>= tz
+        # flip when tz is odd and y = 3, 5 (mod 8), i.e. bits 1 and 2 of y
+        # differ; then flip when x = y = 3 (mod 4)
+        flip = y >> 1
+        flip ^= y >> 2
+        flip &= tz
+        both = x & y
+        both >>= 1
+        flip ^= both
+        flip &= 1
+        np.bitwise_xor(sign, flip, out=sign, casting="unsafe")
         x, y = y % x, x
 
 

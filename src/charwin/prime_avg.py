@@ -22,7 +22,7 @@ import numpy as np
 
 from . import windows
 from .arith import ExperimentWarning, fit_budget, primes_in_interval
-from .rmf import _coeffs, rmf_variance_rhs
+from .rmf import _coeffs, _squarefree_parts, _support, _variance_rhs
 from .squares import paired_count_exact
 from .windows import WindowConfig, _power_sums, _window_histograms, chi_block
 
@@ -55,12 +55,13 @@ def interval_primes(spec: IntervalSpec) -> list[int]:
 
 def avg_character_variance(spec: IntervalSpec, a) -> float:
     """(log Q / delta) * sum over primes q in the interval of |sum_n a_n (n|q)|^2."""
-    return _battery_lhs(spec, [_coeffs(a)], interval_primes(spec))[0]
+    vals = _coeffs(a)
+    return _battery_lhs(spec, [vals], [_support(vals)], interval_primes(spec))[0]
 
 
-def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int]) -> list[float]:
-    """The scaled prime sums of each vector; primes come from the sieve and are not checked."""
-    supports = [[(n, c) for n, c in enumerate(vec, 1) if c != 0] for vec in vectors]
+def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], supports: list[list], primes: list[int]) -> list[float]:
+    """The scaled prime sums of each vector, read off its support (rmf._support);
+    primes come from the sieve and are not checked."""
     for vec in vectors:
         if len(vec) > spec.delta:
             warnings.warn(
@@ -70,10 +71,12 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], primes: list[int]) ->
             )
     n_max = max((len(vec) for vec in vectors), default=0)
     # 2 bytes per cell within BLOCK_BYTES, and no more rows than chi_block's
-    # (n_max + 1)(3 + 3 rows) bytes fit in 2 * BLOCK_BYTES; a single row past
-    # that is left to chi_block to refuse
-    rows = fit_budget(f"symbol row to n_max={n_max}", 1, 2 * (n_max + 1), windows.BLOCK_BYTES, "BLOCK_BYTES")
-    rows = max(1, min(rows, (2 * windows.BLOCK_BYTES // (n_max + 1) - 3) // 3))
+    # (n_max + 1)(3 + 3 rows) bytes fit in 2 * BLOCK_BYTES, one row included
+    what = f"battery symbol row to n_max={n_max}"
+    rows = fit_budget(what, 1, 2 * (n_max + 1), windows.BLOCK_BYTES, "BLOCK_BYTES")
+    fit_budget(what, 1, 6 * (n_max + 1), 2 * windows.BLOCK_BYTES, "2 * BLOCK_BYTES",
+               parts="chi_block's prime mask and primes, block and tables")
+    rows = min(rows, (2 * windows.BLOCK_BYTES // (n_max + 1) - 3) // 3)
     per_vector = [[] for _ in vectors]
     for lo in range(0, len(primes), rows):
         block = chi_block(primes[lo : lo + rows], n_max)
@@ -104,15 +107,18 @@ def variance_ratio(spec: IntervalSpec, a) -> dict:
 
 
 def variance_ratio_battery(spec: IntervalSpec, vectors) -> list[dict]:
-    """variance_ratio for many coefficient vectors, sharing the prime sweep."""
+    """variance_ratio for many coefficient vectors, sharing the prime sweep
+    and the squarefree part of each index that any vector's support holds."""
     coeff_vecs = [_coeffs(a) for a in vectors]
-    lhs_values = _battery_lhs(spec, coeff_vecs, interval_primes(spec))
+    supports = [_support(vec) for vec in coeff_vecs]
+    lhs_values = _battery_lhs(spec, coeff_vecs, supports, interval_primes(spec))
+    parts = _squarefree_parts(n for sup in supports for n, _ in sup)
     out = []
-    for vec, lhs in zip(coeff_vecs, lhs_values):
-        if all(c == 0 for c in vec):
+    for sup, lhs in zip(supports, lhs_values):
+        if not sup:
             out.append({"lhs": 0.0, "rhs": 0.0, "ratio": 0.0})
             continue
-        rhs = rmf_variance_rhs(vec, spec.delta)
+        rhs = _variance_rhs(sup, parts, spec.delta)
         out.append({"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
     return out
 
@@ -240,6 +246,8 @@ def exceptional_sets(
     configs: list[WindowConfig] = []
     thresholds_g: list[float] = []
     warned_wide = False
+    # one config per distinct (h, g): the primes of an interval share a few
+    config_of = functools.cache(lambda h, g: WindowConfig(h=h, g=g, m_start=m_start))
     for q in primes:
         g_q = float(g_schedule(q))
         h_q = int(math.floor(h_schedule(q)))
@@ -255,7 +263,7 @@ def exceptional_sets(
                         f"strict mode needs r <= h <= g^(1/(2500 r^2)); "
                         f"q={q}, r={r}, h={h_q}, cap={cap:.4f}"
                     )
-        elif h_q > g_q ** 0.25 and not warned_wide:
+        elif not warned_wide and h_q > g_q ** 0.25:
             notes.append(
                 f"relaxed mode: window h={h_q} exceeds g^(1/4)={g_q ** 0.25:.2f} at q={q}"
             )
@@ -263,7 +271,7 @@ def exceptional_sets(
         if r_max > h_q:
             notes.append(f"orders r > h={h_q} skipped at q={q}")
         g_inner = int(math.floor(g_q if per_prime_inner else g_at_start))
-        configs.append(WindowConfig(h=h_q, g=max(g_inner, 1), m_start=m_start))
+        configs.append(config_of(h_q, max(g_inner, 1)))
         thresholds_g.append(g_q)
 
     histograms = _window_histograms(primes, configs, stacklevel=2)

@@ -91,18 +91,41 @@ def rmf_sample(seed: int, limit: int) -> RmfEnsemble:
     return RmfEnsemble(seed=seed, limit=limit)
 
 
+def _support(vals: tuple) -> list[tuple[int, complex | float]]:
+    """The (n, a_n) with a_n != 0, in order of n: a zero coefficient adds
+    only a +-0.0 term to every sum below, so it changes no bit."""
+    return [(n, c) for n, c in enumerate(vals, 1) if c != 0]
+
+
+def _squarefree_parts(ns) -> dict[int, int]:
+    """s(n) of each distinct n, factored once."""
+    return {n: squarefree_part(n) for n in set(ns)}
+
+
+def _second_moment(support, parts: dict[int, int]) -> float:
+    # each group sums its terms in order of n; the groups add in order of s,
+    # the order in which a loop over every n from 1 first meets them (at n = s)
+    groups: dict[int, complex] = {}
+    for n, coeff in support:
+        s = parts[n]
+        groups[s] = groups.get(s, 0) + coeff
+    return float(sum(abs(groups[s]) ** 2 for s in sorted(groups)))
+
+
+def _variance_rhs(support, parts: dict[int, int], interval_len: int) -> float:
+    weighted = sum(abs(c) * math.sqrt(parts[n]) for n, c in support)
+    return _second_moment(support, parts) + weighted**2 / math.sqrt(interval_len)
+
+
 def exact_second_moment(a) -> float:
     """E |sum_n a_n f(n)|^2 = sum over squarefree s of |sum_{s(n)=s} a_n|^2.
 
     Terms with the same squarefree part are perfectly correlated (f agrees
-    on them); distinct squarefree parts are orthogonal.
+    on them); distinct squarefree parts are orthogonal.  Only the indices
+    of nonzero coefficients are factored.
     """
-    vals = _coeffs(a)
-    groups: dict[int, complex] = {}
-    for n, coeff in enumerate(vals, start=1):
-        s = squarefree_part(n)
-        groups[s] = groups.get(s, 0) + coeff
-    return float(sum(abs(v) ** 2 for v in groups.values()))
+    support = _support(_coeffs(a))
+    return _second_moment(support, _squarefree_parts(n for n, _ in support))
 
 
 def enumerate_second_moment(a) -> float:
@@ -170,6 +193,5 @@ def rmf_variance_rhs(a, interval_len: int) -> float:
     """
     if interval_len < 1:
         raise ValueError(f"need interval_len >= 1, got {interval_len}")
-    vals = _coeffs(a)
-    weighted = sum(abs(c) * math.sqrt(squarefree_part(n)) for n, c in enumerate(vals, 1))
-    return exact_second_moment(vals) + weighted**2 / math.sqrt(interval_len)
+    support = _support(_coeffs(a))
+    return _variance_rhs(support, _squarefree_parts(n for n, _ in support), interval_len)

@@ -197,6 +197,53 @@ def test_jacobi_array_matches_jacobi(pairs):
     assert jacobi_array(list(a), list(b)).tolist() == [jacobi(x, y) for x, y in pairs]
 
 
+# operands within 2**10 of 2**31, on both sides, and anywhere below 2**63:
+# the passes narrow to int32 once every live denominator is below 2**31
+NEAR_2_31 = st.integers(min_value=2**31 - 2**10, max_value=2**31 + 2**10)
+OPERAND = st.one_of(NEAR_2_31, st.integers(min_value=0, max_value=2**63 - 1))
+
+
+@given(
+    st.lists(
+        st.tuples(st.one_of(OPERAND, OPERAND.map(lambda n: -n)), OPERAND.map(lambda n: n | 1)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([(2**31 - 1, 2**31 + 1), (2**31 + 1, 2**31 - 1), (-(2**31), 2**31 - 1), (2**31 - 2, 2**31 + 11)])
+def test_jacobi_array_across_2_31(pairs):
+    a, b = zip(*pairs)
+    assert jacobi_array(list(a), list(b)).tolist() == [jacobi(x, y) for x, y in pairs]
+
+
+def test_jacobi_array_largest_primes_below_2_63():
+    # the five largest primes below 2**63, over numerators of every size and
+    # sign, and the prime columns a one-row chi_block reads at each
+    dens = []
+    for d in range(2**63 - 1, 0, -2):
+        if len(dens) == 5:
+            break
+        if is_prime(d):
+            dens.append(d)
+    assert dens[0] == NEAR_2_63
+    nums = [-(2**63), -(2**31) - 1, -(2**31), -7, -1, 0, 1, 2, 2**31 - 1, 2**31, 2**62 + 1, 2**63 - 1]
+    nums += [d - 1 for d in dens] + primes_in_interval(10**6, 10**6 + 200)
+    got = jacobi_array(np.array(nums)[:, None], np.array(dens)[None, :])
+    assert got.tolist() == [[jacobi(n, d) for d in dens] for n in nums]
+    assert got[-1].tolist() == [euler_criterion(nums[-1], d) for d in dens]
+
+
+def test_jacobi_array_unit_denominator_and_shapes():
+    nums = [-(2**63), -1, 0, 1, 2**31, 2**63 - 1]
+    assert jacobi_array(nums, 1).tolist() == [1] * len(nums)
+    for a, b, shape in [([], [], (0,)), (np.zeros((0, 3), dtype=np.int64), 7, (0, 3)), (5, 7, ()),
+                        (np.arange(4)[:, None], [1, 3, 5], (4, 3)), (np.arange(-3, 3), [[9], [2**63 - 1]], (2, 6))]:
+        got = jacobi_array(a, b)
+        assert got.dtype == np.int8 and got.shape == shape
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        assert got.ravel().tolist() == [jacobi(x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+
+
 @given(st.sampled_from(PRIMES_TO_300), st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
 def test_jacobi_array_matches_euler_criterion(q, ns):
     assert jacobi_array(ns, q).tolist() == [euler_criterion(n, q) for n in ns]

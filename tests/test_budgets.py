@@ -132,6 +132,18 @@ def test_battery_rows_refused_when_one_row_passes_the_budget(monkeypatch):
         prime_avg.variance_ratio(spec, (1.0,) * 500)
 
 
+def test_battery_refuses_a_single_row_past_chi_block_budget(monkeypatch):
+    # one row of 401 symbols passes 2 bytes per cell (802 of 1000), but
+    # chi_block counts 401 * (3 + 3) = 2406 bytes of 2000: the battery
+    # refuses it by name, before any block is built
+    spec = prime_avg.IntervalSpec(q_start=1000, delta=1000)
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 1000)
+    monkeypatch.setattr(prime_avg, "chi_block", lambda *args: pytest.fail("chi_block reached"))
+    with pytest.raises(ValueError, match=r"^battery symbol row to n_max=400 needs about 2406 bytes for chi_block's "
+                                         r".*, over 2 \* BLOCK_BYTES = 2000 bytes$"):
+        prime_avg.variance_ratio(spec, (1.0,) * 400)
+
+
 def test_battery_rows_fit_chi_block_budget(monkeypatch):
     # two rows of 241 symbols pass the battery's 2 bytes per cell, but
     # chi_block counts 241 * (3 + 3 * 2) = 2169 bytes of 2000: the battery

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charwin import arith, cli, prime_avg, windows
+from charwin import arith, cli, prime_avg, rmf, windows
 from charwin.windows import random_weil_instances
 
 
@@ -150,6 +150,31 @@ def test_clt_interval_tests_no_modulus_for_primality(monkeypatch, capsys):
     with pytest.raises(ValueError, match="odd prime, got 15"):
         windows.window_histograms([15], [windows.WindowConfig(h=2, g=5)])
     assert calls == [15]
+
+
+def test_rmf_compare_factors_each_battery_index_once(monkeypatch, capsys):
+    # the default battery, 50 vectors of length 100, holds at most 100
+    # distinct indices; both model terms read one squarefree part of each
+    calls = []
+    real = rmf.squarefree_part
+    monkeypatch.setattr(rmf, "squarefree_part", lambda n: calls.append(n) or real(n))
+    rc, env = _envelope(["rmf-compare", "--interval", "1000000:100000"], capsys)
+    assert rc == 0 and len(env["results"]["rows"]) == 50
+    assert 0 < len(calls) <= 100 and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("per_prime_inner", [False, True])
+def test_clt_interval_builds_one_window_config_per_h_and_g(per_prime_inner, monkeypatch, capsys):
+    # 152 primes share h = 5 and g = floor(log(10^6)^3) = 2636, or with
+    # g(q) per prime the three values it takes over the interval
+    built = []
+    real = prime_avg.WindowConfig
+    monkeypatch.setattr(prime_avg, "WindowConfig", lambda **kw: built.append(kw) or real(**kw))
+    argv = ["clt-interval", "--interval", "1000000:2000", "--g", "log_power:3", "--h", "const:5", "--rmax", "2"]
+    rc, env = _envelope(argv + ["--per-prime-inner"] * per_prime_inner, capsys)
+    assert rc == 0 and env["results"]["prime_count"] == 152
+    expected = [2636, 2637, 2638] if per_prime_inner else [2636]
+    assert built == [{"h": 5, "g": g, "m_start": 1} for g in expected]
 
 
 def test_consecutive_interval_blocks_build_the_full_tables_once(capsys):

@@ -34,7 +34,7 @@ from charwin import (
     window_series,
 )
 from charwin.prime_avg import _battery_lhs, _deviation_rows, _squared_magnitudes
-from charwin.rmf import _coeffs
+from charwin.rmf import _coeffs, _support
 from charwin.windows import power_sum
 
 
@@ -391,8 +391,9 @@ def test_battery_lhs_bit_identical_to_jacobi_loop(vectors):
     primes = [p for p in primes_in_interval(3, 2003) if p % 2]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExperimentWarning)
-        fast = _battery_lhs(spec, [_coeffs(v) for v in vectors], primes)
-    assert fast == _slow_battery_lhs(spec, [_coeffs(v) for v in vectors], primes)
+        vals = [_coeffs(v) for v in vectors]
+        fast = _battery_lhs(spec, vals, [_support(v) for v in vals], primes)
+    assert fast == _slow_battery_lhs(spec, vals, primes)
 
 
 def test_battery_lhs_random_sparse_battery_bit_identical():
@@ -400,7 +401,8 @@ def test_battery_lhs_random_sparse_battery_bit_identical():
     primes = interval_primes(spec)
     battery = [tuple(0.37 * c + 1.1 * (i % 3) * c for i, c in enumerate(vec))
                for vec in random_sparse_vectors(12, 150, seed=5, support=30)]
-    assert _battery_lhs(spec, battery, primes) == _slow_battery_lhs(spec, battery, primes)
+    supports = [_support(v) for v in battery]
+    assert _battery_lhs(spec, battery, supports, primes) == _slow_battery_lhs(spec, battery, primes)
 
 
 def _python_squares(values) -> list:

@@ -1,6 +1,7 @@
 """Random multiplicative model: signs, second moments, and the variance bound."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,16 @@ from hypothesis import strategies as st
 
 from charwin import (
     CoefficientVector,
+    ExperimentWarning,
+    IntervalSpec,
+    avg_character_variance,
     enumerate_second_moment,
     exact_second_moment,
     mc_second_moment,
     rmf_sample,
     rmf_variance_rhs,
     squarefree_part,
+    variance_ratio_battery,
 )
 
 
@@ -112,3 +117,53 @@ def test_rhs_decreases_with_interval_length():
     values = [rmf_variance_rhs(a, n) for n in (10, 100, 1000, 10**6)]
     assert all(x > y for x, y in zip(values, values[1:]))
     assert values[-1] == pytest.approx(exact_second_moment(a), rel=1e-2)
+
+
+def _per_n_second_moment(vals):
+    """exact_second_moment as a loop over every n, zeros included: the oracle."""
+    groups = {}
+    for n, coeff in enumerate(vals, start=1):
+        s = squarefree_part(n)
+        groups[s] = groups.get(s, 0) + coeff
+    return float(sum(abs(v) ** 2 for v in groups.values()))
+
+
+def _per_n_variance_rhs(vals, interval_len):
+    weighted = sum(abs(c) * math.sqrt(squarefree_part(n)) for n, c in enumerate(vals, 1))
+    return _per_n_second_moment(vals) + weighted**2 / math.sqrt(interval_len)
+
+
+# magnitudes whose squares stay normal: a vector whose rhs underflows to 0
+# makes variance_ratio divide by zero
+REALS = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: x == 0 or abs(x) > 1e-100)
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0j, complex(-0.0, -0.0), 1.0, -1.0, 0.5, 1j]),
+    REALS,
+    st.builds(complex, REALS, REALS),
+)
+VECTORS = st.one_of(
+    st.lists(COEFFICIENTS, min_size=1, max_size=60),
+    st.lists(st.sampled_from([0.0, -0.0, 0j]), min_size=1, max_size=60),
+)
+
+
+@given(st.lists(VECTORS, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_model_side_bit_identical_to_per_n_loop(vectors):
+    # the model terms read only the support; zero coefficients and the
+    # order of the groups must not move a bit of either one
+    spec = IntervalSpec(q_start=1000, delta=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        battery = variance_ratio_battery(spec, vectors)
+        lhs = [avg_character_variance(spec, vec) for vec in vectors]
+    for vec, rec, left in zip(vectors, battery, lhs):
+        vals = CoefficientVector(tuple(vec)).values
+        moment, rhs = _per_n_second_moment(vals), _per_n_variance_rhs(vals, spec.delta)
+        assert exact_second_moment(vec).hex() == moment.hex()
+        assert rmf_variance_rhs(vec, spec.delta).hex() == rhs.hex()
+        if all(c == 0 for c in vals):
+            expected = {"lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
+        else:
+            expected = {"lhs": left, "rhs": rhs, "ratio": left / rhs}
+        assert {k: v.hex() for k, v in rec.items()} == {k: v.hex() for k, v in expected.items()}
