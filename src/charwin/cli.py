@@ -8,8 +8,10 @@ thread count).  Runs are single-process; ``--threads`` is accepted and
 recorded in ``meta`` only.  The JSON is byte for byte the stdlib's
 ``json.dumps(envelope, indent=2, sort_keys=True)``: ASCII-escaped, with
 ``NaN`` and ``Infinity`` literals, and encoded by the C encoder
-(``_json_text``).  ``--format csv`` projects the main table of each command
-instead; floats keep 12 significant digits.
+(``_json_text``).  Every record table of the results is held as columns
+(``_RecordColumns``), written record by record from one template;
+``--format csv`` projects the main table of each command from the same
+columns instead, floats at 12 significant digits.
 
 Exit codes: 0 success; 1 a guaranteed inequality failed (these signal
 implementation bugs, never findings); 2 invalid configuration or input.
@@ -55,9 +57,7 @@ from .windows import (
     CHI_TABLE_MAX,
     WindowConfig,
     _chi_range,
-    _counts_matrix,
     _histograms,
-    _power_sums,
     _weil_record,
     cdf_vs_gaussian,
     empirical_summary,
@@ -238,8 +238,9 @@ def _resolve(command: str, args: argparse.Namespace):
 
 # ---------------------------------------------------------------------------
 # runners: cfg -> (results payload, all-guarantees-hold flag, CSV table)
-# where the CSV table is a function giving the (header, rows) pair that
-# --format csv prints, called for that format only
+# where each record table of the payload is a _RecordColumns, and the CSV
+# table is a function giving the (header, rows) pair that --format csv
+# prints, called for that format only
 
 Table = Callable[[], tuple]
 
@@ -248,19 +249,24 @@ def _frac(value: Fraction) -> dict:
     return {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
 
 
-def _columns(records: list[dict], header: list[str]) -> tuple[list[str], list[list]]:
-    return header, [[rec[key] for key in header] for rec in records]
-
-
 class _RecordColumns:
     """Flat records held as ExceptionalReport.columns holds them: name ->
-    list, one entry per record, each list of one type."""
+    list, one entry per record, each list of one type.  Every record table
+    of an envelope is held so: _records_text writes its JSON and rows its
+    CSV table."""
 
     def __init__(self, columns: dict[str, list]) -> None:
         self.columns = columns
 
+    @classmethod
+    def of(cls, records, keys) -> _RecordColumns:
+        return cls({key: [rec[key] for rec in records] for key in keys})
+
     def dicts(self) -> list[dict]:
         return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())]
+
+    def rows(self, keys):
+        return zip(*(self.columns[key] for key in keys))
 
 
 def _check_full_period(q: int, config: WindowConfig, counts: list[int]) -> None:
@@ -272,7 +278,7 @@ def _check_full_period(q: int, config: WindowConfig, counts: list[int]) -> None:
     h, end = config.h, config.m_start + config.g
     (tail,) = _histograms(_chi_range(q, end, end + 2 * h - 1)[None, :], [WindowConfig(h=h, g=h, m_start=0)])
     period = [a + b for a, b in zip(counts, tail.tolist())]
-    sums = tuple(_power_sums(_counts_matrix(period, sum(period)), h, (1, 2))[0].tolist())
+    sums = tuple(empirical_summary(period, max_moment=2).power_sums[j] for j in (1, 2))
     if sums != (0, h * q - h * h):
         raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
                              f"(sum S, sum S^2) = {sums}, expected (0, {h * q - h * h})")
@@ -354,16 +360,15 @@ def _run_rmf_compare(cfg) -> tuple[dict, bool, Table]:
     spec = cfg["interval"]
     count, length, support = cfg["battery"]
     battery = random_sparse_vectors(count, length, seed=cfg["seed"], support=support)
-    rows = [
-        {"index": i, "lhs": rec["lhs"], "rhs": rec["rhs"], "ratio": rec["ratio"]}
-        for i, rec in enumerate(variance_ratio_battery(spec, battery))
-    ]
+    ratios = variance_ratio_battery(spec, battery)
+    header = ["index", "lhs", "rhs", "ratio"]
+    rows = _RecordColumns.of([{"index": i} | rec for i, rec in enumerate(ratios)], header)
     results = {
         "prime_count": len(primes_in_interval(spec.q_start, spec.q_start + spec.delta)),
         "rows": rows,
-        "max_ratio": max(r["ratio"] for r in rows),
+        "max_ratio": max(rows.columns["ratio"]),
     }
-    return results, True, lambda: _columns(rows, ["index", "lhs", "rhs", "ratio"])
+    return results, True, lambda: (header, rows.rows(header))
 
 
 def _run_sieve_verify(cfg) -> tuple[dict, bool, Table]:
@@ -375,10 +380,10 @@ def _run_sieve_verify(cfg) -> tuple[dict, bool, Table]:
         "z": z,
         "level": level,
         "sifting_primes": list(system.sifting_primes),
-        "lambda": [
-            {"d": d, **_frac(v)} for d, v in sorted(system.lambda_base.items())
-        ],
-        "rho": [{"e": e, **_frac(v)} for e, v in sorted(system.rho.items())],
+        "lambda": _RecordColumns.of([{"d": d} | _frac(v) for d, v in sorted(system.lambda_base.items())],
+                                    ["d", "exact", "float"]),
+        "rho": _RecordColumns.of([{"e": e} | _frac(v) for e, v in sorted(system.rho.items())],
+                                 ["e", "exact", "float"]),
         "indicator": {
             "n_max": report["n_max"],
             "rough_count": report["rough_count"],
@@ -396,8 +401,7 @@ def _run_sieve_verify(cfg) -> tuple[dict, bool, Table]:
             "ratio": sums["ratio"],
             "odd_only": sums["odd_only"],
         }
-    return results, True, lambda: (["e", "rho", "rho_float"],
-                                   [[r["e"], r["exact"], r["float"]] for r in results["rho"]])
+    return results, True, lambda: (["e", "rho", "rho_float"], results["rho"].rows(["e", "exact", "float"]))
 
 
 def _run_weil_check(cfg) -> tuple[dict, bool, Table]:
@@ -418,41 +422,40 @@ def _run_weil_check(cfg) -> tuple[dict, bool, Table]:
         inst = instances[i]
         checks[i] = _weil_record(inst["q"], inst["gamma"], inst["x"], inst["y"])
         checks[i]["gamma"] = list(inst["gamma"])
+    header = ["q", "k", "x", "y", "gamma", "value", "bound", "ratio", "holds"]
     failures = [rec for rec in checks if not rec["holds"]]
+    table = _RecordColumns.of(checks, header)
     results = {
         "trials": len(checks),
         "holds": len(checks) - len(failures),
-        "max_ratio": max(rec["ratio"] for rec in checks),
-        "checks": checks,
-        "failures": failures,
+        "max_ratio": max(table.columns["ratio"]),
+        "checks": table,
+        "failures": _RecordColumns.of(failures, header),
     }
-    header = ["q", "k", "x", "y", "gamma", "value", "bound", "ratio", "holds"]
-    return results, not failures, lambda: _columns(checks, header)
+    return results, not failures, lambda: (header, table.rows(header))
 
 
 def _run_ktheta(cfg) -> tuple[dict, bool, Table]:
     if cfg["rmax"] < 1 or cfg["hmax"] < 1:
         raise ValueError("need rmax >= 1 and hmax >= 1")
-    rows = []
-    for r in range(1, cfg["rmax"] + 1):
-        for h in range(r, cfg["hmax"] + 1):
-            pc = paired_count_theta(r, h)
-            rows.append({"r": r, "h": h, "K": pc.count, "theta": pc.theta})
-    if not rows:
+    counts = [paired_count_theta(r, h) for r in range(1, cfg["rmax"] + 1) for h in range(r, cfg["hmax"] + 1)]
+    if not counts:
         raise ValueError(f"no (r, h) pairs with r <= h <= {cfg['hmax']}")
+    header = ["r", "h", "K", "theta"]
+    rows = _RecordColumns.of([{"r": pc.r, "h": pc.h, "K": pc.count, "theta": pc.theta} for pc in counts], header)
     results = {
         "rows": rows,
-        "theta_min": min(row["theta"] for row in rows),
-        "theta_max": max(row["theta"] for row in rows),
+        "theta_min": min(rows.columns["theta"]),
+        "theta_max": max(rows.columns["theta"]),
     }
     # paired_count_theta itself fails (exit 1) on a theta outside [0, 1], and clamps into it
-    return results, True, lambda: _columns(rows, ["r", "h", "K", "theta"])
+    return results, True, lambda: (header, rows.rows(header))
 
 
 def _run_prime_density(cfg) -> tuple[dict, bool, Table]:
     record = prime_density_check(cfg["x"], cfg["eta"])
     header = ["x", "eta", "length", "count", "comparator", "ratio"]
-    return record, record["count"] > 0, lambda: _columns([record], header)
+    return record, record["count"] > 0, lambda: (header, [[record[key] for key in header]])
 
 
 _COMMANDS: dict[str, tuple[str, Callable[[dict], tuple], tuple[_Opt, ...]]] = {
@@ -550,15 +553,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _c_encoder(inner: str, encoders: dict, key_separator: str = ": "):
+def _c_encoder(inner: str, encoders: dict):
     """The C encoder whose item separator starts the next item at indent
     inner, made once per render; None without the C encoder."""
-    if (inner, key_separator) not in encoders:
+    if inner not in encoders:
         make = json.encoder.c_make_encoder
-        encoders[inner, key_separator] = make and make(
+        encoders[inner] = make and make(
             None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-            key_separator, ",\n" + inner, True, False, True)
-    return encoders[inner, key_separator]
+            ": ", ",\n" + inner, True, False, True)
+    return encoders[inner]
 
 
 _LITERAL = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float.__repr__,
@@ -566,18 +569,24 @@ _LITERAL = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float
 
 
 def _records_text(columns: dict[str, list], outer: str) -> str | None:
-    """The records of columns as _json_text writes their list of dicts, one
-    %-template per record: the stdlib's layout, keys sorted, ints and floats
-    by repr, bools as true and false, strings escaped as the C encoder
-    escapes them, each distinct value of a column written once.  None for a
-    non-finite float, or a column of another type, which the template does
-    not write."""
+    """The records of columns as json.dumps(indent=2, sort_keys=True)
+    writes their list of dicts, one %-template per record: keys sorted,
+    ints and floats by repr, bools as true and false, strings escaped as the
+    C encoder escapes them, each distinct value of a column written once,
+    and a list of ints one item a line, or [] when empty.  None for a
+    non-finite float, a column of another type, or a list holding anything
+    but ints, which the template does not write."""
     inner, deeper, keys = outer + "  ", outer + "    ", sorted(columns)
     if not keys or not columns[keys[0]]:
         return "[]"
     texts = []
     for key in keys:
         column, write = columns[key], _LITERAL.get(type(columns[key][0]))
+        if type(column[0]) is list and {type(x) for items in column for x in items} <= {int}:
+            sep = f",\n{deeper}  "
+            texts.append([f"[\n{deeper}  {sep.join(map(int.__repr__, items))}\n{deeper}]" if items else "[]"
+                          for items in column])
+            continue
         if write is None:
             return None
         distinct = dict.fromkeys(column)
@@ -598,24 +607,19 @@ def _json_text(obj, outer: str, encoders: dict) -> str:
     byte, nested where its own closing bracket sits at indent outer.
 
     The C encoder does the encoding, its item separator carrying the indent
-    of the items.  With ensure_ascii no encoded string holds a raw newline
-    or a NUL, so the text splits unambiguously at what the encoder itself
-    put there.  A scalar, an empty container, or one of scalars only, is one
-    call, then opened onto its own lines.  A list of non-empty dicts whose
-    values are scalars, or lists of non-string scalars, is one call too:
-    the key separator ":\\0 " marks where a list value opens, and
-    "},\\n<indent>{" is always a closer, a separator and an opener.  Other
+    of the items.  A scalar, an empty container, or one of scalars only, is
+    one call, whose brackets are then opened onto their own lines.  Other
     containers recurse.  Without the C encoder, or for a dict with a key
     that is not a str, the stdlib's own text stands in, re-indented.
-    Containers of exact builtin types take the one-call routes; subclasses
+    Containers of exact builtin types take the one-call route; subclasses
     recurse, which is slower and gives the same bytes.  Records held as
-    columns are written by _records_text, or, where it declines, as their
-    list of dicts.
+    columns, as every record table of an envelope is, are written by
+    _records_text, or, where it declines, as their list of dicts.
     """
     if type(obj) is _RecordColumns:
         text = _records_text(obj.columns, outer)
         return _json_text(obj.dicts(), outer, encoders) if text is None else text
-    inner, deeper, scalar = outer + "  ", outer + "    ", {str, int, float, bool, type(None)}
+    inner, scalar = outer + "  ", {str, int, float, bool, type(None)}
     encode, is_dict = _c_encoder(inner, encoders), isinstance(obj, dict)
     values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
     if encode and set(map(type, values)) <= scalar:
@@ -627,18 +631,6 @@ def _json_text(obj, outer: str, encoders: dict) -> str:
         parts = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(obj[k], inner, encoders)}"
                  for k in sorted(obj)]
         return "{\n" + inner + f",\n{inner}".join(parts) + f"\n{outer}}}"
-    if set(map(type, obj)) == {dict} and all(obj):
-        kinds = {type(x) for d in obj for x in d.values()}
-        lists = [x for d in obj for x in d.values() if type(x) in (list, tuple)] if kinds - scalar else []
-        if kinds <= scalar | {list, tuple} and {type(y) for x in lists for y in x} <= scalar - {str}:
-            text, *tails = "".join(_c_encoder(deeper, encoders, ":\0 ")(obj, 0))[2:-2].split(":\0 [")
-            pieces = [text]
-            for body, _, rest in (tail.partition("]") for tail in tails):
-                body = body.replace(",\n" + deeper, f",\n{deeper}  ")
-                pieces.append(f"[\n{deeper}  {body}\n{deeper}]{rest}" if body else f"[]{rest}")
-            text = ": ".join(pieces).replace(":\0 ", ": ")
-            text = text.replace(f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}")
-            return f"[\n{inner}{{\n{deeper}{text}\n{inner}}}\n{outer}]"
     return "[\n" + inner + f",\n{inner}".join(_json_text(v, inner, encoders) for v in obj) + f"\n{outer}]"
 
 

@@ -108,19 +108,20 @@ def variance_ratio(spec: IntervalSpec, a) -> dict:
 
 def variance_ratio_battery(spec: IntervalSpec, vectors) -> list[dict]:
     """variance_ratio for many coefficient vectors, sharing the prime sweep
-    and the squarefree part of each index that any vector's support holds."""
+    and the squarefree part of each index that any vector's support holds.
+
+    A nonzero vector whose model bound underflows to 0.0, as tiny
+    coefficients' squares do, has no ratio: ValueError, before the sweep."""
     coeff_vecs = [_coeffs(a) for a in vectors]
     supports = [_support(vec) for vec in coeff_vecs]
-    lhs_values = _battery_lhs(spec, coeff_vecs, supports, interval_primes(spec))
     parts = _squarefree_parts(n for sup in supports for n, _ in sup)
-    out = []
-    for sup, lhs in zip(supports, lhs_values):
-        if not sup:
-            out.append({"lhs": 0.0, "rhs": 0.0, "ratio": 0.0})
-            continue
-        rhs = _variance_rhs(sup, parts, spec.delta)
-        out.append({"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
-    return out
+    rhs_values = [_variance_rhs(sup, parts, spec.delta) if sup else 0.0 for sup in supports]
+    for i, (sup, rhs) in enumerate(zip(supports, rhs_values)):
+        if sup and rhs == 0.0:
+            raise ValueError(f"vector {i} is nonzero but its model bound underflows to 0.0: no variance ratio")
+    lhs_values = _battery_lhs(spec, coeff_vecs, supports, interval_primes(spec))
+    return [{"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs} if sup else {"lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
+            for sup, lhs, rhs in zip(supports, lhs_values, rhs_values)]
 
 
 def random_sparse_vectors(count: int, length: int, seed: int, support: int = 8) -> list[tuple[float, ...]]:

@@ -4,6 +4,8 @@ Most tests call ``cli.main`` in-process and read stdout/stderr through
 capsys; one test exercises the installed console script for real.
 """
 
+import csv
+import io
 import json
 import json.encoder
 import math
@@ -423,26 +425,104 @@ def test_unwritable_out_exits_2_naming_the_path(target, tmp_path, capsys):
 
 
 def test_json_output_builds_no_records_and_no_csv_table(monkeypatch, capsys):
-    # a JSON run renders the interval records from their columns, so it
-    # constructs no DeviationRecord, and builds no CSV table; --format csv
-    # builds the table of each of these commands once
+    # a JSON run renders every record table from its columns, so it
+    # constructs no DeviationRecord, and calls no runner's CSV table thunk;
+    # --format csv calls the thunk of each of these commands once
     built = []
-    real_columns, real_record = cli._columns, prime_avg.DeviationRecord
-    monkeypatch.setattr(cli, "_columns", lambda *a: built.append("_columns") or real_columns(*a))
+    real_record = prime_avg.DeviationRecord
+
+    def spied(name, run):
+        def runner(cfg):
+            results, ok, table = run(cfg)
+            return results, ok, lambda: built.append(name) or table()
+        return runner
+
+    for name, (summary, run, opts) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (summary, spied(name, run), opts))
     monkeypatch.setattr(prime_avg, "DeviationRecord", lambda *a: built.append("DeviationRecord") or real_record(*a))
     argvs = [["clt-interval", "--interval", "1000:300", "--g", "const:64", "--h", "const:3", "--rmax", "2"],
              ["ktheta"], ["rmf-compare", "--interval", "1000:1000", "--battery", "3:20:4"],
-             ["weil-check", "--trials", "5"], ["prime-density", "--x", "1000"]]
+             ["weil-check", "--trials", "5"], ["prime-density", "--x", "1000"],
+             ["sieve-verify", "--z", "10", "--nmax", "500"], ["clt-single", "--q", "101", "--h", "const:5"]]
     for argv in argvs:
         assert _envelope(argv, capsys)[0] == 0
     assert built == []
-    for argv in argvs[1:]:
+    for argv in argvs:
         assert _run(argv + ["--format", "csv"], capsys)[0] == 0
-    assert built == ["_columns"] * 4
+    assert built == [argv[0] for argv in argvs]
     # the spy sees a report's records built on first read
     report = prime_avg.exceptional_sets(prime_avg.IntervalSpec(1000, 300), prime_avg.growth_schedule("const", 64.0),
                                         prime_avg.growth_schedule("const", 3.0), r_max=1)
     assert len(report.records) == built.count("DeviationRecord") == 2 * report.prime_count
+
+
+# each command with a records table: its argv, the results key of the
+# table, and the record key under each CSV column where the names differ
+_TABLES = [
+    (["clt-interval", "--interval", "1000:300", "--g", "const:64", "--h", "const:3", "--rmax", "2"], "records", {}),
+    (["ktheta", "--rmax", "3", "--hmax", "9"], "rows", {}),
+    (["rmf-compare", "--interval", "1000:1000", "--battery", "4:30:5"], "rows", {}),
+    (["weil-check", "--trials", "30", "--seed", "7"], "checks", {}),
+    (["sieve-verify", "--z", "12", "--nmax", "500"], "rho", {"rho": "exact", "rho_float": "float"}),
+    (["prime-density", "--x", "1000003"], None, {}),
+]
+
+
+@pytest.mark.parametrize("argv, key, renamed", _TABLES, ids=[t[0][0] for t in _TABLES])
+def test_csv_rows_are_the_json_records(argv, key, renamed, capsys):
+    # both formats are written from the same columns: row i of the CSV is
+    # record i of the JSON table, cell by cell in header order
+    rc, env = _envelope(argv, capsys)
+    rc_csv, out, _ = _run(argv + ["--format", "csv"], capsys)
+    assert rc == rc_csv == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    records = [env["results"]] if key is None else env["results"][key]
+    assert len(rows) == len(records) > 0
+    for row, rec in zip(rows, records):
+        assert row == [cli._csv_cell(rec[renamed.get(name, name)]) for name in header]
+
+
+def test_failing_weil_check_lists_its_failures(monkeypatch, capsys):
+    # no real trial fails its bound; the checks whose window starts at a
+    # multiple of 3 are made to, and must be listed as failures in trial order
+    argv = ["weil-check", "--trials", "60", "--seed", "5"]
+    _, held = _envelope(argv, capsys)
+    _, held_csv, _ = _run(argv + ["--format", "csv"], capsys)
+    real = cli._weil_record
+
+    def failing(q, gamma, x, y):
+        rec = real(q, gamma, x, y)
+        return rec | {"holds": False} if x % 3 == 0 else rec
+
+    monkeypatch.setattr(cli, "_weil_record", failing)
+    rc, out, err = _run(argv, capsys)
+    assert rc == 1 and err == ""
+    env = json.loads(out)
+    checks = held["results"]["checks"]
+    failed = [i for i, rec in enumerate(checks) if rec["x"] % 3 == 0]
+    assert 0 < len(failed) < len(checks)
+    for i in failed:
+        checks[i]["holds"] = False
+    assert env["results"]["checks"] == checks
+    assert env["results"]["failures"] == [checks[i] for i in failed]
+    assert env["results"]["holds"] == len(checks) - len(failed)
+    assert out == _stdlib(env) + "\n"
+    # the CSV still lists every check, with only the failed ones' holds moved
+    rc_csv, failing_csv, _ = _run(argv + ["--format", "csv"], capsys)
+    assert rc_csv == 1
+    header, *rows = csv.reader(io.StringIO(failing_csv))
+    expected = list(csv.reader(io.StringIO(held_csv)))
+    holds = header.index("holds")
+    for i in failed:
+        expected[1 + i][holds] = "false"
+    assert [header, *rows] == expected
+
+
+def test_rmf_compare_refuses_a_battery_whose_bound_underflows(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "random_sparse_vectors", lambda *a, **k: [(1.0, 0.0), (0.0, 1e-250)])
+    rc, out, err = _run(["rmf-compare", "--interval", "1000:1000"], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("charwin: vector 1 is nonzero but its model bound underflows to 0.0")
 
 
 def test_csv_interval_schema(capsys):
@@ -550,9 +630,8 @@ _TEXT = st.text(st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x
 _NUMBERS = (st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
             | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan, 2**64 + 1]))
 _SCALARS = _NUMBERS | _TEXT
-# a list of non-empty dicts holding scalars and lists of numbers is the
-# renderer's one-call route for records, and a list holding a string leaves
-# it; random nesting seldom builds either
+# lists of flat records, which a record table falls back to where its
+# columns are not written by template; random nesting seldom builds them
 _RECORDS = st.lists(st.dictionaries(_TEXT, _SCALARS | st.lists(_NUMBERS, max_size=3) | st.tuples(_NUMBERS)
                                     | st.lists(_SCALARS, max_size=3), min_size=1, max_size=4), min_size=1, max_size=4)
 _VALUES = st.recursive(
@@ -566,8 +645,13 @@ _VALUES = st.recursive(
 # records held as columns, one type to a column, as clt-interval hands them
 # to the renderer, at the top and where the envelope nests them; each case
 # is (what the renderer gets, the plain list of dicts the stdlib gets)
+_INTEGERS = st.integers(-(2**70), 2**70)
+# a column of lists of ints, as weil-check's gamma, empty lists included, is
+# written by template; a list holding a float, a str or a bool declines to
+# the list of dicts
 _COLUMN_KINDS = st.sampled_from([st.floats(), st.floats(allow_nan=False, allow_infinity=False),
-                                 st.integers(-(2**70), 2**70), st.booleans(), _TEXT, st.none()])
+                                 _INTEGERS, st.booleans(), _TEXT, st.none(), st.lists(_INTEGERS, max_size=3),
+                                 st.lists(_INTEGERS | st.floats() | _TEXT | st.booleans(), max_size=3)])
 
 
 @st.composite
@@ -591,6 +675,11 @@ def _column_cases(draw):
 @example(({"r": {"records": cli._RecordColumns({"t": [1.0, math.inf]})}},
           {"r": {"records": [{"t": 1.0}, {"t": math.inf}]}}))
 @example((cli._RecordColumns({"%s%%": [1], "%(a)d": ["%"]}), [{"%s%%": 1, "%(a)d": "%"}]))
+@example(({"r": {"checks": cli._RecordColumns({"gamma": [[3, -1, 2**70], []], "q": [5, 7]})}},
+          {"r": {"checks": [{"gamma": [3, -1, 2**70], "q": 5}, {"gamma": [], "q": 7}]}}))
+@example((cli._RecordColumns({"g": [[1], [2, 0.5]]}), [{"g": [1]}, {"g": [2, 0.5]}]))
+@example((cli._RecordColumns({"g": [[], ["1"]]}), [{"g": []}, {"g": ["1"]}]))
+@example((cli._RecordColumns({"g": [[True]], "n": [1]}), [{"g": [True], "n": 1}]))
 @settings(max_examples=300, deadline=None)
 def test_json_text_matches_the_stdlib(case):
     obj, plain = case

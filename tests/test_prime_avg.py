@@ -70,6 +70,16 @@ def test_variance_ratio_zero_vector():
     assert variance_ratio(spec, (0.0, 0.0)) == {"lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
 
 
+def test_variance_ratio_refuses_a_bound_that_underflows():
+    # 1e-250 squared underflows, so lhs and rhs both read 0.0: the ratio
+    # was taken unguarded and raised ZeroDivisionError
+    spec = IntervalSpec(q_start=1000, delta=200)
+    with pytest.raises(ValueError, match=r"^vector 0 is nonzero but its model bound underflows to 0\.0"):
+        variance_ratio(spec, [1e-250])
+    with pytest.raises(ValueError, match=r"^vector 2 is nonzero .* underflows"):
+        variance_ratio_battery(spec, [(1.0,), (0.0, -0.0), (0.0, 1e-250j)])
+
+
 def test_variance_ratio_single_coefficient():
     spec = IntervalSpec(q_start=1000, delta=1000)
     rec = variance_ratio(spec, (1.0,))

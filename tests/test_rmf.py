@@ -134,7 +134,7 @@ def _per_n_variance_rhs(vals, interval_len):
 
 
 # magnitudes whose squares stay normal: a vector whose rhs underflows to 0
-# makes variance_ratio divide by zero
+# has no ratio, and variance_ratio_battery refuses the whole battery
 REALS = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: x == 0 or abs(x) > 1e-100)
 COEFFICIENTS = st.one_of(
     st.sampled_from([0.0, -0.0, 0j, complex(-0.0, -0.0), 1.0, -1.0, 0.5, 1j]),
