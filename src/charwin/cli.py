@@ -1,4 +1,5 @@
-"""Command-line front end over the experiment modules.
+"""Command-line front end over the experiment modules' public calls, whose
+budgets and identity checks a library caller meets as well.
 
 Every subcommand emits a result envelope: JSON with the resolved experiment
 config, the results payload, library versions, and any warnings raised
@@ -30,6 +31,7 @@ import functools
 import io
 import json
 import math
+import operator
 import platform
 import sys
 import time
@@ -42,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .arith import MAX_SEGMENT, ExperimentWarning, fit_budget, prime_density_check, prime_modulus, primes_in_interval
+from .arith import ExperimentWarning, prime_density_check, prime_modulus, primes_in_interval
 from .prime_avg import (
     IntervalSpec,
     derivative_check,
@@ -53,17 +55,7 @@ from .prime_avg import (
 )
 from .selberg import abs_weight_sum, build_selberg, interval_weight_sum, verify_indicator
 from .squares import gaussian_moment, paired_count_theta
-from .windows import (
-    CHI_TABLE_MAX,
-    WindowConfig,
-    _chi_range,
-    _histograms,
-    _weil_record,
-    cdf_vs_gaussian,
-    empirical_summary,
-    random_weil_instances,
-    window_histograms,
-)
+from .windows import WindowConfig, cdf_vs_gaussian, empirical_summary, weil_bound_battery, window_histograms
 
 SCHEMA_VERSION = "1"
 
@@ -269,21 +261,6 @@ class _RecordColumns:
         return zip(*(self.columns[key] for key in keys))
 
 
-def _check_full_period(q: int, config: WindowConfig, counts: list[int]) -> None:
-    """Over the q starts of one period, sum S = 0 and sum S^2 = hq - h^2.
-
-    counts holds the q - h starts of --g full; the h starts after them read
-    the 2h - 1 symbols that follow.  A failure is an AssertionError: exit 1.
-    """
-    h, end = config.h, config.m_start + config.g
-    (tail,) = _histograms(_chi_range(q, end, end + 2 * h - 1)[None, :], [WindowConfig(h=h, g=h, m_start=0)])
-    period = [a + b for a, b in zip(counts, tail.tolist())]
-    sums = tuple(empirical_summary(period, max_moment=2).power_sums[j] for j in (1, 2))
-    if sums != (0, h * q - h * h):
-        raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
-                             f"(sum S, sum S^2) = {sums}, expected (0, {h * q - h * h})")
-
-
 def _run_clt_single(cfg) -> tuple[dict, bool, Table]:
     q = prime_modulus(cfg["q"])
     h = int(math.floor(cfg["h"](q)))
@@ -298,10 +275,7 @@ def _run_clt_single(cfg) -> tuple[dict, bool, Table]:
             stacklevel=2,
         )
     config = WindowConfig(h=h, g=g, m_start=cfg["m_start"])
-    counts = window_histograms([q], [config])[0]
-    if cfg["g"] == "full":
-        _check_full_period(q, config, counts)
-    summary = empirical_summary(counts, max_moment=cfg["moments"])
+    summary = empirical_summary(window_histograms([q], [config])[0], max_moment=cfg["moments"])
     plain = cdf_vs_gaussian(summary, cfg["lambdas"], corrected=False)
     corrected = cdf_vs_gaussian(summary, cfg["lambdas"], corrected=True)
     moments = [
@@ -406,22 +380,7 @@ def _run_sieve_verify(cfg) -> tuple[dict, bool, Table]:
 
 def _run_weil_check(cfg) -> tuple[dict, bool, Table]:
     spec = cfg["interval"]
-    instances = random_weil_instances(
-        cfg["trials"], spec.q_start, spec.q_start + spec.delta, cfg["kmax"], seed=cfg["seed"]
-    )
-    # each trial's own cap leaves room for minutes of jacobi_array reads
-    # over a whole run; refuse such a run before its first trial
-    symbols = sum(inst["y"] * len(inst["gamma"]) for inst in instances if inst["q"] > CHI_TABLE_MAX)
-    fit_budget(f"weil-check of {len(instances)} trials", symbols, 1, MAX_SEGMENT, "MAX_SEGMENT", "symbols",
-               "the jacobi_array reads at q > CHI_TABLE_MAX")
-    # trials in order of modulus, so that the table cache builds each
-    # distinct table once; the moduli come from the sieve, so none is
-    # tested for primality again
-    checks = [None] * len(instances)
-    for i in sorted(range(len(instances)), key=lambda i: instances[i]["q"]):
-        inst = instances[i]
-        checks[i] = _weil_record(inst["q"], inst["gamma"], inst["x"], inst["y"])
-        checks[i]["gamma"] = list(inst["gamma"])
+    checks = weil_bound_battery(cfg["trials"], spec.q_start, spec.q_start + spec.delta, cfg["kmax"], cfg["seed"])
     header = ["q", "k", "x", "y", "gamma", "value", "bound", "ratio", "holds"]
     failures = [rec for rec in checks if not rec["holds"]]
     table = _RecordColumns.of(checks, header)
@@ -574,15 +533,19 @@ def _records_text(columns: dict[str, list], outer: str) -> str | None:
     ints and floats by repr, bools as true and false, strings escaped as the
     C encoder escapes them, each distinct value of a column written once,
     and a list of ints one item a line, or [] when empty.  None for a
-    non-finite float, a column of another type, or a list holding anything
-    but ints, which the template does not write."""
+    non-finite float, a column of another type or of more than one exact
+    type, or a list holding anything but ints, which the template does not
+    write."""
     inner, deeper, keys = outer + "  ", outer + "    ", sorted(columns)
     if not keys or not columns[keys[0]]:
         return "[]"
     texts = []
     for key in keys:
-        column, write = columns[key], _LITERAL.get(type(columns[key][0]))
-        if type(column[0]) is list and {type(x) for items in column for x in items} <= {int}:
+        column, kind = columns[key], type(columns[key][0])
+        if operator.countOf(map(type, column), kind) < len(column):
+            return None
+        write = _LITERAL.get(kind)
+        if kind is list and {type(x) for items in column for x in items} <= {int}:
             sep = f",\n{deeper}  "
             texts.append([f"[\n{deeper}  {sep.join(map(int.__repr__, items))}\n{deeper}]" if items else "[]"
                           for items in column])

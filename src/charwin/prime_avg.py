@@ -23,8 +23,7 @@ import numpy as np
 from . import windows
 from .arith import ExperimentWarning, fit_budget, primes_in_interval
 from .rmf import _coeffs, _squarefree_parts, _support, _variance_rhs
-from .squares import paired_count_exact
-from .windows import WindowConfig, _power_sums, _window_histograms, chi_block
+from .windows import WindowConfig, _deviations, _window_histograms, chi_block
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,10 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], supports: list[list],
                 stacklevel=3,
             )
     n_max = max((len(vec) for vec in vectors), default=0)
-    # 2 bytes per cell within BLOCK_BYTES, and no more rows than chi_block's
-    # (n_max + 1)(3 + 3 rows) bytes fit in 2 * BLOCK_BYTES, one row included
+    # 2 bytes per cell within BLOCK_BYTES, and no more rows than a chi_block holds
     what = f"battery symbol row to n_max={n_max}"
-    rows = fit_budget(what, 1, 2 * (n_max + 1), windows.BLOCK_BYTES, "BLOCK_BYTES")
-    fit_budget(what, 1, 6 * (n_max + 1), 2 * windows.BLOCK_BYTES, "2 * BLOCK_BYTES",
-               parts="chi_block's prime mask and primes, block and tables")
-    rows = min(rows, (2 * windows.BLOCK_BYTES // (n_max + 1) - 3) // 3)
+    rows = min(fit_budget(what, 1, 2 * (n_max + 1), windows.BLOCK_BYTES, "BLOCK_BYTES"),
+               windows._block_rows(what, n_max, 1, "chi_block's"))
     per_vector = [[] for _ in vectors]
     for lo in range(0, len(primes), rows):
         block = chi_block(primes[lo : lo + rows], n_max)
@@ -144,26 +140,6 @@ def random_sparse_vectors(count: int, length: int, seed: int, support: int = 8) 
     return battery
 
 
-def _deviation_rows(counts: np.ndarray, h: int, j_max: int) -> np.ndarray:
-    """EmpiricalSummary.deviation(j), j = 1..j_max <= 2h, of every row of a
-    histogram matrix, from one _power_sums product: float64, column j - 1
-    holding order j.
-
-    The exact differences total - g K(j/2, h) (odd j: total) are divided by
-    g in float64 where all of them and g lie below 2**53: converted exactly,
-    the quotient is correctly rounded, as Python's int division rounds it.
-    Elsewhere they are divided as Python ints.
-    """
-    sums = _power_sums(counts, h, range(j_max + 1))
-    g = sums[:, :1]
-    targets = np.array([0 if j % 2 else paired_count_exact(j // 2, h) for j in range(1, j_max + 1)],
-                       dtype=sums.dtype)
-    diffs = sums[:, 1:] - g * targets
-    if diffs.dtype == object or not ((np.abs(diffs) < 2**53).all() and (g < 2**53).all()):
-        diffs, g = diffs.astype(object), g.astype(object)
-    return (diffs / g).astype(float)
-
-
 @dataclass(frozen=True)
 class DeviationRecord:
     """One prime's distance from the Gaussian moment target at order r."""
@@ -226,8 +202,8 @@ def exceptional_sets(
     accepts any h <= g(q)^(1/4) and warns beyond that.
 
     The moduli come from the sieve, so none is tested prime again.  The
-    primes that share an h share one exact reduction, _deviation_rows, bit
-    for bit those deviations, and from there the flags, the fractions and
+    primes that share an h share one exact reduction, windows._deviations,
+    the kernel of deviation(j), and from there the flags, the fractions and
     the mean squares are taken on that group's deviation matrix: the
     thresholds by np.float_power, which is libm pow as Python's float **
     is, and each mean square as math.fsum of the squares, whose order does
@@ -296,13 +272,13 @@ def exceptional_sets(
         k = min(r_max, h)
         # column t is record t of each prime: r = t // 2 + 1, and order 2r
         # (even) for an even t, 2r - 1 (odd) for an odd t
-        orders = (np.arange(2 * k) ^ 1) + 1
-        devs = _deviation_rows(np.stack([histograms[i] for i in rows]), h, 2 * k)[:, orders - 1]
+        orders = [(t ^ 1) + 1 for t in range(2 * k)]
+        devs = _deviations(np.stack([histograms[i] for i in rows]), h, orders)
         flags = np.abs(devs) >= threshold[rows, None]
         at = starts[rows, None] + np.arange(2 * k)
         deviation[at], exceptional[at] = devs, flags
         hit["even"][rows], hit["odd"][rows] = flags[:, 0::2].any(axis=1), flags[:, 1::2].any(axis=1)
-        divisors = np.array([h ** (order / 2) for order in orders.tolist()])
+        divisors = np.array([h ** (order / 2) for order in orders])
         raw, normalized = _squared_magnitudes(devs.T), _squared_magnitudes((devs / divisors).T)
         for t in range(2 * k):
             key = f"r{t // 2 + 1}_{('even', 'odd')[t % 2]}"

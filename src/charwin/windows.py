@@ -50,11 +50,9 @@ CHI_TABLE_MAX = 1 << 27
 # mask and the indices of the kept squares, while its batch of kept squares,
 # at most BLOCK_BYTES, lives in the table's own bytes), and the chunks of
 # _chi_range, incomplete_poly_sum and polya_vinogradov_check.
-# chi_block refuses a block whose prime mask and int32 primes (3 bytes per
-# column at most), symbols and reciprocity tables (at most 2 entries per
-# symbol), (n_max + 1)(3 + 3 rows) bytes, would pass 2 * BLOCK_BYTES, and its
-# callers size their row chunks within that; the tables of its last small
-# primes stay cached, read-only, for the next block.  Above
+# _block_rows holds a chi_block within 2 * BLOCK_BYTES (see chi_block) for it
+# and its callers; the tables of its last small primes stay cached, read-only,
+# for the next block.  Above
 # CHI_TABLE_MAX, a call reads at most MAX_SEGMENT symbols from jacobi_array.
 # arith.fit_budget checks and refuses every one of these caps.
 BLOCK_BYTES = 1 << 24
@@ -439,8 +437,7 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     qs = np.array(qs, dtype=np.int64)
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    fit_budget(f"symbol block of {qs.size} moduli to n_max={n_max}", n_max + 1, 3 + 3 * qs.size,
-               2 * BLOCK_BYTES, "2 * BLOCK_BYTES", parts="its prime mask and primes, block and tables")
+    _block_rows(f"symbol block of {qs.size} moduli to n_max={n_max}", n_max, qs.size, "its")
     primes = np.flatnonzero(_prime_mask(2, n_max)).astype(np.int32)
     primes += 2
     block = np.empty((n_max + 1, qs.size), dtype=np.int8)
@@ -461,6 +458,14 @@ def chi_block(qs, n_max: int) -> np.ndarray:
     block[large] = jacobi_array(large[:, None], qs)
     _multiplicative_fill(block, primes[primes <= math.isqrt(n_max)].tolist())
     return block.T
+
+
+def _block_rows(what: str, n_max: int, rows: int, owner: str) -> int:
+    """The most rows of a chi_block to n_max, (n_max + 1)(3 + 3 rows) bytes
+    within 2 * BLOCK_BYTES; fewer than rows refuse as what."""
+    fit_budget(what, n_max + 1, 3 + 3 * rows, 2 * BLOCK_BYTES, "2 * BLOCK_BYTES",
+               parts=f"{owner} prime mask and primes, block and tables")
+    return (2 * BLOCK_BYTES // (n_max + 1) - 3) // 3
 
 
 def window_sum(q: int, x: int, h: int) -> int:
@@ -528,10 +533,9 @@ class EmpiricalSummary:
     """Exact statistics of one value histogram, value_counts[v + h] = #{m : S(m) = v}.
 
     power_sums[j] is the exact integer sum of S(m)^j over the g =
-    sample_count starts, built by _power_sums: the orders of moments by
-    empirical_summary, any other when deviation first reads it.  moments[j]
-    is the j-th moment of S/sqrt(h), deviation(j) the j-th power sum's
-    distance from its pairing target, and cdf the lattice CDF of S/sqrt(h).
+    sample_count starts, j = 0..max_moment of empirical_summary.  moments[j]
+    is the j-th moment of S/sqrt(h), deviation(j), any j, the j-th power
+    sum's distance from its pairing target, and cdf the lattice CDF of S/sqrt(h).
     """
 
     h: int
@@ -573,17 +577,11 @@ class EmpiricalSummary:
         Even j = 2r: the target is K(r, h), the exact fully-paired tuple
         count (equal to mu_2r * (h - theta*r)^r by definition of theta); the
         difference is an exact integer, and dividing it by g rounds once.
-        Odd j: the target is zero.
+        Odd j: the target is zero.  One row of _deviations.
         """
-        h, g = self.h, self.sample_count
-        if not 1 <= j <= 2 * h:
-            raise ValueError(f"need 1 <= j <= 2h = {2 * h}, got j={j}")
-        total = self.power_sums.get(j)
-        if total is None:
-            (total,) = _power_sums(_counts_matrix(self.value_counts, g), h, [j])[0].tolist()
-            self.power_sums[j] = total
-        target = 0 if j % 2 else paired_count_exact(j // 2, h)
-        return (total - g * target) / g
+        if not 1 <= j <= 2 * self.h:
+            raise ValueError(f"need 1 <= j <= 2h = {2 * self.h}, got j={j}")
+        return float(_deviations(_counts_matrix(self.value_counts, self.sample_count), self.h, [j])[0, 0])
 
 
 def value_histogram(sums: np.ndarray, h: int) -> list[int]:
@@ -709,6 +707,9 @@ def window_histograms(qs, configs) -> list[list[int]]:
     after c-a are read directly, so a full period reads about (q-h)/2 starts.
     A tiled row of g >= q starts folds whole periods, S(m + q) = S(m): it adds
     g // q times the counts of one period from m_start to those of its first g % q.
+    A row of g = q - h starts also reads the h after its last, in tiles, and
+    checks sum S = 0 and sum S^2 = hq - h^2 over that period: a miss raises
+    AssertionError.
     Warns in the order of qs.  Each modulus is tested prime.
     """
     qs = [prime_modulus(q) for q in qs]
@@ -769,20 +770,36 @@ def _window_histograms(qs, configs, stacklevel: int) -> list[np.ndarray]:
             starts = sum(m_hi - m_lo for m_lo, m_hi, _, _ in runs)
             fit_budget(f"the jacobi_array route of q={q}, h={h}", starts, 1, MAX_SEGMENT, "MAX_SEGMENT",
                        "symbols")
-        dtype = np.int64 if g < 2**63 else object
-        hist = np.zeros(2 * h + 1, dtype=dtype)
-        for m_lo, m_hi, mirrored, weight in runs:
-            for m in range(m_lo, m_hi, step):
-                tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
-                (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
-                counts = counts.astype(dtype, copy=False)
-                counts *= weight
-                hist += counts
-                if mirrored:
-                    hist += counts[::-1] if q % 4 == 3 else counts
-                del counts  # dropped before the next tile is read
-        out.append(hist)
+        out.append(_tile_counts(q, h, runs, step, np.int64 if g < 2**63 else object))
+    for q, config, counts in zip(qs, configs, out):
+        h, end = config.h, config.m_start + config.g
+        if config.g + h == q:
+            # the h starts after the last complete a period, in tiles within budget
+            tail = _tile_counts(q, h, [(end, end + h, False, 1)],
+                                min(h, (BLOCK_BYTES - 2 * per_count_row) // per_symbol - h), np.int64)
+            sums = tuple(_power_sums((counts + tail)[None, :], h, (1, 2))[0].tolist())
+            if sums != (0, h * q - h * h):
+                raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
+                                     f"(sum S, sum S^2) = {sums}, expected (0, {h * q - h * h})")
     return out
+
+
+def _tile_counts(q: int, h: int, runs, step: int, dtype) -> np.ndarray:
+    """Counts of the runs (m_lo, m_hi, mirrored, weight) of starts at q in
+    tiles of at most step starts, each a _chi_range block from column 0 = m;
+    a mirrored run adds them once more, reversed when q = 3 mod 4."""
+    hist = np.zeros(2 * h + 1, dtype=dtype)
+    for m_lo, m_hi, mirrored, weight in runs:
+        for m in range(m_lo, m_hi, step):
+            tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
+            (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
+            counts = counts.astype(dtype, copy=False)
+            counts *= weight
+            hist += counts
+            if mirrored:
+                hist += counts[::-1] if q % 4 == 3 else counts
+            del counts  # dropped before the next tile is read
+    return hist
 
 
 def power_sum(counts, h: int, j: int) -> int:
@@ -815,12 +832,27 @@ def _power_sums(counts: np.ndarray, h: int, orders) -> np.ndarray:
     return counts.astype(object) @ powers
 
 
+def _deviations(counts: np.ndarray, h: int, orders) -> np.ndarray:
+    """EmpiricalSummary.deviation(j), j in orders, of every row of a histogram
+    matrix, from one _power_sums product: float64, column k holding orders[k].
+    Each exact total - g K(j/2, h) (odd j: total) is divided by g in float64
+    where all of them and g lie below 2**53, which rounds it correctly, as
+    Python's int division does; elsewhere as Python ints."""
+    sums = _power_sums(counts, h, [0, *orders])
+    g = sums[:, :1]
+    targets = np.array([0 if j % 2 else paired_count_exact(j // 2, h) for j in orders], dtype=sums.dtype)
+    diffs = sums[:, 1:] - g * targets
+    if diffs.dtype == object or not ((np.abs(diffs) < 2**53).all() and (g < 2**53).all()):
+        diffs, g = diffs.astype(object), g.astype(object)
+    return (diffs / g).astype(float)
+
+
 def empirical_summary(counts, max_moment: int = 4) -> EmpiricalSummary:
     """The one reducer of a value histogram counts[v + h] = #{m : S(m) = v}.
 
     Builds the power sums of orders 1..max_moment, for the moments of
     S/sqrt(h); the order-0 sum is the sample count g.  deviation reads any
-    other order when asked, so max_moment = 0 builds no power sum up front.
+    order when asked, so max_moment = 0 builds no power sum up front.
     """
     if not 0 <= max_moment <= 12:
         raise ValueError(f"moment order capped at 12, got {max_moment}")
@@ -945,7 +977,7 @@ def weil_bound_check(q: int, gamma, x: int, y: int) -> dict:
 
 def _weil_record(q: int, gamma, x: int, y: int) -> dict:
     """weil_bound_check for a q its caller has checked prime, as the sieve
-    of random_weil_instances does for weil-check."""
+    of random_weil_instances does for weil_bound_battery."""
     value = _incomplete_poly_sum(q, gamma, x, y)
     k = len(tuple(gamma))
     bound = 9.0 * k * math.sqrt(q) * math.log(q)
@@ -978,3 +1010,19 @@ def random_weil_instances(trials: int, q_lo: int, q_hi: int, k_max: int, seed: i
         x = rng.randrange(0, q)
         out.append({"q": q, "gamma": gamma, "x": x, "y": y})
     return out
+
+
+def weil_bound_battery(trials: int, q_lo: int, q_hi: int, k_max: int, seed: int) -> list[dict]:
+    """weil_bound_check of each random_weil_instances trial, in trial order,
+    gamma as a list; the sieve's moduli are not tested prime again.  The
+    run's y * len(gamma) above CHI_TABLE_MAX is refused past MAX_SEGMENT
+    before any read.  The trials run in order of q: each table is built once."""
+    instances = random_weil_instances(trials, q_lo, q_hi, k_max, seed=seed)
+    symbols = sum(inst["y"] * len(inst["gamma"]) for inst in instances if inst["q"] > CHI_TABLE_MAX)
+    fit_budget(f"weil-check of {len(instances)} trials", symbols, 1, MAX_SEGMENT, "MAX_SEGMENT", "symbols",
+               "the jacobi_array reads at q > CHI_TABLE_MAX")
+    checks = [None] * len(instances)
+    for i in sorted(range(len(instances)), key=lambda i: instances[i]["q"]):
+        inst = instances[i]
+        checks[i] = _weil_record(inst["q"], inst["gamma"], inst["x"], inst["y"]) | {"gamma": list(inst["gamma"])}
+    return checks

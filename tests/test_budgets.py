@@ -110,13 +110,13 @@ def test_weil_check_refuses_the_whole_run_before_a_jacobi_read(monkeypatch, tmp_
     def no_read(*args):
         raise RuntimeError("jacobi_array reached")
 
-    monkeypatch.setattr(cli, "random_weil_instances", lambda *args, **kwargs: trials)
+    monkeypatch.setattr(windows, "random_weil_instances", lambda *args, **kwargs: trials)
     monkeypatch.setattr(windows, "jacobi_array", no_read)
-    monkeypatch.setattr(cli, "MAX_SEGMENT", 1199)
+    monkeypatch.setattr(windows, "MAX_SEGMENT", 1199)
     argv = ["weil-check", "--out", str(tmp_path / "out.json")]
     assert cli.main(argv) == 2
     assert "weil-check of 4 trials needs about 1200 symbols" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "MAX_SEGMENT", 1200)
+    monkeypatch.setattr(windows, "MAX_SEGMENT", 1200)
     with pytest.raises(RuntimeError, match="jacobi_array reached"):
         cli.main(argv)
 

@@ -4,6 +4,7 @@ Most tests call ``cli.main`` in-process and read stdout/stderr through
 capsys; one test exercises the installed console script for real.
 """
 
+import ast
 import csv
 import io
 import json
@@ -13,6 +14,7 @@ import shutil
 import subprocess
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -488,13 +490,13 @@ def test_failing_weil_check_lists_its_failures(monkeypatch, capsys):
     argv = ["weil-check", "--trials", "60", "--seed", "5"]
     _, held = _envelope(argv, capsys)
     _, held_csv, _ = _run(argv + ["--format", "csv"], capsys)
-    real = cli._weil_record
+    real = windows._weil_record
 
     def failing(q, gamma, x, y):
         rec = real(q, gamma, x, y)
         return rec | {"holds": False} if x % 3 == 0 else rec
 
-    monkeypatch.setattr(cli, "_weil_record", failing)
+    monkeypatch.setattr(windows, "_weil_record", failing)
     rc, out, err = _run(argv, capsys)
     assert rc == 1 and err == ""
     env = json.loads(out)
@@ -588,23 +590,39 @@ def test_choice_options_name_the_allowed_values(argv, message, capsys):
 
 def test_full_period_identities_catch_a_miscounted_start(monkeypatch, capsys):
     # Over one period, sum S = 0 and sum S^2 = hq - h^2; moving one start of
-    # the --g full histogram to the next bin breaks the first, so exit 1
-    real = cli.window_histograms
+    # the --g full histogram to the next bin breaks the first, so exit 1.
+    # At q = 10^6 + 3, h = 100 the one-row block of the g = q - h starts
+    # counts in pairs; the tail of h starts that completes the period does not
+    real = windows._pair_counts
+    calls = []
 
-    def shifted(qs, configs):
-        out = real(qs, configs)
-        counts = out[0]
+    def shifted(row, low, r):
+        counts = real(row, low, r)
+        calls.append(row.size)
         v = next(v for v, c in enumerate(counts) if c)
         counts[v] -= 1
         counts[v + 1] += 1
-        return out
+        return counts
 
     argv = ["clt-single", "--q", "1000003", "--h", "const:100", "--g", "full"]
     assert _envelope(argv, capsys)[0] == 0
-    monkeypatch.setattr(cli, "window_histograms", shifted)
+    monkeypatch.setattr(windows, "_pair_counts", shifted)
     rc, env = _envelope(argv, capsys)
+    assert calls == [1000003 - 100]
     assert rc == 1 and not env["results"]["ok"]
     assert "full-period identities" in env["results"]["error"]
+
+
+def test_cli_imports_no_private_name_or_budget_from_the_package():
+    # the CLI is a front end over public calls: every kernel, budget and
+    # identity check it runs is reached through the module that owns it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").partition(".")[0] == "charwin") for alias in node.names]
+    assert "window_histograms" in names and "weil_bound_battery" in names
+    private = [name for name in names if name.startswith("_") and not name.endswith("__")]
+    budgets = {"BLOCK_BYTES", "CHI_TABLE_MAX", "MAX_SEGMENT", "fit_budget"} & set(names)
+    assert not private and not budgets, (private, budgets)
 
 
 @pytest.mark.skipif(shutil.which("charwin") is None, reason="console script not on PATH")
@@ -647,11 +665,12 @@ _VALUES = st.recursive(
 # is (what the renderer gets, the plain list of dicts the stdlib gets)
 _INTEGERS = st.integers(-(2**70), 2**70)
 # a column of lists of ints, as weil-check's gamma, empty lists included, is
-# written by template; a list holding a float, a str or a bool declines to
-# the list of dicts
+# written by template; a list holding a float, a str or a bool, and a column
+# that mixes ints with bools or floats, decline to the list of dicts
 _COLUMN_KINDS = st.sampled_from([st.floats(), st.floats(allow_nan=False, allow_infinity=False),
                                  _INTEGERS, st.booleans(), _TEXT, st.none(), st.lists(_INTEGERS, max_size=3),
-                                 st.lists(_INTEGERS | st.floats() | _TEXT | st.booleans(), max_size=3)])
+                                 st.lists(_INTEGERS | st.floats() | _TEXT | st.booleans(), max_size=3),
+                                 _INTEGERS | st.booleans(), st.floats() | _INTEGERS])
 
 
 @st.composite
@@ -680,6 +699,8 @@ def _column_cases(draw):
 @example((cli._RecordColumns({"g": [[1], [2, 0.5]]}), [{"g": [1]}, {"g": [2, 0.5]}]))
 @example((cli._RecordColumns({"g": [[], ["1"]]}), [{"g": []}, {"g": ["1"]}]))
 @example((cli._RecordColumns({"g": [[True]], "n": [1]}), [{"g": [True], "n": 1}]))
+@example((cli._RecordColumns({"n": [1, True]}), [{"n": 1}, {"n": True}]))
+@example((cli._RecordColumns({"n": [1.5, 2]}), [{"n": 1.5}, {"n": 2}]))
 @settings(max_examples=300, deadline=None)
 def test_json_text_matches_the_stdlib(case):
     obj, plain = case

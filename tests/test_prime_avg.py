@@ -33,9 +33,9 @@ from charwin import (
     window_histograms,
     window_series,
 )
-from charwin.prime_avg import _battery_lhs, _deviation_rows, _squared_magnitudes
+from charwin.prime_avg import _battery_lhs, _squared_magnitudes
 from charwin.rmf import _coeffs, _support
-from charwin.windows import power_sum
+from charwin.windows import _deviations, power_sum
 
 
 def test_interval_spec_validation():
@@ -457,7 +457,7 @@ def _assert_rows_match_summaries(rows, h, r_max):
     # against each row's empirical_summary, and against the bin-by-bin
     # power_sum in Python ints, which shares no kernel with either
     j_max = 2 * min(r_max, h)
-    got = _deviation_rows(_histogram_matrix(rows), h, j_max)
+    got = _deviations(_histogram_matrix(rows), h, range(1, j_max + 1))
     expected = [[empirical_summary(row, max_moment=0).deviation(j) for j in range(1, j_max + 1)] for row in rows]
     oracle = [[(power_sum(row, h, j) - sum(row) * (0 if j % 2 else paired_count_exact(j // 2, h))) / sum(row)
                for j in range(1, j_max + 1)] for row in rows]

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charwin import (
@@ -32,6 +32,7 @@ from charwin import (
     primes_in_interval,
     random_weil_instances,
     value_histogram,
+    weil_bound_battery,
     weil_bound_check,
     window_histograms,
     window_series,
@@ -746,9 +747,11 @@ def _starts_read(q, config):
     # c - m > m of a start m in range, c = q - h - 1.  A tile of k starts
     # reads the k + h symbols n = m..m+k+h-1 from its first start m on.
     # For g >= q the route folds whole periods, S(m + q) = S(m): it reads the
-    # range of q starts from m_start and then that of its first g mod q.
+    # range of q starts from m_start and then that of its first g mod q.  A
+    # row of g = q - h starts also reads the h starts after its last, which
+    # complete the period for the full-period identities.
     periods, rest = divmod(config.g, q)
-    read = 0
+    read = config.h if config.g + config.h == q else 0
     for g in [q, rest] if periods else [rest]:
         m = np.arange(config.m_start, config.m_start + g)
         mirror = q - config.h - 1 - m
@@ -791,6 +794,7 @@ def test_window_histograms_match_window_series(items):
     st.integers(min_value=1, max_value=6),
     st.sampled_from([0, 1]),
 )
+@example(q_and_g=(101, 95), h=6, m_start=1)  # a full period, g = q - h, and its tail
 @settings(max_examples=60, deadline=None)
 def test_streamed_histogram_matches_window_series(route, q_and_g, h, m_start):
     # A budget of g // 3 starts per tile forces the column-tile route and at
@@ -1150,12 +1154,14 @@ def test_folded_tiles_match_window_series(route, q, h, m_start):
         read = sum(tiles) - h * len(tiles)
         assert read == _starts_read(q, config) and max(tiles) <= 8 + h
         assert (read < g) == (g != unpaired)
-    assert _starts_read(q, WindowConfig(h=h, g=q - h, m_start=m_start)) <= (q - h) // 2 + 2
+    # half the starts of a full period, and the h after them
+    assert _starts_read(q, WindowConfig(h=h, g=q - h, m_start=m_start)) <= (q - h) // 2 + 2 + h
 
 
 def test_full_period_clt_single_reads_half_its_starts(monkeypatch, tmp_path):
     # q = 2000003 does not fit one block, so clt-single --g full takes the
-    # column-tile route and reads about (q - h) / 2 of its q - h starts
+    # column-tile route and reads about (q - h) / 2 of its q - h starts, and
+    # the h starts after them that complete the period
     q, h = 2000003, 100
     starts = []
     real_chi_range = windows._chi_range
@@ -1169,7 +1175,7 @@ def test_full_period_clt_single_reads_half_its_starts(monkeypatch, tmp_path):
         warnings.simplefilter("ignore", ExperimentWarning)
         assert cli.main(["clt-single", "--q", str(q), "--h", f"const:{h}", "--g", "full",
                          "--out", str(tmp_path / "out.json")]) == 0
-    assert len(starts) >= 2 and abs(sum(starts) - (q - h) / 2) <= 2
+    assert len(starts) >= 2 and abs(sum(starts) - h - (q - h) / 2) <= 2
 
 
 def test_clt_single_beyond_one_period_reads_at_most_two_periods(monkeypatch, tmp_path):
@@ -1567,3 +1573,45 @@ def test_random_weil_instances_cap_offsets_at_q():
     for inst in instances:
         assert inst["gamma"] == tuple(sorted(set(inst["gamma"])))
         assert len(inst["gamma"]) <= inst["q"]
+def test_weil_bound_battery_is_the_per_trial_checks_in_trial_order():
+    # the trials run in order of q, so the one-table cache misses once per
+    # distinct modulus; the records keep the order the trials were drawn in
+    drawn = random_weil_instances(300, 1000, 3000, 4, seed=7)
+    windows._cached_table.cache_clear()
+    got = weil_bound_battery(300, 1000, 3000, 4, seed=7)
+    misses = windows._cached_table.cache_info().misses
+    windows._cached_table.cache_clear()
+    assert got == [weil_bound_check(d["q"], d["gamma"], d["x"], d["y"]) | {"gamma": list(d["gamma"])}
+                   for d in drawn]
+    assert misses == len({d["q"] for d in drawn}) < len(drawn)
+
+
+@pytest.mark.parametrize("budget", [None, 12 * (8 + 10) + 16 * 21], ids=["block", "tiles"])
+def test_full_coverage_row_with_a_moved_start_fails_the_identities(monkeypatch, budget):
+    # A row of g = q - h starts is completed to a period by the h starts
+    # after it, over which sum S^2 = hq - h^2; moving one start of the row's
+    # first counts to the next bin breaks it, in one block or in tiles of 8
+    q, h = 101, 10
+    config = WindowConfig(h=h, g=q - h, m_start=1)
+    if budget:
+        monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+    real, calls = windows._histograms, []
+
+    def moved(block, configs):
+        counts = real(block, configs)
+        if not calls:
+            v = int(np.flatnonzero(counts[0])[0])
+            counts[0][v : v + 2] += (-1, 1)
+        calls.append(block.shape)
+        return counts
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        assert window_histograms([q], [config]) == [value_histogram(window_series(q, config), h)]
+        monkeypatch.setattr(windows, "_histograms", moved)
+        with pytest.raises(AssertionError, match=r"^full-period identities fail at q=101, h=10: .*expected \(0, 910\)$"):
+            window_histograms([q], [config])
+    # the tail is one tile after a block, and tiles of at most 8 starts after tiles
+    assert calls == [(1, q + 1), (1, 2 * h)] if budget is None else max(calls) == (1, 8 + h)
+
+
