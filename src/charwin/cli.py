@@ -8,18 +8,21 @@ up to the ``meta`` block (timestamp, runtime, execution knobs such as
 thread count).  Runs are single-process; ``--threads`` is accepted and
 recorded in ``meta`` only.  The JSON is byte for byte the stdlib's
 ``json.dumps(envelope, indent=2, sort_keys=True)``: ASCII-escaped, with
-``NaN`` and ``Infinity`` literals, and encoded by the C encoder
-(``_json_text``).  Every record table of the results is held as columns
-(``_RecordColumns``), written record by record from one template;
-``--format csv`` projects the main table of each command from the same
-columns instead, floats at 12 significant digits.
+``NaN`` and ``Infinity`` literals.  ``_json_text`` makes that one call,
+in which every record table of the results, held as columns
+(``_RecordColumns``), stands in as a placeholder; each placeholder is then
+replaced by its records, written one template per record.  ``--format csv``
+projects the main table of each command from the same columns instead,
+floats at 12 significant digits.
 
 Exit codes: 0 success; 1 a guaranteed inequality failed (these signal
 implementation bugs, never findings); 2 invalid configuration or input.
 
 Configs may live in an INI file (``--config``): values are read from the
 section named after the subcommand (with ``[DEFAULT]`` fallback), and any
-flag given on the command line wins over the file.
+flag given on the command line wins over the file.  A key that the section
+sets and its command does not read, or a ``[DEFAULT]`` key that no command
+reads, is refused (exit 2).
 """
 
 from __future__ import annotations
@@ -200,6 +203,18 @@ def _resolve(command: str, args: argparse.Namespace):
         with open(args.config) as fh:
             cp.read_file(fh)
         section = cp[command] if cp.has_section(command) else cp["DEFAULT"]
+        # a key the section sets is one its command reads; a [DEFAULT] key,
+        # which the section inherits unless it sets its own value, one that
+        # some command reads
+        read = {opt.key for opt in _COMMANDS[command][2] + _EXEC_OPTS}
+        known = read.union(*({opt.key for opt in opts} for _, _, opts in _COMMANDS.values()))
+        defaults = cp.defaults()
+        for key in section:
+            if key in defaults and section.get(key, raw=True) == defaults[key]:
+                if key not in known:
+                    raise ValueError(f"{command}: --config key {key!r} in [DEFAULT] is not an option of any command")
+            elif key not in read:
+                raise ValueError(f"{command}: --config key {key!r} in [{command}] is not an option of {command}")
 
     _, _, opts = _COMMANDS[command]
     values: dict[str, object] = {}
@@ -512,17 +527,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _c_encoder(inner: str, encoders: dict):
-    """The C encoder whose item separator starts the next item at indent
-    inner, made once per render; None without the C encoder."""
-    if inner not in encoders:
-        make = json.encoder.c_make_encoder
-        encoders[inner] = make and make(
-            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-            ": ", ",\n" + inner, True, False, True)
-    return encoders[inner]
-
-
 _LITERAL = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float.__repr__,
             str: json.encoder.encode_basestring_ascii}
 
@@ -530,8 +534,8 @@ _LITERAL = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float
 def _records_text(columns: dict[str, list], outer: str) -> str | None:
     """The records of columns as json.dumps(indent=2, sort_keys=True)
     writes their list of dicts, one %-template per record: keys sorted,
-    ints and floats by repr, bools as true and false, strings escaped as the
-    C encoder escapes them, each distinct value of a column written once,
+    ints and floats by repr, bools as true and false, strings escaped as
+    json.dumps escapes them, each distinct value of a column written once,
     and a list of ints one item a line, or [] when empty.  None for a
     non-finite float, a column of another type or of more than one exact
     type, or a list holding anything but ints, which the template does not
@@ -565,41 +569,42 @@ def _records_text(columns: dict[str, list], outer: str) -> str | None:
     return f"[\n{inner}" + f",\n{inner}".join(map(template.__mod__, zip(*texts))) + f"\n{outer}]"
 
 
-def _json_text(obj, outer: str, encoders: dict) -> str:
+def _json_text(obj) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, byte for
-    byte, nested where its own closing bracket sits at indent outer.
+    byte, records held as columns written as their list of dicts.
 
-    The C encoder does the encoding, its item separator carrying the indent
-    of the items.  A scalar, an empty container, or one of scalars only, is
-    one call, whose brackets are then opened onto their own lines.  Other
-    containers recurse.  Without the C encoder, or for a dict with a key
-    that is not a str, the stdlib's own text stands in, re-indented.
-    Containers of exact builtin types take the one-call route; subclasses
-    recurse, which is slower and gives the same bytes.  Records held as
-    columns, as every record table of an envelope is, are written by
-    _records_text, or, where it declines, as their list of dicts.
+    The stdlib lays out the whole of obj in one call, each _RecordColumns in
+    it standing in as a placeholder string; each placeholder is then
+    replaced at the indent of its own line by _records_text, or, where that
+    declines, by the stdlib's text of the table's dicts.  A placeholder whose
+    text occurs anywhere else in the dump, as a string or a key equal to it,
+    sends the whole of obj to the stdlib with every table as its dicts.
     """
-    if type(obj) is _RecordColumns:
-        text = _records_text(obj.columns, outer)
-        return _json_text(obj.dicts(), outer, encoders) if text is None else text
-    inner, scalar = outer + "  ", {str, int, float, bool, type(None)}
-    encode, is_dict = _c_encoder(inner, encoders), isinstance(obj, dict)
-    values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
-    if encode and set(map(type, values)) <= scalar:
-        text = "".join(encode(obj, 0))
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}" if values else text
-    if not encode or is_dict and not set(map(type, obj)) <= {str}:
-        return json.dumps(obj, indent=2, sort_keys=True, default=_RecordColumns.dicts).replace("\n", "\n" + outer)
-    if is_dict:
-        parts = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(obj[k], inner, encoders)}"
-                 for k in sorted(obj)]
-        return "{\n" + inner + f",\n{inner}".join(parts) + f"\n{outer}}}"
-    return "[\n" + inner + f",\n{inner}".join(_json_text(v, inner, encoders) for v in obj) + f"\n{outer}]"
+    tables: list[_RecordColumns] = []
+
+    def hold(table: _RecordColumns) -> str:
+        tables.append(table)
+        return f"<records {len(tables)}>"
+
+    text = json.dumps(obj, indent=2, sort_keys=True, default=hold)
+    marks = [f'"<records {i}>"' for i in range(1, len(tables) + 1)]
+    if any(text.count(mark) != 1 for mark in marks):
+        return json.dumps(obj, indent=2, sort_keys=True, default=_RecordColumns.dicts)
+    pieces = []
+    for mark, table in zip(marks, tables):
+        before, _, text = text.partition(mark)
+        line = before[before.rfind("\n") + 1:]
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        records = _records_text(table.columns, indent)
+        if records is None:
+            records = json.dumps(table.dicts(), indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        pieces += [before, records]
+    return "".join([*pieces, text])
 
 
 def _render(envelope: dict, table: Table | None, fmt: str) -> str:
     if fmt == "json" or table is None:
-        return _json_text(envelope, "", {}) + "\n"
+        return _json_text(envelope) + "\n"
     header, rows = table()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

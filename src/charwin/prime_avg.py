@@ -218,7 +218,10 @@ def exceptional_sets(
     primes = interval_primes(spec)
     if not primes:
         raise ValueError(f"no odd primes in [{spec.q_start}, {spec.q_start + spec.delta}]")
-    notes: list[str] = []
+    # each note in the order of its first prime; an int h stands for the
+    # note on the orders r > h skipped, written once its primes are counted
+    notes: list[str | int] = []
+    rows_of: dict[int, list[int]] = {}
     g_at_start = float(g_schedule(spec.q_start))
     configs: list[WindowConfig] = []
     thresholds_g: list[float] = []
@@ -245,18 +248,19 @@ def exceptional_sets(
                 f"relaxed mode: window h={h_q} exceeds g^(1/4)={g_q ** 0.25:.2f} at q={q}"
             )
             warned_wide = True
-        if r_max > h_q:
-            notes.append(f"orders r > h={h_q} skipped at q={q}")
+        if r_max > h_q and h_q not in rows_of:
+            notes.append(h_q)
+        rows_of.setdefault(h_q, []).append(len(configs))
         g_inner = int(math.floor(g_q if per_prime_inner else g_at_start))
         configs.append(config_of(h_q, max(g_inner, 1)))
         thresholds_g.append(g_q)
 
     histograms = _window_histograms(primes, configs, stacklevel=2)
     for note in notes:
+        if isinstance(note, int):
+            rows = rows_of[note]
+            note = f"orders r > h={note} skipped at {len(rows)} prime(s) from q={primes[rows[0]]}"
         warnings.warn(note, ExperimentWarning, stacklevel=2)
-    rows_of: dict[int, list[int]] = {}
-    for i, config in enumerate(configs):
-        rows_of.setdefault(config.h, []).append(i)
     n = len(primes)
     # a prime's records in one run: r = 1..min(r_max, h), even before odd
     per = np.array([2 * min(r_max, config.h) for config in configs])

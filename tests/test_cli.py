@@ -5,6 +5,7 @@ capsys; one test exercises the installed console script for real.
 """
 
 import ast
+import configparser
 import csv
 import io
 import json
@@ -167,6 +168,13 @@ def test_rmf_compare_factors_each_battery_index_once(monkeypatch, capsys):
     assert 0 < len(calls) <= 100 and len(set(calls)) == len(calls)
 
 
+def test_clt_interval_notes_skipped_orders_once_per_h(capsys):
+    argv = ["clt-interval", "--interval", "1000000:100000", "--h", "const:1", "--rmax", "2"]
+    rc, env = _envelope(argv, capsys)
+    assert rc == 0 and env["results"]["prime_count"] == 7216
+    assert [w for w in env["warnings"] if "skipped" in w] == ["orders r > h=1 skipped at 7216 prime(s) from q=1000003"]
+
+
 @pytest.mark.parametrize("per_prime_inner", [False, True])
 def test_clt_interval_builds_one_window_config_per_h_and_g(per_prime_inner, monkeypatch, capsys):
     # 152 primes share h = 5 and g = floor(log(10^6)^3) = 2636, or with
@@ -228,6 +236,44 @@ def test_config_default_section_fallback(tmp_path, capsys):
     assert rc == 0
     assert env["config"]["x"] == 1000003
     assert env["results"]["count"] > 0
+
+
+@pytest.mark.parametrize("text, argv, refused", [
+    ("[clt-interval]\nrmx = 4\n", ["clt-interval", "--interval", "1000:300"], "'rmx' in [clt-interval]"),
+    # another command reads interval, but the section sets it for ktheta
+    ("[DEFAULT]\ninterval = 1000:300\n[ktheta]\ninterval = 2000:300\n", ["ktheta"], "'interval' in [ktheta]"),
+    ("[DEFAULT]\nintervl = 1000:300\n", ["ktheta"], "'intervl' in [DEFAULT]"),
+    ("[DEFAULT]\nintervl = 1000:300\n[ktheta]\nrmax = 2\n", ["ktheta"], "'intervl' in [DEFAULT]"),
+], ids=["section", "section-over-default", "default", "default-under-section"])
+def test_config_refuses_a_key_nothing_reads(tmp_path, capsys, text, argv, refused):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    rc, out, err = _run(argv + ["--config", str(ini)], capsys)
+    assert (rc, out) == (2, "")
+    assert refused in err
+
+
+def test_config_default_key_another_command_reads_is_allowed(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\ninterval = 1000:300\n[ktheta]\nrmax = 2\ninterval = 1000:300\n")
+    rc, env = _envelope(["ktheta", "--config", str(ini)], capsys)
+    assert rc == 0 and env["config"] == {"rmax": 2, "hmax": 8}
+
+
+EXAMPLE_INI = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_example_config_runs_every_command(command, capsys):
+    ini = configparser.ConfigParser()
+    ini.read(EXAMPLE_INI)
+    assert ini.has_section(command)
+    rc, env = _envelope([command, "--config", str(EXAMPLE_INI)], capsys)
+    assert rc == 0
+    opts = {opt.key: opt for opt in cli._COMMANDS[command][2]}
+    echoed = {key: opts[key].convert(raw)[1] for key, raw in ini[command].items() if key in opts}
+    assert set(ini[command]) - set(ini.defaults()) <= set(echoed)
+    assert {key: env["config"][key] for key in echoed} == echoed
 
 
 def test_sieve_verify_tables(capsys):
@@ -701,10 +747,25 @@ def _column_cases(draw):
 @example((cli._RecordColumns({"g": [[True]], "n": [1]}), [{"g": [True], "n": 1}]))
 @example((cli._RecordColumns({"n": [1, True]}), [{"n": 1}, {"n": True}]))
 @example((cli._RecordColumns({"n": [1.5, 2]}), [{"n": 1.5}, {"n": 2}]))
+# a table stands in as the placeholder "<records i>" while the stdlib lays
+# out the rest; strings and keys that equal or contain one, with and
+# without a table behind it, are written as the strings they are
+@example(({"s": "<records 1>", "t": cli._RecordColumns({"n": [1]})}, {"s": "<records 1>", "t": [{"n": 1}]}))
+@example(({"<records 1>": 2, "t": cli._RecordColumns({"n": [1]})}, {"<records 1>": 2, "t": [{"n": 1}]}))
+@example(({"s": 'a"<records 1>', "t": [cli._RecordColumns({"n": [1]})]}, {"s": 'a"<records 1>', "t": [[{"n": 1}]]}))
+@example(({"<records 1>": "<records 1>", "s": ["<records 2>"]},) * 2)
+@example((cli._RecordColumns({"n": [1, 2], "p": ["even", "odd"]}), [{"n": 1, "p": "even"}, {"n": 2, "p": "odd"}]))
+@example(([1, cli._RecordColumns({"n": [3]}), [cli._RecordColumns({"g": [[2, 5]]})]],
+          [1, [{"n": 3}], [[{"g": [2, 5]}]]]))
+@example(({"r": {"checks": cli._RecordColumns({"q": [5, 7], "x": [1.5, 2.5]}), "failures": cli._RecordColumns({"q": [7]}),
+                "holds": 1}},
+          {"r": {"checks": [{"q": 5, "x": 1.5}, {"q": 7, "x": 2.5}], "failures": [{"q": 7}], "holds": 1}}))
+@example(({"a": {"b": cli._RecordColumns({"t": [0.5, math.nan]}), "c": cli._RecordColumns({"t": [0.5]})}, "d": []},
+          {"a": {"b": [{"t": 0.5}, {"t": math.nan}], "c": [{"t": 0.5}]}, "d": []}))
 @settings(max_examples=300, deadline=None)
 def test_json_text_matches_the_stdlib(case):
     obj, plain = case
-    assert cli._json_text(obj, "", {}) == _stdlib(plain)
+    assert cli._json_text(obj) == _stdlib(plain)
 
 
 @pytest.mark.parametrize("obj", [
@@ -713,7 +774,7 @@ def test_json_text_matches_the_stdlib(case):
     [{1: 1, 2: [3, 4]}, {0.5: None, False: (5,)}],
 ], ids=["top", "nested", "records"])
 def test_json_text_non_str_keys_match_the_stdlib(obj):
-    assert cli._json_text(obj, "", {}) == _stdlib(obj)
+    assert cli._json_text(obj) == _stdlib(obj)
 
 
 def test_json_text_without_the_c_encoder(monkeypatch, capsys):
@@ -721,7 +782,7 @@ def test_json_text_without_the_c_encoder(monkeypatch, capsys):
     with_c = _run(argv, capsys)[1]
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     obj = json.loads(with_c)
-    assert cli._json_text(obj, "", {}) == _stdlib(obj)
+    assert cli._json_text(obj) == _stdlib(obj)
     without_c = _run(argv, capsys)[1]
     assert without_c == _stdlib(json.loads(without_c)) + "\n"
     payloads = [json.loads(text) for text in (with_c, without_c)]

@@ -9,9 +9,10 @@ is dead code: nothing calls, exports, tests or documents it.  Likewise a
 parameter that its function's body never loads is a setting nothing obeys,
 and an import that its module never names is a dependency nothing uses.
 A ``global`` statement makes module state that calls share and tests must
-reset; the package keeps none.  JSON has one rendering route, the C-encoder
-renderer ``cli._json_text``: an indented ``json.dumps`` anywhere else in the
-package would be a second one.
+reset; the package keeps none.  JSON has one rendering route,
+``cli._json_text``, whose indented ``json.dumps`` lays out every envelope
+around the record tables that ``cli._records_text`` writes: an indented
+``json.dumps`` anywhere else in the package would be a second one.
 """
 
 from __future__ import annotations
@@ -115,4 +116,4 @@ def test_one_indented_json_route():
         stray.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Call) and id(node) not in renderer
                      and ast.unparse(node.func).endswith("dumps") and any(k.arg == "indent" for k in node.keywords))
-    assert not stray, f"indented json.dumps outside cli._json_text's fallback: {stray}"
+    assert not stray, f"indented json.dumps outside cli._json_text: {stray}"

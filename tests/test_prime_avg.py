@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charwin import (
@@ -292,6 +292,21 @@ def _h_by_residue(q):
     return 1 + (q // 2) % 4
 
 
+def test_exceptional_sets_note_each_skipped_h_once():
+    # h = 1..4 interleave, so every h below r_max = 4 has one note, in the
+    # order of its first prime, naming how many primes skip its orders
+    spec = IntervalSpec(1000, 300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exceptional_sets(spec, growth_schedule("const", 64.0), _h_by_residue, r_max=4)
+    primes_of: dict[int, list[int]] = {}
+    for q in interval_primes(spec):
+        primes_of.setdefault(_h_by_residue(q), []).append(q)
+    assert [str(w.message) for w in caught if "skipped" in str(w.message)] == [
+        f"orders r > h={h} skipped at {len(qs)} prime(s) from q={qs[0]}" for h, qs in primes_of.items() if h < 4]
+    assert len(primes_of) == 4
+
+
 def _summary_oracle(records, h_sched):
     """Fractions and mean squares from the records one by one, each square
     as Python's float ** takes it and each mean as math.fsum in record order."""
@@ -324,11 +339,17 @@ def _bits(values):
     threshold_scale=st.floats(0.05, 20.0),
     m_start=st.sampled_from([0, 1]),
 )
+@example(q_start=1130, delta=20, g_sched=growth_schedule("log_power", 2.0), h_sched=growth_schedule("const", 3.0),
+         r_max=1, per_prime_inner=False, threshold_scale=1.0, m_start=0)
 @settings(max_examples=60, deadline=None)
 def test_exceptional_sets_columns_match_per_record_oracle(q_start, delta, g_sched, h_sched, r_max, per_prime_inner,
                                                            threshold_scale, m_start):
     spec = IntervalSpec(q_start, delta)
     kwargs = {"per_prime_inner": per_prime_inner, "threshold_scale": threshold_scale, "m_start": m_start}
+    if not interval_primes(spec):  # a prime gap can hold the whole interval
+        with pytest.raises(ValueError, match="no odd primes"):
+            exceptional_sets(spec, g_sched, h_sched, r_max, **kwargs)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExperimentWarning)
         report = exceptional_sets(spec, g_sched, h_sched, r_max, **kwargs)
