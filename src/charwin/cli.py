@@ -47,12 +47,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .arith import ExperimentWarning, prime_density_check, prime_modulus, primes_in_interval
+from .arith import ExperimentWarning, prime_density_check, prime_modulus
 from .prime_avg import (
     IntervalSpec,
     derivative_check,
     exceptional_sets,
     growth_schedule,
+    interval_primes,
     random_sparse_vectors,
     variance_ratio_battery,
 )
@@ -349,11 +350,12 @@ def _run_rmf_compare(cfg) -> tuple[dict, bool, Table]:
     spec = cfg["interval"]
     count, length, support = cfg["battery"]
     battery = random_sparse_vectors(count, length, seed=cfg["seed"], support=support)
-    ratios = variance_ratio_battery(spec, battery)
+    primes = interval_primes(spec)
+    ratios = variance_ratio_battery(spec, battery, primes=primes)
     header = ["index", "lhs", "rhs", "ratio"]
     rows = _RecordColumns.of([{"index": i} | rec for i, rec in enumerate(ratios)], header)
     results = {
-        "prime_count": len(primes_in_interval(spec.q_start, spec.q_start + spec.delta)),
+        "prime_count": len(primes),
         "rows": rows,
         "max_ratio": max(rows.columns["ratio"]),
     }

@@ -102,9 +102,11 @@ def variance_ratio(spec: IntervalSpec, a) -> dict:
     return variance_ratio_battery(spec, [a])[0]
 
 
-def variance_ratio_battery(spec: IntervalSpec, vectors) -> list[dict]:
+def variance_ratio_battery(spec: IntervalSpec, vectors, *, primes: list[int] | None = None) -> list[dict]:
     """variance_ratio for many coefficient vectors, sharing the prime sweep
     and the squarefree part of each index that any vector's support holds.
+    primes, when given, must be interval_primes(spec), which a caller that
+    also counts them has sieved already; they are not checked.
 
     A nonzero vector whose model bound underflows to 0.0, as tiny
     coefficients' squares do, has no ratio: ValueError, before the sweep."""
@@ -115,7 +117,7 @@ def variance_ratio_battery(spec: IntervalSpec, vectors) -> list[dict]:
     for i, (sup, rhs) in enumerate(zip(supports, rhs_values)):
         if sup and rhs == 0.0:
             raise ValueError(f"vector {i} is nonzero but its model bound underflows to 0.0: no variance ratio")
-    lhs_values = _battery_lhs(spec, coeff_vecs, supports, interval_primes(spec))
+    lhs_values = _battery_lhs(spec, coeff_vecs, supports, interval_primes(spec) if primes is None else primes)
     return [{"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs} if sup else {"lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
             for sup, lhs, rhs in zip(supports, lhs_values, rhs_values)]
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import arith
 from .arith import (
     MAX_MODULUS,
     MAX_SEGMENT,
@@ -46,10 +47,13 @@ CHI_TABLE_MAX = 1 << 27
 # hold their intp sums a pass of rows at a time), and 8 * (2h+1) bytes of
 # counts per row, the chunks of squares in chi_table (20 bytes per square:
 # the uint32 squares, their steps and the clipped squares, and the intp
-# slots; 29 on the fill route above _FILL_ABOVE, which adds the bool keep
-# mask and the indices of the kept squares, while its batch of kept squares,
-# at most BLOCK_BYTES, lives in the table's own bytes), and the chunks of
-# _chi_range, incomplete_poly_sum and polya_vinogradov_check.
+# slots; a table of one chunk reads its squares from a cached array of a
+# pass of x**2, 4 bytes per square, in place of its own, and holds their
+# residues in place of the steps; 29 on the fill route above _FILL_ABOVE,
+# which adds the bool keep mask and the indices of the kept squares, while
+# its batch of kept squares, at most BLOCK_BYTES, lives in the table's own
+# bytes), and the chunks of _chi_range, incomplete_poly_sum and
+# polya_vinogradov_check.
 # _block_rows holds a chi_block within 2 * BLOCK_BYTES (see chi_block) for it
 # and its callers; the tables of its last small primes stay cached, read-only,
 # for the next block.  Above
@@ -58,7 +62,8 @@ CHI_TABLE_MAX = 1 << 27
 BLOCK_BYTES = 1 << 24
 # The passes that read the character table, whose per-call cost is small,
 # work on min(BLOCK_BYTES, _PASS_BYTES) at a time so that each numpy pass
-# stays in a core's L2 cache: the chunks of squares in chi_table and the
+# stays in a core's L2 cache: the chunks of squares in chi_table (at most
+# 2**15 squares each on a table of more than one chunk) and the
 # blocks of its expansion and fill, the single-row tiles of
 # window_histograms below CHI_TABLE_MAX, the intp sums of the rows of a block
 # that _histograms counts in one bincount, and the chunks of
@@ -129,14 +134,20 @@ def chi_table(q: int) -> np.ndarray:
     (q-r|q) = (-1|q) (r|q), which _chi_range applies.  Built by marking the
     (q-1)/2 nonzero squares mod q, an independent route from the
     binary-reciprocity jacobi(); tests pin the two together.  The squares
-    are taken in chunks of L <= 2**15 values of x, in uint32: the first
-    chunk's x**2 mod q by one division, every later one from the last by
-    two additions mod q, since (x + L)**2 = x**2 + d with d = 2 L x + L**2,
-    and d itself grows by 2 L**2.  Every square at or above half is clipped
-    onto one extra slot half, past the returned table.  A chunk fits
-    min(BLOCK_BYTES, _PASS_BYTES), a cache-sized pass, at 20 bytes per
-    square: the squares, their steps d and the clipped squares, uint32, and
-    the slots, intp, which index the scatter faster than uint32.
+    are taken in uint32, in chunks that fit min(BLOCK_BYTES, _PASS_BYTES),
+    a cache-sized pass, at 20 bytes per square.  When the (q-1)/2 squares
+    fit one pass, 52,428 of them at the defaults (q up to about 104,858),
+    they are one chunk: x**2 for x < 2**16 is read from one cached array
+    (_squares, 4 bytes per square of a pass) and reduced mod q by one
+    division.  A longer table takes chunks of L <= 2**15 values of x: the
+    first chunk's x**2 mod q by one division, every later one from the last
+    by two additions mod q, since (x + L)**2 = x**2 + d with
+    d = 2 L x + L**2, and d itself grows by 2 L**2.  Every square at or
+    above half is clipped onto one extra slot half, past the returned
+    table.  The 20 bytes per square are the squares and their steps d (on
+    one chunk, the cached squares and the residues), the clipped squares,
+    all uint32, and the slots, intp, which index the scatter faster than
+    uint32.
 
     A table of more than _FILL_ABOVE entries, which outgrows the cache,
     takes a second route with the same result: only the squares prime to 6
@@ -173,7 +184,9 @@ def _cached_table(q: int) -> np.ndarray:
     so a run holds one table, two while the next one is built.  Both
     routes take the uint32 squares of one kernel: the first chunk by
     _reduce, each later one by two _add_mod steps.  Up to _FILL_ABOVE
-    entries every square is marked, 20 bytes per square.  Above, only the
+    entries every square is marked, 20 bytes per square; a table whose
+    squares fit one pass is one chunk, reduced from the cached x**2 of
+    _squares, with no steps.  Above, only the
     squares prime to 6 (_coprime_to_6), 29 bytes per square.  Each kept
     square s goes, divided by 3, into a batch of uint32 held in the table's
     low bytes, which are not final yet; a full batch is sorted in place and
@@ -186,9 +199,13 @@ def _cached_table(q: int) -> np.ndarray:
     fit_budget(f"character table for q={q}", half, 1, (CHI_TABLE_MAX + 1) // 2, "(CHI_TABLE_MAX + 1) // 2")
     fill = half > _FILL_ABOVE
     # every buffer is reused for every chunk, and the clipped squares u are
-    # also the scratch of each reduction mod q.  L <= 2**15 keeps x**2 and
+    # also the scratch of each reduction mod q.  A plain table of at most a
+    # pass of squares, x < 2**16, is one chunk of the cached x**2 < 2**32.
+    # A longer one takes chunks of L <= 2**15, which keeps x**2 and
     # 2 L x + L**2 of the first chunk below 2**32
-    size = min(min(BLOCK_BYTES, _PASS_BYTES) // (29 if fill else 20), 1 << 15, half - 1)
+    cached = min(min(BLOCK_BYTES, _PASS_BYTES) // 20, (1 << 16) - 1)
+    one_chunk = not fill and half - 1 <= cached
+    size = half - 1 if one_chunk else min(min(BLOCK_BYTES, _PASS_BYTES) // (29 if fill else 20), 1 << 15, half - 1)
     if fill:
         # the squares at or above half land on one spare slot, a multiple of
         # 6, which _coprime_to_6 drops.  The top spare // 3 bytes c take one
@@ -208,12 +225,16 @@ def _cached_table(q: int) -> np.ndarray:
         t[0] = 0
     u = np.empty(size, dtype=np.uint32)
     slots = np.empty(size, dtype=np.intp)
-    s = np.arange(1, size + 1, dtype=np.uint32)
-    if size < half - 1:
-        d = np.multiply(s, 2 * size, dtype=np.uint32)
-        d += size * size
-        _reduce(d, q, u)
-    _reduce(np.square(s, out=s), q, u)
+    if one_chunk:
+        s = np.empty(size, dtype=np.uint32)
+        _reduce(_squares(cached)[:size], q, u, out=s)
+    else:
+        s = np.arange(1, size + 1, dtype=np.uint32)
+        if size < half - 1:
+            d = np.multiply(s, 2 * size, dtype=np.uint32)
+            d += size * size
+            _reduce(d, q, u)
+        _reduce(np.square(s, out=s), q, u)
     for lo in range(1, half, size):
         if lo > 1:
             # (x + L)**2 = x**2 + (2 L x + L**2), and 2 L (x + L) + L**2 =
@@ -296,13 +317,24 @@ def _expand_marks(t: np.ndarray, base: int, half: int) -> None:
         lo = hi
 
 
-def _reduce(v: np.ndarray, q: int, scratch: np.ndarray) -> None:
-    """v mod q in place, for uint32 v: v - (v // q) * q, the quotients in
-    scratch.  Dividing a uint32 array by a scalar takes numpy's fast integer
-    division, several times quicker than int64's."""
+@functools.lru_cache(maxsize=1)
+def _squares(n: int) -> np.ndarray:
+    """x**2 for x = 1..n, n < 2**16, as read-only uint32: the one chunk of
+    every plain table of at most n squares.  Filled on first use and kept
+    for the last n, so a build under another pass size fills it anew."""
+    s = np.arange(1, n + 1, dtype=np.uint32)
+    np.square(s, out=s)
+    s.setflags(write=False)
+    return s
+
+
+def _reduce(v: np.ndarray, q: int, scratch: np.ndarray, out: np.ndarray | None = None) -> None:
+    """v mod q into out, v itself by default, for uint32 v: v - (v // q) * q,
+    the quotients in scratch.  Dividing a uint32 array by a scalar takes
+    numpy's fast integer division, several times quicker than int64's."""
     quotient = np.floor_divide(v, q, out=scratch)
     quotient *= q
-    v -= quotient
+    np.subtract(v, quotient, out=v if out is None else out)
 
 
 def _add_mod(v: np.ndarray, w, q: int, scratch: np.ndarray) -> None:
@@ -709,7 +741,9 @@ def window_histograms(qs, configs) -> list[list[int]]:
     g // q times the counts of one period from m_start to those of its first g % q.
     A row of g = q - h starts also reads the h after its last, in tiles, and
     checks sum S = 0 and sum S^2 = hq - h^2 over that period: a miss raises
-    AssertionError.
+    AssertionError.  A block row holds a period, n = 0..q-1 at least, so
+    those symbols are read off it mod q (_row_range), in tiles no longer
+    than the row, and no table of q is built for them.
     Warns in the order of qs.  Each modulus is tested prime.
     """
     qs = [prime_modulus(q) for q in qs]
@@ -741,7 +775,12 @@ def _window_histograms(qs, configs, stacklevel: int) -> list[np.ndarray]:
         # a row goes to tiles when it does not fit in one: a tile holds its
         # symbols beside the running counts and its own
         if per_symbol * (n_max + 1) + 2 * per_count_row <= BLOCK_BYTES:
-            out.extend(_histograms(chi_block(qs[lo : lo + rows], n_max), configs[lo : lo + rows]))
+            block = chi_block(qs[lo : lo + rows], n_max)
+            out.extend(_histograms(block, configs[lo : lo + rows]))
+            for q, config, counts, row in zip(qs[lo : lo + rows], configs[lo : lo + rows], out[lo:], block):
+                # the tail is read off the row, in tiles no longer than it
+                _check_full_period(q, config, counts, min(config.h, n_max + 1 - config.h),
+                                   functools.partial(_row_range, row))
             continue
         q, h, g, m0 = qs[lo], configs[lo].h, configs[lo].g, configs[lo].m_start
         step = fit_budget(f"tile of one start at h={h}", h + 1, per_symbol, BLOCK_BYTES - 2 * per_count_row,
@@ -770,29 +809,43 @@ def _window_histograms(qs, configs, stacklevel: int) -> list[np.ndarray]:
             starts = sum(m_hi - m_lo for m_lo, m_hi, _, _ in runs)
             fit_budget(f"the jacobi_array route of q={q}, h={h}", starts, 1, MAX_SEGMENT, "MAX_SEGMENT",
                        "symbols")
-        out.append(_tile_counts(q, h, runs, step, np.int64 if g < 2**63 else object))
-    for q, config, counts in zip(qs, configs, out):
-        h, end = config.h, config.m_start + config.g
-        if config.g + h == q:
-            # the h starts after the last complete a period, in tiles within budget
-            tail = _tile_counts(q, h, [(end, end + h, False, 1)],
-                                min(h, (BLOCK_BYTES - 2 * per_count_row) // per_symbol - h), np.int64)
-            sums = tuple(_power_sums((counts + tail)[None, :], h, (1, 2))[0].tolist())
-            if sums != (0, h * q - h * h):
-                raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
-                                     f"(sum S, sum S^2) = {sums}, expected (0, {h * q - h * h})")
+        out.append(_tile_counts(q, h, runs, step, np.int64 if g < 2**63 else object, _chi_range))
+        _check_full_period(q, configs[lo], out[-1], min(h, step), _chi_range)
     return out
 
 
-def _tile_counts(q: int, h: int, runs, step: int, dtype) -> np.ndarray:
+def _check_full_period(q: int, config: WindowConfig, counts: np.ndarray, step: int, read) -> None:
+    """For a row of g = q - h starts with counts, count the h starts after
+    its last, which complete a period, in tiles of at most step starts
+    whose symbols m..n come from read(q, m, n) (see _tile_counts); then
+    check sum S = 0 and sum S^2 = hq - h^2 over the period, or raise
+    AssertionError."""
+    h, end = config.h, config.m_start + config.g
+    if config.g + h != q:
+        return
+    tail = _tile_counts(q, h, [(end, end + h, False, 1)], step, np.int64, read)
+    sums = tuple(_power_sums((counts + tail)[None, :], h, (1, 2))[0].tolist())
+    if sums != (0, h * q - h * h):
+        raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
+                             f"(sum S, sum S^2) = {sums}, expected (0, {h * q - h * h})")
+
+
+def _row_range(row: np.ndarray, q: int, m: int, n: int) -> np.ndarray:
+    """Symbols m..n, n < 2q, of a chi_block row that holds n = 0..q-1 at
+    least, as _chi_range reads them: (n|q) = (n-q|q) past q - 1."""
+    return np.concatenate((row[m : min(n + 1, q)], row[max(m, q) - q : max(n + 1, q) - q]))
+
+
+def _tile_counts(q: int, h: int, runs, step: int, dtype, read) -> np.ndarray:
     """Counts of the runs (m_lo, m_hi, mirrored, weight) of starts at q in
-    tiles of at most step starts, each a _chi_range block from column 0 = m;
-    a mirrored run adds them once more, reversed when q = 3 mod 4."""
+    tiles of at most step starts, each a block from column 0 = m of the
+    symbols read(q, m, n); a mirrored run adds them once more, reversed
+    when q = 3 mod 4."""
     hist = np.zeros(2 * h + 1, dtype=dtype)
     for m_lo, m_hi, mirrored, weight in runs:
         for m in range(m_lo, m_hi, step):
             tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
-            (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
+            (counts,) = _histograms(read(q, m, m + tile.g + h - 1)[None, :], [tile])
             counts = counts.astype(dtype, copy=False)
             counts *= weight
             hist += counts
@@ -966,7 +1019,8 @@ def _incomplete_poly_sum(q: int, gamma, x: int, y: int) -> int:
         for i, chi in enumerate(reads):
             # the first product is a new array; acc may be a view of the table
             acc = np.multiply(acc, chi, out=acc if i else None)
-        total += int(np.count_nonzero(acc > 0)) - int(np.count_nonzero(acc < 0))
+        # each product is 0 or +-1: the nonzero ones, less twice the negative
+        total += int(np.count_nonzero(acc)) - 2 * int(np.count_nonzero(acc < 0))
     return total
 
 
@@ -1014,9 +1068,18 @@ def random_weil_instances(trials: int, q_lo: int, q_hi: int, k_max: int, seed: i
 
 def weil_bound_battery(trials: int, q_lo: int, q_hi: int, k_max: int, seed: int) -> list[dict]:
     """weil_bound_check of each random_weil_instances trial, in trial order,
-    gamma as a list; the sieve's moduli are not tested prime again.  The
-    run's y * len(gamma) above CHI_TABLE_MAX is refused past MAX_SEGMENT
-    before any read.  The trials run in order of q: each table is built once."""
+    gamma as a list; the sieve's moduli are not tested prime again.  Before
+    the draw, the trials and their records, 720 + 48 k_max bytes each
+    (tracemalloc reads about 700 + 44.5 k for k offsets: 48 bytes are an
+    offset's int and its slots in the drawn tuple and the record's list),
+    are refused past arith.MAX_SEGMENT bytes, the cap of the sieve's
+    segment, which bounds memory; this module's MAX_SEGMENT bounds symbols
+    read.  The run's y * len(gamma) above CHI_TABLE_MAX is refused past
+    that one before any read.  The trials run in order of q: each table is
+    built once."""
+    # k_max < 1 is refused by the draw
+    fit_budget(f"weil-check of {trials} trials", trials, 720 + 48 * max(k_max, 1), arith.MAX_SEGMENT,
+               "MAX_SEGMENT", parts="the drawn trials and their records")
     instances = random_weil_instances(trials, q_lo, q_hi, k_max, seed=seed)
     symbols = sum(inst["y"] * len(inst["gamma"]) for inst in instances if inst["q"] > CHI_TABLE_MAX)
     fit_budget(f"weil-check of {len(instances)} trials", symbols, 1, MAX_SEGMENT, "MAX_SEGMENT", "symbols",

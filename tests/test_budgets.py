@@ -63,6 +63,9 @@ CASES = [
     pytest.param(lambda tmp_path: cli.main(["weil-check", "--interval", "1000000000:100", "--trials", "3",
                                             "--seed", "1", "--out", str(tmp_path / "out.json")]),
                  "1925759232 symbols", "MAX_SEGMENT = 268435456 symbols", id="weil-check-run"),
+    pytest.param(lambda tmp_path: cli.main(["weil-check", "--trials", "100000000", "--interval", "1000000000:1000000",
+                                            "--out", str(tmp_path / "out.json")]),
+                 "91200000000 bytes", "MAX_SEGMENT = 268435456 bytes", id="weil-check-trials"),
 ]
 
 

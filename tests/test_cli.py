@@ -219,6 +219,50 @@ def test_weil_check_builds_each_table_once_and_tests_no_modulus(monkeypatch, cap
     assert misses == len({d["q"] for d in drawn}) == 1790
 
 
+def test_weil_check_refuses_too_many_trials_before_it_draws(monkeypatch, capsys):
+    # 100,000,000 trials of up to 4 offsets would hold about 91 GB of drawn
+    # trials and records: refused at once, before a single draw
+    draws = []
+    monkeypatch.setattr(windows, "random_weil_instances", lambda *args, **kwargs: draws.append(args) or [])
+    rc, out, err = _run(["weil-check", "--trials", "100000000", "--interval", "1000000000:1000000"], capsys)
+    assert rc == 2 and out == "" and draws == []
+    assert err == ("charwin: weil-check of 100000000 trials needs about 91200000000 bytes for the drawn trials "
+                   "and their records, over MAX_SEGMENT = 268435456 bytes\n")
+
+
+def test_weil_check_trial_budget_is_720_plus_48_bytes_per_offset(monkeypatch, capsys):
+    # at k_max = 4 a trial counts 912 bytes: a cap of 50 of them runs 50
+    # trials and refuses 51 (the cap also bounds the sieve's segment, which
+    # the interval's 9001 entries fit)
+    monkeypatch.setattr(arith, "MAX_SEGMENT", 912 * 50)
+    argv = ["weil-check", "--interval", "1000:9000", "--kmax", "4", "--trials"]
+    assert _envelope(argv + ["50"], capsys)[1]["results"]["trials"] == 50
+    rc, out, err = _run(argv + ["51"], capsys)
+    assert rc == 2 and "weil-check of 51 trials needs about 46512 bytes" in err
+
+
+def test_rmf_compare_sieves_its_interval_once(monkeypatch, capsys):
+    # the battery's primes are the ones prime_count counts: one sieve of
+    # [Q, Q + delta] per run
+    calls = []
+    real = arith._prime_mask
+    monkeypatch.setattr(arith, "_prime_mask", lambda lo, hi: calls.append((lo, hi)) or real(lo, hi))
+    rc, env = _envelope(["rmf-compare", "--interval", "1000000:100000", "--seed", "1"], capsys)
+    assert rc == 0 and env["results"]["prime_count"] == 7216
+    assert calls.count((1000000, 1100000)) == 1
+
+
+def test_full_period_tail_of_a_block_row_builds_no_table(capsys):
+    # the h starts after a g = q - h row complete its period; when the row
+    # went to a chi_block, their symbols are read off the row, mod q, so no
+    # half-period table of q is built
+    windows._cached_table.cache_clear()
+    rc, env = _envelope(["clt-single", "--q", "1000003", "--h", "const:100", "--g", "full"], capsys)
+    misses = windows._cached_table.cache_info().misses
+    assert rc == 0 and env["results"]["g"] == 1000003 - 100
+    assert misses == 0
+
+
 def test_config_file_fills_required_and_flags_win(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[ktheta]\nrmax = 2\nhmax = 4\n")

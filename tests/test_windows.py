@@ -340,6 +340,73 @@ def test_squares_kernel_either_side_of_the_fill_threshold(monkeypatch):
         _check_both_routes(monkeypatch, q, np.concatenate([n, np.arange((q + 1) // 2 - 2**12, (q + 1) // 2)]))
 
 
+def _plain_table_against_jacobi(q):
+    """A fresh chi_table(q) on the plain route, entry by entry against the
+    scalar jacobi."""
+    windows._cached_table.cache_clear()
+    try:
+        t = chi_table(q)
+    finally:
+        windows._cached_table.cache_clear()
+    assert t.tolist() == [jacobi(r, q) for r in range((q + 1) // 2)], q
+
+
+@pytest.mark.parametrize("knob", [None, "BLOCK_BYTES", "_PASS_BYTES"])
+def test_one_chunk_tables_at_the_edge_of_a_pass(monkeypatch, knob):
+    # a plain table whose (q-1)/2 squares fit one pass of min(BLOCK_BYTES,
+    # _PASS_BYTES) // 20 is one chunk of the cached squares; from a square
+    # more it takes chunks of at most 2**15 and reads no cache.  At the
+    # default pass of 52,428 squares the nearest primes are 104851 (52,425
+    # squares) and 104869 (52,434); with either budget lowered, each q is
+    # built with the pass at (q-1)/2 + 1, (q-1)/2 and (q-1)/2 - 1 squares
+    used = _spy(monkeypatch, "_squares", lambda n: n)
+    if knob is None:
+        cases = [(104851, 52428), (104869, 52428)]
+    else:
+        cases = [(q, (q - 1) // 2 + d) for q in (1009, 40009) for d in (1, 0, -1)]
+    for q, squares in cases:
+        if knob:
+            monkeypatch.setattr(windows, knob, 20 * squares)
+        assert min(windows.BLOCK_BYTES, windows._PASS_BYTES) // 20 == squares
+        used.clear()
+        _plain_table_against_jacobi(q)
+        assert used == ([squares] if (q - 1) // 2 <= squares else []), (q, squares)
+
+
+def test_one_chunk_tables_stop_below_x_2_16(monkeypatch):
+    # with a pass of 2**21 bytes, 104,857 squares, the cached squares still
+    # stop at x = 2**16 - 1, whose square is the last below 2**32: q = 131063
+    # and 131071, (q-1)/2 = 65531 and 65535, are one chunk, and q = 131101,
+    # (q-1)/2 = 65550, takes chunks of 2**15
+    monkeypatch.setattr(windows, "_PASS_BYTES", 1 << 21)
+    used = _spy(monkeypatch, "_squares", lambda n: n)
+    for q in (131063, 131071, 131101):
+        _plain_table_against_jacobi(q)
+    assert used == [(1 << 16) - 1] * 2
+
+
+def test_square_cache_follows_the_pass(monkeypatch):
+    # a cache filled under one pass does not serve a build under another: a
+    # 4 KB pass (204 squares) refills it for q = 401 and the build, cached
+    # squares counted, stays within the pass; back at the default pass,
+    # q = 40009 needs 20,004 squares, far more than the 4 KB cache holds
+    used = _spy(monkeypatch, "_squares", lambda n: n)
+    for budget, q in ((windows.BLOCK_BYTES, 1009), (1 << 12, 401), (windows.BLOCK_BYTES, 40009)):
+        monkeypatch.setattr(windows, "BLOCK_BYTES", budget)
+        chunk = min(budget, windows._PASS_BYTES)
+        windows._cached_table.cache_clear()
+        tracemalloc.start()
+        try:
+            t = chi_table(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            windows._cached_table.cache_clear()
+        assert used[-1] == chunk // 20 and windows._squares(chunk // 20).size == chunk // 20
+        assert peak <= (q + 1) // 2 + chunk + 2048, budget
+        assert t.tolist() == [jacobi(r, q) for r in range(t.size)], q
+
+
 def test_squares_kernel_at_the_largest_table(monkeypatch):
     # 134217689 is the largest prime below CHI_TABLE_MAX: its 2**26 squares
     # reach 2q < 2**28 in uint32.  The oracle marks them by the direct
@@ -1420,6 +1487,27 @@ def test_incomplete_poly_sum_matches_bruteforce():
             math.prod(jacobi((n + c) % q, q) for c in gamma) for n in range(x + 1, x + y + 1)
         )
         assert incomplete_poly_sum(q, gamma, x, y) == direct
+
+
+def test_incomplete_poly_sum_counts_zero_products():
+    # windows that hold some n = -gamma_i mod q, where a product is 0, at
+    # one offset (the product is a view of the table) and at several; the
+    # sum counts the nonzero products less twice the negative ones
+    rng = random.Random(23)
+    zeros = 0
+    for q in (3, 5, 7, 11, 13, 101):
+        for _ in range(40):
+            gamma = tuple(rng.sample(range(-q, 2 * q), rng.randint(1, min(q, 4))))
+            if len({c % q for c in gamma}) < len(gamma):
+                continue
+            # a window around a zero of the first offset
+            y = rng.randint(1, q)
+            x = (-gamma[0] - rng.randint(1, y)) % q + q * rng.randint(0, 2)
+            terms = [math.prod(jacobi((n + c) % q, q) for c in gamma) for n in range(x + 1, x + y + 1)]
+            zeros += terms.count(0)
+            assert 0 in terms
+            assert incomplete_poly_sum(q, gamma, x, y) == sum(terms), (q, gamma, x, y)
+    assert zeros > 200
 
 
 @given(
