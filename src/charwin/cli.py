@@ -484,7 +484,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict], tuple], tuple[_Opt, ...]]] = {
             _Opt("--level", _same(int), None, "support level D (default: z)"),
             _Opt("--nmax", _same(int), "100000", "verify the indicator up to this n"),
             _Opt("--interval", _conv_interval, None,
-                 "optional Q:DELTA for the interval weight sum"),
+                 "optional Q:DELTA: sum the weights over odd q in (Q, Q+DELTA]"),
         ),
     ),
     "weil-check": (

@@ -14,7 +14,7 @@ int64 is exact, and Python-int objects otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,9 +30,12 @@ class SieveSystem:
     level: int
     sifting_primes: tuple[int, ...]
     lambda_base: dict[int, Fraction]
-    rho: dict[int, Fraction]
-    scale: int = field(repr=False, default=1)
-    rho_scaled: dict[int, int] = field(repr=False, default_factory=dict)
+    scale: int
+    rho_scaled: dict[int, int]
+
+    @property
+    def rho(self) -> dict[int, Fraction]:
+        return {e: Fraction(v, self.scale**2) for e, v in self.rho_scaled.items()}
 
 
 class SieveVerificationError(AssertionError):
@@ -84,7 +87,6 @@ def build_selberg(z: int, level: int) -> SieveSystem:
         for d2, l2 in lam_scaled.items():
             e = d1 * d2 // math.gcd(d1, d2)
             rho_scaled[e] = rho_scaled.get(e, 0) + l1 * l2
-    rho = {e: Fraction(v, scale * scale) for e, v in sorted(rho_scaled.items()) if v}
     rho_scaled = {e: v for e, v in sorted(rho_scaled.items()) if v}
     if max(rho_scaled) > level * level:
         raise SieveVerificationError("expanded support exceeds level**2")
@@ -93,7 +95,6 @@ def build_selberg(z: int, level: int) -> SieveSystem:
         level=level,
         sifting_primes=sifting,
         lambda_base=lam,
-        rho=rho,
         scale=scale,
         rho_scaled=rho_scaled,
     )

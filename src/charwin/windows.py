@@ -585,15 +585,12 @@ class EmpiricalSummary:
 
         Window sums sit on an integer lattice, so the threshold is floored;
         values within 1e-9 of the integer above are snapped up to keep exact
-        grid points (e.g. lam = 0) stable under float noise.
+        grid points (e.g. lam = 0) stable under float noise.  It is clamped to
+        [-h - 1, h], where the CDF is flat, so an overflowing lam sqrt(h) floors.
         """
         if not math.isfinite(lam):
             raise ValueError(f"CDF point must be finite, got lambda = {lam}")
-        x = lam * math.sqrt(self.h)
-        if x >= self.h:
-            return 1.0
-        if x < -self.h - 1:
-            return 0.0
+        x = min(max(lam * math.sqrt(self.h), -self.h - 1), self.h)
         t = math.floor(x)
         if x - t > 1 - 1e-9:
             t += 1
@@ -739,11 +736,9 @@ def window_histograms(qs, configs) -> list[list[int]]:
     after c-a are read directly, so a full period reads about (q-h)/2 starts.
     A tiled row of g >= q starts folds whole periods, S(m + q) = S(m): it adds
     g // q times the counts of one period from m_start to those of its first g % q.
-    A row of g = q - h starts also reads the h after its last, in tiles, and
-    checks sum S = 0 and sum S^2 = hq - h^2 over that period: a miss raises
-    AssertionError.  A block row holds a period, n = 0..q-1 at least, so
-    those symbols are read off it mod q (_row_range), in tiles no longer
-    than the row, and no table of q is built for them.
+    A row of g = q - h starts checks sum S = 0 and sum S^2 = hq - h^2 over
+    the period that the h starts after it complete, their sums in closed
+    form from (n|q), n <= h (_tail_sums): a miss raises AssertionError.
     Warns in the order of qs.  Each modulus is tested prime.
     """
     qs = [prime_modulus(q) for q in qs]
@@ -778,9 +773,8 @@ def _window_histograms(qs, configs, stacklevel: int) -> list[np.ndarray]:
             block = chi_block(qs[lo : lo + rows], n_max)
             out.extend(_histograms(block, configs[lo : lo + rows]))
             for q, config, counts, row in zip(qs[lo : lo + rows], configs[lo : lo + rows], out[lo:], block):
-                # the tail is read off the row, in tiles no longer than it
-                _check_full_period(q, config, counts, min(config.h, n_max + 1 - config.h),
-                                   functools.partial(_row_range, row))
+                if config.g + config.h == q:
+                    _check_full_period(q, config, counts, row[1 : config.h + 1])
             continue
         q, h, g, m0 = qs[lo], configs[lo].h, configs[lo].g, configs[lo].m_start
         step = fit_budget(f"tile of one start at h={h}", h + 1, per_symbol, BLOCK_BYTES - 2 * per_count_row,
@@ -809,43 +803,47 @@ def _window_histograms(qs, configs, stacklevel: int) -> list[np.ndarray]:
             starts = sum(m_hi - m_lo for m_lo, m_hi, _, _ in runs)
             fit_budget(f"the jacobi_array route of q={q}, h={h}", starts, 1, MAX_SEGMENT, "MAX_SEGMENT",
                        "symbols")
-        out.append(_tile_counts(q, h, runs, step, np.int64 if g < 2**63 else object, _chi_range))
-        _check_full_period(q, configs[lo], out[-1], min(h, step), _chi_range)
+        out.append(_tile_counts(q, h, runs, step, np.int64 if g < 2**63 else object))
+        if g + h == q:
+            _check_full_period(q, configs[lo], out[-1], _chi_range(q, 1, h))
     return out
 
 
-def _check_full_period(q: int, config: WindowConfig, counts: np.ndarray, step: int, read) -> None:
-    """For a row of g = q - h starts with counts, count the h starts after
-    its last, which complete a period, in tiles of at most step starts
-    whose symbols m..n come from read(q, m, n) (see _tile_counts); then
-    check sum S = 0 and sum S^2 = hq - h^2 over the period, or raise
-    AssertionError."""
-    h, end = config.h, config.m_start + config.g
-    if config.g + h != q:
-        return
-    tail = _tile_counts(q, h, [(end, end + h, False, 1)], step, np.int64, read)
-    sums = tuple(_power_sums((counts + tail)[None, :], h, (1, 2))[0].tolist())
+def _check_full_period(q: int, config: WindowConfig, counts: np.ndarray, chi: np.ndarray) -> None:
+    """Check sum S = 0 and sum S^2 = hq - h^2 over a row of g = q - h starts
+    with counts and its _tail_sums from chi, or raise AssertionError."""
+    h, tail = config.h, _tail_sums(q, config, chi)
+    total, squares = _power_sums(counts[None, :], h, (1, 2))[0].tolist()
+    sums = (total + int(tail.sum()), squares + int(tail @ tail))
     if sums != (0, h * q - h * h):
         raise AssertionError(f"full-period identities fail at q={q}, h={h}: "
                              f"(sum S, sum S^2) = {sums}, expected (0, {h * q - h * h})")
 
 
-def _row_range(row: np.ndarray, q: int, m: int, n: int) -> np.ndarray:
-    """Symbols m..n, n < 2q, of a chi_block row that holds n = 0..q-1 at
-    least, as _chi_range reads them: (n|q) = (n-q|q) past q - 1."""
-    return np.concatenate((row[m : min(n + 1, q)], row[max(m, q) - q : max(n + 1, q) - q]))
+def _tail_sums(q: int, config: WindowConfig, chi: np.ndarray) -> np.ndarray:
+    """Window sums, int64 in about 24h bytes, of the h starts after a row of
+    g = q - h starts, from chi = (n|q), n = 1..h.  The start m_start + q - h + j,
+    j < h, reads n = m_start - h + j + 1 .. m_start + j mod q, so with
+    P(k) = sum of (n|q) over 1 <= n <= k its sum is
+    P(m_start + j) + (-1|q) P(h - 1 - m_start - j), 0 below index 1."""
+    h, m0 = config.h, config.m_start
+    prefix = np.concatenate([np.zeros(1, np.int64), np.cumsum(chi, dtype=np.int64)])
+    tail = prefix[m0 : m0 + h].copy()
+    mirror = prefix[: h - m0][::-1]
+    tail[: h - m0] += mirror if q % 4 == 1 else -mirror
+    return tail
 
 
-def _tile_counts(q: int, h: int, runs, step: int, dtype, read) -> np.ndarray:
+def _tile_counts(q: int, h: int, runs, step: int, dtype) -> np.ndarray:
     """Counts of the runs (m_lo, m_hi, mirrored, weight) of starts at q in
     tiles of at most step starts, each a block from column 0 = m of the
-    symbols read(q, m, n); a mirrored run adds them once more, reversed
-    when q = 3 mod 4."""
+    symbols _chi_range(q, m, n); a mirrored run adds them once more,
+    reversed when q = 3 mod 4."""
     hist = np.zeros(2 * h + 1, dtype=dtype)
     for m_lo, m_hi, mirrored, weight in runs:
         for m in range(m_lo, m_hi, step):
             tile = WindowConfig(h=h, g=min(step, m_hi - m), m_start=0)
-            (counts,) = _histograms(read(q, m, m + tile.g + h - 1)[None, :], [tile])
+            (counts,) = _histograms(_chi_range(q, m, m + tile.g + h - 1)[None, :], [tile])
             counts = counts.astype(dtype, copy=False)
             counts *= weight
             hist += counts

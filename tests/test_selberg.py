@@ -56,6 +56,19 @@ def test_single_prime_system():
     assert abs_weight_sum(system) == 2
 
 
+def test_sieve_system_holds_its_weights_once():
+    # rho is read off scale and rho_scaled, so a system built from them is
+    # the one build_selberg returns, and one without them cannot be built
+    built = build_selberg(30, 50)
+    system = selberg.SieveSystem(z=built.z, level=built.level, sifting_primes=built.sifting_primes,
+                                 lambda_base=built.lambda_base, scale=built.scale, rho_scaled=built.rho_scaled)
+    assert system == built and system.rho == built.rho
+    assert list(system.rho) == sorted(system.rho) and 0 not in system.rho.values()
+    assert indicator_value(system, 1) == 1 and abs_weight_sum(system) == abs_weight_sum(built)
+    with pytest.raises(TypeError):
+        selberg.SieveSystem(z=5, level=3, sifting_primes=(3,), lambda_base={1: 1, 3: -1})
+
+
 def test_lambda_classical_properties():
     for z in (10, 20, 30):
         system = build_selberg(z, z)

@@ -814,11 +814,11 @@ def _starts_read(q, config):
     # c - m > m of a start m in range, c = q - h - 1.  A tile of k starts
     # reads the k + h symbols n = m..m+k+h-1 from its first start m on.
     # For g >= q the route folds whole periods, S(m + q) = S(m): it reads the
-    # range of q starts from m_start and then that of its first g mod q.  A
-    # row of g = q - h starts also reads the h starts after its last, which
-    # complete the period for the full-period identities.
+    # range of q starts from m_start and then that of its first g mod q.  The
+    # h starts after a row of g = q - h starts, which complete the period for
+    # the full-period identities, are summed from (n|q), n <= h, not read.
     periods, rest = divmod(config.g, q)
-    read = config.h if config.g + config.h == q else 0
+    read = 0
     for g in [q, rest] if periods else [rest]:
         m = np.arange(config.m_start, config.m_start + g)
         mirror = q - config.h - 1 - m
@@ -1221,14 +1221,14 @@ def test_folded_tiles_match_window_series(route, q, h, m_start):
         read = sum(tiles) - h * len(tiles)
         assert read == _starts_read(q, config) and max(tiles) <= 8 + h
         assert (read < g) == (g != unpaired)
-    # half the starts of a full period, and the h after them
-    assert _starts_read(q, WindowConfig(h=h, g=q - h, m_start=m_start)) <= (q - h) // 2 + 2 + h
+    # half the starts of a full period
+    assert _starts_read(q, WindowConfig(h=h, g=q - h, m_start=m_start)) <= (q - h) // 2 + 2
 
 
 def test_full_period_clt_single_reads_half_its_starts(monkeypatch, tmp_path):
     # q = 2000003 does not fit one block, so clt-single --g full takes the
-    # column-tile route and reads about (q - h) / 2 of its q - h starts, and
-    # the h starts after them that complete the period
+    # column-tile route and reads about (q - h) / 2 of its q - h starts; the
+    # h starts after them that complete the period are summed, not read
     q, h = 2000003, 100
     starts = []
     real_chi_range = windows._chi_range
@@ -1242,7 +1242,7 @@ def test_full_period_clt_single_reads_half_its_starts(monkeypatch, tmp_path):
         warnings.simplefilter("ignore", ExperimentWarning)
         assert cli.main(["clt-single", "--q", str(q), "--h", f"const:{h}", "--g", "full",
                          "--out", str(tmp_path / "out.json")]) == 0
-    assert len(starts) >= 2 and abs(sum(starts) - h - (q - h) / 2) <= 2
+    assert len(starts) >= 2 and abs(sum(starts) - (q - h) / 2) <= 2
 
 
 def test_clt_single_beyond_one_period_reads_at_most_two_periods(monkeypatch, tmp_path):
@@ -1699,7 +1699,71 @@ def test_full_coverage_row_with_a_moved_start_fails_the_identities(monkeypatch, 
         monkeypatch.setattr(windows, "_histograms", moved)
         with pytest.raises(AssertionError, match=r"^full-period identities fail at q=101, h=10: .*expected \(0, 910\)$"):
             window_histograms([q], [config])
-    # the tail is one tile after a block, and tiles of at most 8 starts after tiles
-    assert calls == [(1, q + 1), (1, 2 * h)] if budget is None else max(calls) == (1, 8 + h)
+    # the tail is summed, not counted: one block, or tiles of at most 8 starts
+    assert calls == [(1, q + 1)] if budget is None else max(calls) == (1, 8 + h)
 
 
+
+
+@pytest.mark.parametrize("route", ["block", "tiles", "jacobi_array"])
+def test_full_period_tail_sums_match_window_sum(monkeypatch, route):
+    # The h starts after a row of g = q - h starts are summed in closed form
+    # from the symbols (n|q), n <= h, that each route passes: a slice of the
+    # block row, or a _chi_range read beside the column tiles, from the table
+    # or from jacobi_array.  Each sum must be the scalar window_sum.
+    items = [(q, WindowConfig(h=h, g=q - h, m_start=m0))
+             for q in PRIMES_TO_300 for h in range(1, min(q, 12)) for m0 in (0, 1)]
+    checked = []
+    real = windows._check_full_period
+    monkeypatch.setattr(windows, "_check_full_period",
+                        lambda q, config, counts, chi: checked.append((q, config, chi.copy()))
+                        or real(q, config, counts, chi))
+    blocks, tables = [], []
+    real_chi_block, real_table = windows.chi_block, windows._cached_table
+    monkeypatch.setattr(windows, "chi_block", lambda *a: blocks.append(a) or real_chi_block(*a))
+    monkeypatch.setattr(windows, "_cached_table", lambda q: tables.append(q) or real_table(q))
+    if route == "jacobi_array":
+        monkeypatch.setattr(windows, "CHI_TABLE_MAX", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        for q, config in items:
+            # tiles of k starts, at least 2 per row; a row of at most k + h
+            # symbols fits a block even at this budget
+            k = max(4, (q - config.h) // 3)
+            if route != "block":
+                monkeypatch.setattr(windows, "BLOCK_BYTES", 12 * (k + config.h) + 16 * (2 * config.h + 1))
+            read = len(blocks)
+            window_histograms([q], [config])
+            assert len(blocks) - read == (route == "block" or config.m_start + q <= k + config.h)
+    assert [(q, config) for q, config, _ in checked] == items
+    assert bool(tables) == (route == "tiles")
+    for q, config, chi in checked:
+        h, m0 = config.h, config.m_start
+        assert windows._tail_sums(q, config, chi).tolist() == [window_sum(q, m0 + q - h + j, h) for j in range(h)]
+
+
+def test_full_period_identities_catch_a_reader_one_symbol_late(monkeypatch):
+    # A tile reader that reads every range one symbol late miscounts the row;
+    # the tail, summed from (n|q) and not through the tiles, does not shift
+    # the same way, so the identities fail wherever the histogram is wrong
+    real = windows._chi_range
+    for q in (101, 103, 107, 109, 113, 127):
+        for h in (3, 4, 5):
+            for m0 in (0, 1):
+                config = WindowConfig(h=h, g=q - h, m_start=m0)
+                with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ExperimentWarning)
+                    expected = value_histogram(window_series(q, config), h)
+                    mp.setattr(windows, "BLOCK_BYTES", 12 * (8 + h) + 16 * (2 * h + 1))
+                    mp.setattr(windows, "_chi_range", lambda q_, lo, hi: real(q_, lo + 1, hi + 1))
+                    try:
+                        got = window_histograms([q], [config])
+                    except AssertionError as error:
+                        assert str(error).startswith(f"full-period identities fail at q={q}, h={h}: ")
+                        continue
+                assert got == [expected], (q, h, m0)
+    config = WindowConfig(h=3, g=98, m_start=1)
+    monkeypatch.setattr(windows, "BLOCK_BYTES", 12 * (8 + 3) + 16 * 7)
+    monkeypatch.setattr(windows, "_chi_range", lambda q_, lo, hi: real(q_, lo + 1, hi + 1))
+    with pytest.raises(AssertionError, match=r"^full-period identities fail at q=101, h=3: "):
+        window_histograms([101], [config])
