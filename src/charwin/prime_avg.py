@@ -13,6 +13,7 @@ exceptional set), and reports the exceptional fractions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import warnings
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import windows
-from .arith import ExperimentWarning, fit_budget, primes_in_interval
+from .arith import MAX_SEGMENT, ExperimentWarning, fit_budget, primes_in_interval
 from .rmf import _coeffs, _squarefree_parts, _support, _variance_rhs
 from .windows import WindowConfig, _deviations, _window_histograms, chi_block
 
@@ -60,7 +61,19 @@ def avg_character_variance(spec: IntervalSpec, a) -> float:
 
 def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], supports: list[list], primes: list[int]) -> list[float]:
     """The scaled prime sums of each vector, read off its support (rmf._support);
-    primes come from the sieve and are not checked."""
+    primes come from the sieve and are not checked.
+
+    Each vector's sum is scale * math.fsum of its squares |inner|^2, one per
+    prime, or that value bit for bit.  A vector whose support coefficients
+    are all integral reals, with (sum |a_n|)^2 times the rows of a block
+    below 2**53 (checked in integers), has integer inner sums, and every
+    float64 partial sum of them and of their dot product is an exact integer
+    below 2**53; so each block adds the dot product of inner with itself to
+    one Python int, and float() of the total rounds the exact sum once, as
+    fsum does.  Every other vector (a fraction, a complex entry, or past the
+    bound) holds its squares as float64 arrays, 8 bytes a term within
+    MAX_SEGMENT bytes, checked before the sweep, and takes one fsum over
+    them at the end."""
     for vec in vectors:
         if len(vec) > spec.delta:
             warnings.warn(
@@ -73,7 +86,14 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], supports: list[list],
     what = f"battery symbol row to n_max={n_max}"
     rows = min(fit_budget(what, 1, 2 * (n_max + 1), windows.BLOCK_BYTES, "BLOCK_BYTES"),
                windows._block_rows(what, n_max, 1, "chi_block's"))
-    per_vector = [[] for _ in vectors]
+    block_rows = min(rows, len(primes))
+    exact = [all(isinstance(c, float) and c.is_integer() for _, c in sup)
+             and sum(abs(int(c)) for _, c in sup) ** 2 * block_rows < 2**53 for sup in supports]
+    held = exact.count(False)
+    fit_budget(f"battery squares of {held} vectors over {len(primes)} primes", held * len(primes), 8,
+               MAX_SEGMENT, "MAX_SEGMENT", parts="float64 squares")
+    totals = [0] * len(vectors)
+    squares = [[] for _ in vectors]
     for lo in range(0, len(primes), rows):
         block = chi_block(primes[lo : lo + rows], n_max)
         for i, sup in enumerate(supports):
@@ -81,20 +101,25 @@ def _battery_lhs(spec: IntervalSpec, vectors: list[tuple], supports: list[list],
             inner = np.zeros(block.shape[0])
             for n, c in sup:
                 inner = inner + c * block[:, n]
-            per_vector[i].extend(_squared_magnitudes(inner))
+            if exact[i]:
+                # einsum, not a BLAS dot, whose idle threads spin on after the call
+                totals[i] += int(np.einsum("i,i", inner, inner))
+            else:
+                squares[i].append(_squared_magnitudes(inner))
     scale = math.log(spec.q_start) / spec.delta
-    return [scale * math.fsum(terms) for terms in per_vector]
+    return [scale * (float(total) if ok else math.fsum(itertools.chain.from_iterable(terms)))
+            for ok, total, terms in zip(exact, totals, squares)]
 
 
-def _squared_magnitudes(x: np.ndarray) -> list[float]:
-    """[abs(v) ** 2 for v in x.tolist()], bit for bit: libm hypot for a
-    complex abs, as Python's, where np.abs differs in the last bit, and libm
-    pow for the square, as Python's float ** takes it.  A finite value whose
-    magnitude or square overflows raises, as there, though as
-    FloatingPointError."""
+def _squared_magnitudes(x: np.ndarray) -> np.ndarray:
+    """The float64 array of abs(v) ** 2 for v in x.tolist(), bit for bit:
+    libm hypot for a complex abs, as Python's, where np.abs differs in the
+    last bit, and libm pow for the square, as Python's float ** takes it.
+    A finite value whose magnitude or square overflows raises, as there,
+    though as FloatingPointError."""
     with np.errstate(over="raise"):
         magnitude = np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
-        return np.float_power(magnitude, 2.0).tolist()
+        return np.float_power(magnitude, 2.0)
 
 
 def variance_ratio(spec: IntervalSpec, a) -> dict:
@@ -109,7 +134,11 @@ def variance_ratio_battery(spec: IntervalSpec, vectors, *, primes: list[int] | N
     also counts them has sieved already; they are not checked.
 
     A nonzero vector whose model bound underflows to 0.0, as tiny
-    coefficients' squares do, has no ratio: ValueError, before the sweep."""
+    coefficients' squares do, has no ratio: ValueError, before the sweep.
+    Each lhs is _battery_lhs's: an exact integer sum of squares, rounded
+    once, for a vector of small integral coefficients such as the +-1 of
+    random_sparse_vectors, and math.fsum of float64 squares, held within
+    MAX_SEGMENT bytes, for any other."""
     coeff_vecs = [_coeffs(a) for a in vectors]
     supports = [_support(vec) for vec in coeff_vecs]
     parts = _squarefree_parts(n for sup in supports for n, _ in sup)
@@ -272,8 +301,9 @@ def exceptional_sets(
     deviation = np.empty(starts[-1] + per[-1])
     exceptional = np.empty(deviation.size, dtype=bool)
     hit = {"even": np.empty(n, dtype=bool), "odd": np.empty(n, dtype=bool)}
-    squares: dict[str, list[float]] = {}
-    squares_norm: dict[str, list[float]] = {}
+    # each key's squares, one float64 row per h-group, summed at the end
+    squares: dict[str, list[np.ndarray]] = {}
+    squares_norm: dict[str, list[np.ndarray]] = {}
     for h, rows in rows_of.items():
         k = min(r_max, h)
         # column t is record t of each prime: r = t // 2 + 1, and order 2r
@@ -288,8 +318,8 @@ def exceptional_sets(
         raw, normalized = _squared_magnitudes(devs.T), _squared_magnitudes((devs / divisors).T)
         for t in range(2 * k):
             key = f"r{t // 2 + 1}_{('even', 'odd')[t % 2]}"
-            squares.setdefault(key, []).extend(raw[t])
-            squares_norm.setdefault(key, []).extend(normalized[t])
+            squares.setdefault(key, []).append(raw[t])
+            squares_norm.setdefault(key, []).append(normalized[t])
     size = deviation.size
     return ExceptionalReport(
         columns={
@@ -304,9 +334,14 @@ def exceptional_sets(
         fraction_even=np.count_nonzero(hit["even"]) / n,
         fraction_odd=np.count_nonzero(hit["odd"]) / n,
         fraction_union=np.count_nonzero(hit["even"] | hit["odd"]) / n,
-        mean_sq_deviation={k: math.fsum(v) / len(v) for k, v in sorted(squares.items())},
-        mean_sq_deviation_normalized={k: math.fsum(v) / len(v) for k, v in sorted(squares_norm.items())},
+        mean_sq_deviation={k: _mean(v) for k, v in sorted(squares.items())},
+        mean_sq_deviation_normalized={k: _mean(v) for k, v in sorted(squares_norm.items())},
     )
+
+
+def _mean(rows: list[np.ndarray]) -> float:
+    """math.fsum of the values of rows over their count."""
+    return math.fsum(itertools.chain.from_iterable(rows)) / sum(row.size for row in rows)
 
 
 @dataclass(frozen=True)

@@ -117,10 +117,12 @@ def verify_indicator(system: SieveSystem, n_max: int) -> dict:
     smallest violating n is reported, as a negative sum if it is one.
 
     One scan: acc[e::e] += rho_e over the support, a sifted mask from the
-    sifting primes, then one search for violations.  acc is int64 when the
-    sum of |rho_e|, which bounds every partial sum, is below 2**63, and an
-    array of Python ints otherwise; the same lines serve both.  Before any
-    allocation, n_max + 1 must fit the MAX_SEGMENT entries of a prime sieve.
+    sifting primes, then one search for violations, marked in place of that
+    mask, so that acc and the mask are all the scan holds.  acc is int64
+    when the sum of |rho_e|, which bounds every partial sum, is below 2**63,
+    and an array of Python ints otherwise; the same lines serve both.
+    Before any allocation, n_max + 1 must fit the MAX_SEGMENT entries of a
+    prime sieve.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -137,17 +139,26 @@ def verify_indicator(system: SieveSystem, n_max: int) -> dict:
     sifted = np.zeros(n_max + 1, dtype=bool)
     for p in system.sifting_primes:
         sifted[p::p] = True
-    body = acc[1:]
-    bad = np.flatnonzero((body < 0) | (~sifted[1:] & (body != sq)))
-    if bad.size:
-        n = int(bad[0]) + 1
+    body, mask = acc[1:], sifted[1:]
+    rough_count = n_max - int(np.count_nonzero(mask))
+    # the violations in place of the sifted mask, a chunk of 2**16 at a time,
+    # so that the scan holds no more than its budget: a rough n (a & ~b is
+    # a > b on bools) whose sum is not 1, or a negative sum
+    chunk = 1 << 16
+    for lo in range(0, n_max, chunk):
+        sums, part = body[lo : lo + chunk], mask[lo : lo + chunk]
+        np.greater(sums != sq, part, out=part)
+        part |= sums < 0
+    first = int(mask.argmax())
+    if mask[first]:
+        n = first + 1
         value = Fraction(int(acc[n]), sq)
         if value < 0:
             raise SieveVerificationError(f"negative weight sum {value} at n={n}")
         raise SieveVerificationError(f"rough n={n} has weight sum {value} != 1")
     return {
         "n_max": n_max,
-        "rough_count": n_max - int(np.count_nonzero(sifted[1:])),
+        "rough_count": rough_count,
         "min_value": Fraction(int(body.min()), sq),
         "ok": True,
     }

@@ -11,7 +11,10 @@ the one helper.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -194,6 +197,40 @@ def test_jacobi_route_caps_sit_at_max_segment(monkeypatch):
         assert sum(window_histograms([q], [WindowConfig(h=3, g=1000, m_start=1)])[0]) == 1000
         with pytest.raises(ValueError, match="needs about 1001 symbols, over MAX_SEGMENT = 1000 symbols"):
             window_histograms([q], [WindowConfig(h=3, g=1001, m_start=1)])
+
+
+# a child that imports the CLI, runs argv (none: the import floor) and
+# prints its peak RSS in bytes; ru_maxrss counts KiB on Linux
+_CHILD = """
+import resource, sys
+import charwin.cli
+if sys.argv[1:]:
+    assert charwin.cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
+"""
+
+
+def _child_peak_rss(*argv: str) -> int:
+    # the mmap threshold fixed, so that glibc's sliding threshold cannot
+    # move freed block-sized temporaries onto the brk heap and the reading;
+    # no bytecode written, so that each child compiles what the other does
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss counts KiB on Linux only")
+def test_rmf_compare_peak_rss_within_its_budget(tmp_path):
+    # README "Budgets": the import floor, 2 * BLOCK_BYTES of chi_block, and
+    # 8 bytes per unit of delta for the sieve segment and the primes; the
+    # +-1 battery holds no squares (holding them all as Python floats read
+    # about 140 MB over the floor)
+    delta = 10**6
+    floor = _child_peak_rss()
+    peak = _child_peak_rss("rmf-compare", "--interval", f"1000000:{delta}", "--out", str(tmp_path / "out.json"))
+    assert peak < floor + 2 * windows.BLOCK_BYTES + 8 * delta, (floor, peak)
 
 
 BUDGET_WORDS = re.compile(r"budget|MAX_SEGMENT|CHI_TABLE_MAX|BLOCK_BYTES|BRUTE_FORCE_BUDGET", re.IGNORECASE)

@@ -33,6 +33,7 @@ from charwin import (
     window_histograms,
     window_series,
 )
+from charwin import cli, prime_avg
 from charwin.prime_avg import _battery_lhs, _squared_magnitudes
 from charwin.rmf import _coeffs, _support
 from charwin.windows import _deviations, power_sum
@@ -434,6 +435,70 @@ def test_battery_lhs_random_sparse_battery_bit_identical():
                for vec in random_sparse_vectors(12, 150, seed=5, support=30)]
     supports = [_support(v) for v in battery]
     assert _battery_lhs(spec, battery, supports, primes) == _slow_battery_lhs(spec, battery, primes)
+
+
+# integral coefficients, small and up to 2**27: over the 302 primes below
+# 2003, (sum |a_n|)^2 * 302 passes 2**53 once sum |a_n| passes about 5.5e6,
+# so the large draws leave the exact integer sum for the fsum path
+_INTEGRAL = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**27), 2**27)).map(float)
+
+
+@given(st.lists(st.lists(_INTEGRAL, min_size=1, max_size=60).map(tuple), min_size=1, max_size=4))
+@example([(1.0, -3.0, 0.0, 5.0), (2.0**27,) * 60])
+@example([(float(2**22),) + (0.0,) * 59, (float(2**22 + 2**21),)])
+@settings(max_examples=60, deadline=None)
+def test_battery_lhs_integral_vectors_bit_identical_to_jacobi_loop(vectors):
+    spec = IntervalSpec(q_start=3, delta=2000)
+    primes = [p for p in primes_in_interval(3, 2003) if p % 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentWarning)
+        vals = [_coeffs(v) for v in vectors]
+        fast = _battery_lhs(spec, vals, [_support(v) for v in vals], primes)
+    assert [x.hex() for x in fast] == [x.hex() for x in _slow_battery_lhs(spec, vals, primes)]
+
+
+def _spy_squared_magnitudes(monkeypatch) -> list:
+    """The sizes of the arrays prime_avg._squared_magnitudes is called on."""
+    calls = []
+    real = prime_avg._squared_magnitudes
+    monkeypatch.setattr(prime_avg, "_squared_magnitudes", lambda x: calls.append(x.size) or real(x))
+    return calls
+
+
+def test_default_rmf_compare_battery_never_squares_floats(monkeypatch, tmp_path):
+    # the +-1 battery of rmf-compare's defaults sums each F(q) as an integer
+    calls = _spy_squared_magnitudes(monkeypatch)
+    assert cli.main(["rmf-compare", "--interval", "1000000:100000", "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == []
+
+
+def test_one_fractional_coefficient_keeps_its_vector_on_the_fsum_path(monkeypatch):
+    spec = IntervalSpec(q_start=100000, delta=5000)
+    primes = interval_primes(spec)
+    battery = random_sparse_vectors(6, 150, seed=5, support=30)
+    at = battery[4].index(1.0)
+    battery[4] = battery[4][:at] + (0.5,) + battery[4][at + 1 :]
+    calls = _spy_squared_magnitudes(monkeypatch)
+    supports = [_support(v) for v in battery]
+    assert _battery_lhs(spec, battery, supports, primes) == _slow_battery_lhs(spec, battery, primes)
+    assert calls == [len(primes)]
+
+
+def test_battery_squares_held_within_max_segment(monkeypatch):
+    # 8 bytes for each prime of each vector that takes the fsum path; the
+    # integral vectors hold none
+    spec = IntervalSpec(q_start=100000, delta=5000)
+    primes = interval_primes(spec)
+    battery = random_sparse_vectors(3, 50, seed=2)
+    halves = [tuple(c / 2 for c in vec) for vec in battery]
+    supports = [_support(v) for v in battery + halves]
+    monkeypatch.setattr(prime_avg, "MAX_SEGMENT", 8 * 3 * len(primes))
+    assert _battery_lhs(spec, battery + halves, supports, primes) == _slow_battery_lhs(spec, battery + halves, primes)
+    monkeypatch.setattr(prime_avg, "MAX_SEGMENT", 8 * 3 * len(primes) - 1)
+    assert _battery_lhs(spec, battery, supports[:3], primes) == _slow_battery_lhs(spec, battery, primes)
+    with pytest.raises(ValueError, match=rf"^battery squares of 3 vectors over {len(primes)} primes needs about "
+                                         rf"{24 * len(primes)} bytes for float64 squares, over MAX_SEGMENT"):
+        _battery_lhs(spec, battery + halves, supports, primes)
 
 
 def _python_squares(values) -> list:

@@ -241,3 +241,19 @@ def test_verify_indicator_budget_edge(monkeypatch):
     assert verify_indicator(system, 999)["ok"]
     with pytest.raises(ValueError, match="MAX_SEGMENT = 1000 entries"):
         verify_indicator(system, 1000)
+
+
+def test_verify_indicator_peak_is_its_budget():
+    # int64 sums and one bool mask, 9 bytes an entry: the violation mask is
+    # built in place of the sifted one, with chunk temporaries of 2**16
+    # entries beside them (a whole-array mask read 12 bytes an entry)
+    system = build_selberg(40, 40)
+    n_max = 10**6
+    tracemalloc.start()
+    try:
+        report = verify_indicator(system, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["ok"]
+    assert peak < 9 * (n_max + 1) + 3 * 2**16, peak / (n_max + 1)
